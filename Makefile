@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTraceRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzPTEEncodeDecode -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzMapLookupAgree -fuzztime=10s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzMapRangeMatchesMap -fuzztime=10s ./internal/pagetable
 
 # bench runs the per-experiment benchmarks and the full-sweep benchmark,
 # which writes BENCH_sweep.json (wall-clock seconds per Quick sweep) for

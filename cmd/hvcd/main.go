@@ -141,11 +141,13 @@ func main() {
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
+	// Subscribe before serving: a signal that arrives as soon as the
+	// daemon answers /readyz must start a drain, not kill the process.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.ListenAndServe() }()
 	logger.Info("hvcd listening", "version", buildinfo.Version(), "addr", *addr)
 
 	select {

@@ -171,6 +171,42 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestAccessBatchMissPathAllocs extends the allocation pin to the miss
+// paths: page walks (1D and 2D), delayed translation and payload fills.
+// After a warm-up stretch of gups, every organization must serve fresh
+// 128-reference gups batches — mostly LLC misses — without allocating.
+func TestAccessBatchMissPathAllocs(t *testing.T) {
+	const chunk, runs = 128, 20
+	for _, org := range hybridvc.Organizations() {
+		org := org
+		t.Run(string(org), func(t *testing.T) {
+			sys := newHotpathSystem(t, org, "gups")
+			warm := collectRequests(sys, 8192)
+			sys.Mem.AccessBatch(warm, make([]core.Result, len(warm)))
+
+			// AllocsPerRun calls the function once more than runs.
+			reqs := collectRequests(sys, (runs+1)*chunk)
+			res := make([]core.Result, chunk)
+			next, misses := 0, 0
+			avg := testing.AllocsPerRun(runs, func() {
+				sys.Mem.AccessBatch(reqs[next:next+chunk], res)
+				next += chunk
+				for i := range res {
+					if res[i].LLCMiss {
+						misses++
+					}
+				}
+			})
+			if avg != 0 {
+				t.Errorf("miss-path AccessBatch allocates %.2f times per batch, want 0", avg)
+			}
+			if misses < next/4 {
+				t.Errorf("only %d of %d references missed the LLC; the pin no longer covers the miss path", misses, next)
+			}
+		})
+	}
+}
+
 func testSteadyStateAllocs(t *testing.T, org hybridvc.Organization) {
 	sys := newHotpathSystem(t, org, "gups")
 	g := sys.Generators()[0]

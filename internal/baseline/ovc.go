@@ -99,15 +99,15 @@ func (o *OVC) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool) {
 // bypass the L1).
 func (o *OVC) timedWalk(proc *osmodel.Process, va addr.VA) (core.WalkLeaf, uint64, bool) {
 	o.Acc.Access(energy.PageWalk, 1)
-	path, leaf, found := proc.PT.WalkPath(va)
+	path, steps, leaf, found := proc.PT.WalkPath(va)
 	var lat uint64
-	for _, slot := range path {
+	for _, slot := range path[:steps] {
 		o.WalkSteps.Inc()
 		slat, _, _ := o.physL2Access(cache.Read, slot, addr.PermRO)
 		lat += slat
 	}
 	if p := o.Probe(); p != nil {
-		p.Walk(pipeline.WalkEvent{Steps: len(path), OK: found})
+		p.Walk(pipeline.WalkEvent{Steps: steps, OK: found})
 	}
 	if !found {
 		return core.WalkLeaf{}, lat, false

@@ -27,6 +27,10 @@ type payloadTable struct {
 	used  int // live + tombstones
 	live  int
 	shift uint
+	// spareKeys/spareVals are the arrays a same-size grow retired. The
+	// next same-size grow (a tombstone purge) rehashes into them, so a
+	// table churning at a steady size stops allocating.
+	spareKeys, spareVals []uint64
 }
 
 const payloadInitLog = 8
@@ -115,8 +119,18 @@ func (t *payloadTable) grow() {
 		size *= 2
 	}
 	keys, vals := t.keys, t.vals
-	t.keys = make([]uint64, size)
-	t.vals = make([]uint64, size)
+	if size == len(keys) && len(t.spareKeys) == size {
+		clear(t.spareKeys)
+		clear(t.spareVals)
+		t.keys, t.vals = t.spareKeys, t.spareVals
+	} else {
+		t.keys = make([]uint64, size)
+		t.vals = make([]uint64, size)
+	}
+	t.spareKeys, t.spareVals = nil, nil
+	if size == len(keys) {
+		t.spareKeys, t.spareVals = keys, vals
+	}
 	t.shift = 64 - log2(uint64(size))
 	t.used, t.live = 0, 0
 	for i, sk := range keys {

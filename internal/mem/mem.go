@@ -166,46 +166,43 @@ func (a *Allocator) LargestFreeExtent() uint64 {
 // measure of external fragmentation.
 func (a *Allocator) NumFreeExtents() int { return len(a.free) }
 
+// chunkBits sets the Store's directory granule: one chunk holds the page
+// pointers of 1<<chunkBits consecutive frames (512 frames, 2 MiB).
+const (
+	chunkBits   = 9
+	chunkFrames = 1 << chunkBits
+)
+
+// page is the backing bytes of one physical frame.
+type page = [addr.PageSize]byte
+
 // Store is the sparse backing store for physical pages that carry real
 // contents in the simulation (page-table pages and index-tree pages).
 // Ordinary data pages never allocate backing bytes.
-// memoSlots is the size of the Store's direct-mapped lookup memo. A
-// multi-level walk alternates between a handful of table pages, so a
-// single-entry memo thrashes; eight slots cover the working set of one
-// walk with room to spare.
-const memoSlots = 8
-
+//
+// Frames are found through a two-level directory: dir[frame>>chunkBits]
+// points to a chunk of page pointers indexed by the frame's low bits, so a
+// lookup is two indexed loads with no hashing. Chunks and pages are
+// allocated on first write; an unbacked frame reads as zero and allocates
+// nothing. Pages are never released (ZeroPage clears in place).
 type Store struct {
-	pages map[uint64]*[addr.PageSize]byte
-	// memoFrame/memoPage form a small direct-mapped memo over the map:
-	// slot f%memoSlots caches the page pointer for frame f (stored
-	// biased by one so the zero value means empty, frame 0 included).
-	// Walks read several words from a few table pages back to back, and
-	// the memo turns the repeat map probes into a compare. Pages are
-	// never removed from the map (ZeroPage clears in place), so cached
-	// pointers stay good.
-	memoFrame [memoSlots]uint64
-	memoPage  [memoSlots]*[addr.PageSize]byte
+	dir    []*[chunkFrames]*page
+	backed int
 }
 
 // NewStore creates an empty backing store.
-func NewStore() *Store {
-	return &Store{pages: make(map[uint64]*[addr.PageSize]byte)}
-}
+func NewStore() *Store { return &Store{} }
 
-func (s *Store) page(pa addr.PA) *[addr.PageSize]byte {
-	f := pa.Frame()
-	slot := f % memoSlots
-	if s.memoFrame[slot] == f+1 {
-		return s.memoPage[slot]
+// lookup returns frame f's backing page, or nil when it has none.
+func (s *Store) lookup(f uint64) *page {
+	c := f >> chunkBits
+	if c >= uint64(len(s.dir)) {
+		return nil
 	}
-	p, ok := s.pages[f]
-	if !ok {
-		p = new([addr.PageSize]byte)
-		s.pages[f] = p
+	if ch := s.dir[c]; ch != nil {
+		return ch[f&(chunkFrames-1)]
 	}
-	s.memoFrame[slot], s.memoPage[slot] = f+1, p
-	return p
+	return nil
 }
 
 // Read64 reads the 8-byte word at pa (must be 8-byte aligned).
@@ -213,42 +210,49 @@ func (s *Store) Read64(pa addr.PA) uint64 {
 	if uint64(pa)%8 != 0 {
 		panic(fmt.Sprintf("mem: unaligned Read64 at %#x", uint64(pa)))
 	}
-	f := pa.Frame()
-	slot := f % memoSlots
-	p := s.memoPage[slot]
-	if s.memoFrame[slot] != f+1 {
-		var ok bool
-		p, ok = s.pages[f]
-		if !ok {
-			// Unbacked pages read as zero and are not memoized: a later
-			// Write64 may allocate backing for this frame.
-			return 0
-		}
-		s.memoFrame[slot], s.memoPage[slot] = f+1, p
+	p := s.lookup(pa.Frame())
+	if p == nil {
+		return 0
 	}
 	off := pa.PageOffset()
 	return binary.LittleEndian.Uint64(p[off : off+8])
 }
 
-// Write64 writes the 8-byte word at pa (must be 8-byte aligned).
+// Write64 writes the 8-byte word at pa (must be 8-byte aligned), backing
+// its page on first write.
 func (s *Store) Write64(pa addr.PA, v uint64) {
 	if uint64(pa)%8 != 0 {
 		panic(fmt.Sprintf("mem: unaligned Write64 at %#x", uint64(pa)))
 	}
-	p := s.page(pa)
+	f := pa.Frame()
+	c := f >> chunkBits
+	if n := c + 1; n > uint64(len(s.dir)) {
+		s.dir = append(s.dir, make([]*[chunkFrames]*page, n-uint64(len(s.dir)))...)
+	}
+	ch := s.dir[c]
+	if ch == nil {
+		ch = new([chunkFrames]*page)
+		s.dir[c] = ch
+	}
+	p := ch[f&(chunkFrames-1)]
+	if p == nil {
+		p = new(page)
+		ch[f&(chunkFrames-1)] = p
+		s.backed++
+	}
 	off := pa.PageOffset()
 	binary.LittleEndian.PutUint64(p[off:off+8], v)
 }
 
 // ZeroPage clears the page containing pa.
 func (s *Store) ZeroPage(pa addr.PA) {
-	if p, ok := s.pages[pa.Frame()]; ok {
-		*p = [addr.PageSize]byte{}
+	if p := s.lookup(pa.Frame()); p != nil {
+		*p = page{}
 	}
 }
 
 // PagesBacked returns how many pages currently hold backing bytes.
-func (s *Store) PagesBacked() int { return len(s.pages) }
+func (s *Store) PagesBacked() int { return s.backed }
 
 // DRAMConfig parameterizes the DRAM timing model. Latencies are in core
 // cycles (the paper's core runs at 3.4 GHz over DDR3-1600).

@@ -191,8 +191,6 @@ type Process struct {
 	vaNext  addr.VA
 	shmNext addr.VA
 
-	// TouchedPages tracks distinct pages accessed (utilization metrics).
-	TouchedPages map[uint64]struct{}
 	// SharedAccesses and TotalAccesses drive the Table I ratios.
 	SharedAccesses stats.Counter
 	TotalAccesses  stats.Counter
@@ -221,13 +219,12 @@ func (k *Kernel) NewProcess() (*Process, error) {
 		return nil, err
 	}
 	p := &Process{
-		k:            k,
-		ASID:         asid,
-		PT:           pt,
-		Filter:       synfilter.New(),
-		vaNext:       userBase,
-		shmNext:      shmBase,
-		TouchedPages: make(map[uint64]struct{}),
+		k:       k,
+		ASID:    asid,
+		PT:      pt,
+		Filter:  synfilter.New(),
+		vaNext:  userBase,
+		shmNext: shmBase,
 	}
 	k.procs[asid] = p
 	return p, nil
@@ -338,11 +335,8 @@ func (p *Process) backEagerly(r *Region, maxFragments int) error {
 			return err
 		}
 		r.Segments = append(r.Segments, seg)
-		for f := uint64(0); f < pc.frames; f++ {
-			va := pc.va + addr.VA(f*addr.PageSize)
-			if err := p.PT.Map(va, pa+addr.PA(f*addr.PageSize), r.Perm, false); err != nil {
-				return err
-			}
+		if err := p.PT.MapRange(pc.va, pa, pc.frames, r.Perm, false); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -396,7 +390,6 @@ func (p *Process) HandleFault(va addr.VA, isWrite bool) bool {
 
 // Touch records an access for utilization and shared-ratio accounting.
 func (p *Process) Touch(va addr.VA, r *Region) {
-	p.TouchedPages[va.Page()] = struct{}{}
 	p.TotalAccesses.Inc()
 	if r != nil && r.Shared {
 		p.SharedAccesses.Inc()
@@ -438,7 +431,7 @@ func (p *Process) Utilization() float64 {
 	for _, r := range p.Regions {
 		for _, s := range r.Segments {
 			allocated += s.Pages()
-			touched += uint64(len(s.Touched))
+			touched += s.TouchedPages()
 		}
 	}
 	return stats.Ratio(touched, allocated)

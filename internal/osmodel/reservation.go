@@ -92,10 +92,8 @@ func (p *Process) promoteChunk(r *Region, va addr.VA) bool {
 	chunkPA := res.PABase + addr.PA(uint64(ci)*chunkBytes)
 
 	// Map the chunk's pages.
-	for f := uint64(0); f < ReserveChunkPages; f++ {
-		if err := p.PT.Map(chunkVA+addr.VA(f*addr.PageSize), chunkPA+addr.PA(f*addr.PageSize), res.Perm, false); err != nil {
-			return false
-		}
+	if err := p.PT.MapRange(chunkVA, chunkPA, ReserveChunkPages, res.Perm, false); err != nil {
+		return false
 	}
 
 	// Determine the merged extent: this chunk plus adjacent promoted runs.

@@ -36,11 +36,8 @@ func (k *Kernel) ShareAnonymous(procs []*Process, length uint64) ([]addr.VA, err
 		start := p.shmNext
 		p.shmNext += addr.VA(length) + addr.PageSize
 		r := &Region{Start: start, Length: length, Perm: addr.PermRW, Shared: true, sharedPA: pa}
-		for f := uint64(0); f < frames; f++ {
-			va := start + addr.VA(f*addr.PageSize)
-			if err := p.PT.Map(va, pa+addr.PA(f*addr.PageSize), addr.PermRW, true); err != nil {
-				return nil, err
-			}
+		if err := p.PT.MapRange(start, pa, frames, addr.PermRW, true); err != nil {
+			return nil, err
 		}
 		p.Regions = append(p.Regions, r)
 		p.SynonymRanges = append(p.SynonymRanges, synfilter.Range{Start: start, Length: length})
@@ -250,11 +247,11 @@ func (k *Kernel) FragmentSegments(p *Process, parts int) error {
 			for _, ns := range k.SegMgr.Segments(p.ASID) {
 				if ns.Base >= base && ns.Base < end {
 					newSegs = append(newSegs, ns)
+					if err := p.PT.MapRange(ns.Base, ns.PABase, ns.Pages(), ns.Perm, false); err != nil {
+						return err
+					}
 					for f := uint64(0); f < ns.Pages(); f++ {
 						va := ns.Base + addr.VA(f*addr.PageSize)
-						if err := p.PT.Map(va, ns.PABase+addr.PA(f*addr.PageSize), ns.Perm, false); err != nil {
-							return err
-						}
 						k.sink.TLBShootdown(p.ASID, va.Page())
 						k.sink.FlushPage(addr.VirtName(p.ASID, va))
 					}

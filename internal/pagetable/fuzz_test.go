@@ -40,9 +40,9 @@ func FuzzMapLookupAgree(f *testing.F) {
 			t.Fatalf("lookup after map: %+v ok=%v want frame %d", pte, ok, frame)
 		}
 		// The timed walk agrees with the functional lookup.
-		path, leaf, ok := tbl.WalkPath(va)
-		if !ok || leaf.Frame != frame || len(path) != Levels {
-			t.Fatalf("walk disagrees: %+v ok=%v path=%d", leaf, ok, len(path))
+		_, n, leaf, ok := tbl.WalkPath(va)
+		if !ok || leaf.Frame != frame || n != Levels {
+			t.Fatalf("walk disagrees: %+v ok=%v path=%d", leaf, ok, n)
 		}
 	})
 }

@@ -38,16 +38,16 @@ func TestMapHugeWalkIsShorter(t *testing.T) {
 	tbl := newTables(t)
 	tbl.MapHuge(0x4000_0000, 0x80_0000, addr.PermRW, false)
 	tbl.Map(0x5000_0000, 0x10_0000, addr.PermRW, false)
-	path, pte, ok := tbl.WalkPath(0x4000_0000 + 0x1234)
+	_, n, pte, ok := tbl.WalkPath(0x4000_0000 + 0x1234)
 	if !ok || !pte.Huge {
 		t.Fatalf("huge walk: %+v ok=%v", pte, ok)
 	}
-	if len(path) != Levels-1 {
-		t.Errorf("huge walk length = %d, want %d", len(path), Levels-1)
+	if n != Levels-1 {
+		t.Errorf("huge walk length = %d, want %d", n, Levels-1)
 	}
-	path4k, _, _ := tbl.WalkPath(0x5000_0000)
-	if len(path4k) != Levels {
-		t.Errorf("4K walk length = %d", len(path4k))
+	_, n4k, _, _ := tbl.WalkPath(0x5000_0000)
+	if n4k != Levels {
+		t.Errorf("4K walk length = %d", n4k)
 	}
 }
 

@@ -130,23 +130,21 @@ func entryAddr(table addr.PA, va addr.VA, level int) addr.PA {
 	return table + addr.PA(indexAt(va, level)*8)
 }
 
-// Map installs a 4 KiB translation. Intermediate table pages are allocated
-// on demand. Remapping an existing VA overwrites the leaf.
-func (t *Tables) Map(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) error {
-	if !va.Canonical() {
-		return fmt.Errorf("pagetable: non-canonical VA %#x", uint64(va))
-	}
+// tableAt descends from the root to the table page holding va's entries at
+// level stop, allocating missing intermediate tables on the way. A 4 KiB
+// descent (stop 0) refuses to pass through a 2 MiB leaf.
+func (t *Tables) tableAt(va addr.VA, stop int) (addr.PA, error) {
 	table := t.root
-	for level := Levels - 1; level > 0; level-- {
+	for level := Levels - 1; level > stop; level-- {
 		slot := entryAddr(table, va, level)
 		v := t.store.Read64(slot)
 		if level == 1 && v&ptePresent != 0 && v&pteHuge != 0 {
-			return fmt.Errorf("pagetable: 4 KiB map inside existing 2 MiB mapping at %#x", uint64(va))
+			return 0, fmt.Errorf("pagetable: 4 KiB map inside existing 2 MiB mapping at %#x", uint64(va))
 		}
 		if v&ptePresent == 0 {
 			frame, ok := t.alloc.AllocFrame()
 			if !ok {
-				return fmt.Errorf("pagetable: out of physical memory at level %d", level)
+				return 0, fmt.Errorf("pagetable: out of physical memory at level %d", level)
 			}
 			t.store.ZeroPage(frame)
 			t.tableFrames = append(t.tableFrames, frame)
@@ -156,11 +154,45 @@ func (t *Tables) Map(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) error 
 		}
 		table = nextTable(v)
 	}
-	slot := entryAddr(table, va, 0)
-	if t.store.Read64(slot)&ptePresent == 0 {
-		t.Mapped++
+	return table, nil
+}
+
+// Map installs a 4 KiB translation. Intermediate table pages are allocated
+// on demand. Remapping an existing VA overwrites the leaf.
+func (t *Tables) Map(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) error {
+	return t.MapRange(va, pa, 1, perm, shared)
+}
+
+// MapRange installs pages consecutive 4 KiB translations, va+i*4KiB ->
+// pa+i*4KiB. It leaves exactly the state that calling Map page by page in
+// ascending order would: intermediate tables are allocated in the same
+// order, and on error the pages before the failing one stay mapped. It
+// descends from the root once per leaf table rather than once per page.
+func (t *Tables) MapRange(va addr.VA, pa addr.PA, pages uint64, perm addr.Perm, shared bool) error {
+	pte := PTE{Present: true, Perm: perm, Shared: shared}
+	for pages > 0 {
+		// The canonical boundary is 2 MiB aligned, so one check covers
+		// every page that shares this leaf table.
+		if !va.Canonical() {
+			return fmt.Errorf("pagetable: non-canonical VA %#x", uint64(va))
+		}
+		table, err := t.tableAt(va, 0)
+		if err != nil {
+			return err
+		}
+		n := min(pages, 512-indexAt(va, 0))
+		for i := uint64(0); i < n; i++ {
+			slot := entryAddr(table, va, 0)
+			if t.store.Read64(slot)&ptePresent == 0 {
+				t.Mapped++
+			}
+			pte.Frame = pa.Frame()
+			t.store.Write64(slot, pte.Encode())
+			va += addr.PageSize
+			pa += addr.PageSize
+		}
+		pages -= n
 	}
-	t.store.Write64(slot, PTE{Present: true, Frame: pa.Frame(), Perm: perm, Shared: shared}.Encode())
 	return nil
 }
 
@@ -174,22 +206,9 @@ func (t *Tables) MapHuge(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) er
 		return fmt.Errorf("pagetable: MapHuge of unaligned addresses %#x -> %#x",
 			uint64(va), uint64(pa))
 	}
-	table := t.root
-	for level := Levels - 1; level > 1; level-- {
-		slot := entryAddr(table, va, level)
-		v := t.store.Read64(slot)
-		if v&ptePresent == 0 {
-			frame, ok := t.alloc.AllocFrame()
-			if !ok {
-				return fmt.Errorf("pagetable: out of physical memory at level %d", level)
-			}
-			t.store.ZeroPage(frame)
-			t.tableFrames = append(t.tableFrames, frame)
-			t.FramesUsed++
-			v = ptePresent | uint64(frame)&^uint64(addr.PageSize-1)
-			t.store.Write64(slot, v)
-		}
-		table = nextTable(v)
+	table, err := t.tableAt(va, 1)
+	if err != nil {
+		return err
 	}
 	slot := entryAddr(table, va, 1)
 	if v := t.store.Read64(slot); v&ptePresent != 0 {
@@ -284,24 +303,26 @@ func (t *Tables) SetPerm(va addr.VA, perm addr.Perm) bool {
 }
 
 // WalkPath returns the physical addresses of the table entries a hardware
-// walker reads for va (root to leaf, up to Levels entries), the decoded
-// leaf, and whether the walk reached a present leaf. A timed walker issues
-// one memory access per returned address.
-func (t *Tables) WalkPath(va addr.VA) (path []addr.PA, pte PTE, ok bool) {
+// walker reads for va (root to leaf) in path[:n], the decoded leaf, and
+// whether the walk reached a present leaf. A timed walker issues one memory
+// access per address in path[:n]. The path is returned by value so a walk
+// allocates nothing.
+func (t *Tables) WalkPath(va addr.VA) (path [Levels]addr.PA, n int, pte PTE, ok bool) {
 	table := t.root
 	for level := Levels - 1; level >= 0; level-- {
 		slot := entryAddr(table, va, level)
-		path = append(path, slot)
+		path[n] = slot
+		n++
 		v := t.store.Read64(slot)
 		if v&ptePresent == 0 {
-			return path, PTE{}, false
+			return path, n, PTE{}, false
 		}
 		if level == 0 || (level == 1 && v&pteHuge != 0) {
-			return path, DecodePTE(v), true
+			return path, n, DecodePTE(v), true
 		}
 		table = nextTable(v)
 	}
-	return path, PTE{}, false
+	return path, n, PTE{}, false
 }
 
 // Translate is a convenience functional translation of a full address.

@@ -135,21 +135,21 @@ func TestWalkPathLength(t *testing.T) {
 	tbl := newTables(t)
 	va := addr.VA(0x7f00_0000_0000)
 	// Unmapped: the walk stops at the first absent level (the root entry).
-	path, _, ok := tbl.WalkPath(va)
-	if ok || len(path) != 1 {
-		t.Fatalf("unmapped walk: len=%d ok=%v", len(path), ok)
+	_, n, _, ok := tbl.WalkPath(va)
+	if ok || n != 1 {
+		t.Fatalf("unmapped walk: len=%d ok=%v", n, ok)
 	}
 	tbl.Map(va, addr.FrameToPA(9), addr.PermRW, false)
-	path, pte, ok := tbl.WalkPath(va)
-	if !ok || len(path) != Levels {
-		t.Fatalf("mapped walk: len=%d ok=%v", len(path), ok)
+	path, n, pte, ok := tbl.WalkPath(va)
+	if !ok || n != Levels {
+		t.Fatalf("mapped walk: len=%d ok=%v", n, ok)
 	}
 	if pte.Frame != 9 {
 		t.Errorf("walk leaf frame = %d", pte.Frame)
 	}
 	// Each path element must be a distinct table page.
 	seen := map[uint64]bool{}
-	for _, p := range path {
+	for _, p := range path[:n] {
 		if seen[p.Frame()] {
 			t.Error("walk revisited a table page")
 		}
@@ -162,9 +162,9 @@ func TestWalkPathPartialDepth(t *testing.T) {
 	// Map one page; a nearby VA sharing upper levels but unmapped at the
 	// leaf must produce a 4-entry path ending not-ok.
 	tbl.Map(0x5000, addr.FrameToPA(3), addr.PermRW, false)
-	path, _, ok := tbl.WalkPath(0x6000)
-	if ok || len(path) != Levels {
-		t.Fatalf("sibling walk: len=%d ok=%v", len(path), ok)
+	_, n, _, ok := tbl.WalkPath(0x6000)
+	if ok || n != Levels {
+		t.Fatalf("sibling walk: len=%d ok=%v", n, ok)
 	}
 }
 

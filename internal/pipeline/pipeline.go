@@ -177,15 +177,15 @@ func (b *Base) PhysAccess(core int, kind cache.AccessKind, pa addr.PA, perm addr
 func (b *Base) TimedWalk(core int, proc *osmodel.Process, va addr.VA) (pte WalkLeaf, latency uint64, ok bool) {
 	for attempt := 0; ; attempt++ {
 		b.Acc.Access(energy.PageWalk, 1)
-		path, leaf, found := proc.PT.WalkPath(va)
-		for _, slot := range path {
+		path, steps, leaf, found := proc.PT.WalkPath(va)
+		for _, slot := range path[:steps] {
 			b.WalkSteps.Inc()
 			lat, _ := b.PhysAccess(core, cache.Read, slot, addr.PermRO)
 			latency += lat
 		}
 		transient := b.walkFaulter != nil && attempt < MaxWalkRetries && b.walkFaulter.FailWalk(core)
 		if p := b.probe; p != nil {
-			p.Walk(WalkEvent{Core: core, Steps: len(path), OK: found && !transient})
+			p.Walk(WalkEvent{Core: core, Steps: steps, OK: found && !transient})
 		}
 		if transient {
 			b.WalkRetries.Inc()

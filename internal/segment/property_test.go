@@ -128,6 +128,75 @@ func TestSegCacheNeverReturnsWrongTranslation(t *testing.T) {
 	}
 }
 
+// TestTouchBitmapMatchesMapModel touches random pages of runs of adjacent
+// segments whose page counts are not multiples of 64, checks TouchedPages
+// and Utilization against a set-of-pages model, then compacts each run and
+// checks that the merged segment carries the union and keeps deduplicating.
+func TestTouchBitmapMatchesMapModel(t *testing.T) {
+	asid := addr.MakeASID(0, 1)
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		m, alloc := newManager(t)
+		n := 2 + rng.Intn(4)
+		pages := make([]uint64, n)
+		var total uint64
+		for i := range pages {
+			pages[i] = uint64(rng.Intn(300) + 1)
+			if pages[i]%64 == 0 {
+				pages[i]++
+			}
+			total += pages[i]
+		}
+		pa, _ := alloc.AllocContiguous(total)
+		base := addr.VA(rng.Intn(1<<20)) * addr.PageSize
+		segs := make([]*Segment, n)
+		models := make([]map[uint64]bool, n)
+		off := uint64(0)
+		for i := range segs {
+			s, err := m.Allocate(asid, base+addr.VA(off*addr.PageSize), pages[i]*addr.PageSize,
+				pa+addr.PA(off*addr.PageSize), addr.PermRW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[i], models[i] = s, map[uint64]bool{}
+			off += pages[i]
+		}
+		touch := func(s *Segment, model map[uint64]bool, touches int) {
+			for j := 0; j < touches; j++ {
+				va := s.Base + addr.VA(rng.Uint64()%s.Length)
+				s.Touch(va)
+				model[va.Page()] = true
+			}
+		}
+		for i, s := range segs {
+			touch(s, models[i], rng.Intn(int(pages[i])*2))
+			if s.TouchedPages() != uint64(len(models[i])) {
+				t.Fatalf("trial %d seg %d: TouchedPages = %d, want %d", trial, i, s.TouchedPages(), len(models[i]))
+			}
+			if want := float64(len(models[i])) / float64(pages[i]); s.Utilization() != want {
+				t.Fatalf("trial %d seg %d: Utilization = %v, want %v", trial, i, s.Utilization(), want)
+			}
+		}
+		if merges := m.Compact(asid); merges != n-1 {
+			t.Fatalf("trial %d: merges = %d, want %d", trial, merges, n-1)
+		}
+		union := map[uint64]bool{}
+		for _, model := range models {
+			for p := range model {
+				union[p] = true
+			}
+		}
+		merged := segs[0]
+		touch(merged, union, 50)
+		if merged.TouchedPages() != uint64(len(union)) {
+			t.Fatalf("trial %d: merged TouchedPages = %d, want %d", trial, merged.TouchedPages(), len(union))
+		}
+		if want := float64(len(union)) / float64(total); merged.Utilization() != want {
+			t.Fatalf("trial %d: merged Utilization = %v, want %v", trial, merged.Utilization(), want)
+		}
+	}
+}
+
 // TestKeyOrderingProperty: tree keys order primarily by ASID, then by VA —
 // required for predecessor routing to never cross address spaces.
 func TestKeyOrderingProperty(t *testing.T) {

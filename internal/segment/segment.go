@@ -8,6 +8,7 @@ package segment
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"hybridvc/internal/addr"
@@ -46,9 +47,11 @@ type Segment struct {
 	Length uint64
 	PABase addr.PA
 	Perm   addr.Perm
-	// Touched tracks how many distinct 4 KiB pages were accessed, for the
-	// eager-allocation utilization study (Table III).
-	Touched map[uint64]struct{}
+	// touched is a bitmap of the 4 KiB pages accessed, bit i standing for
+	// virtual page Base.Page()+i, and nTouched its population count; they
+	// feed the eager-allocation utilization study (Table III).
+	touched  []uint64
+	nTouched uint64
 }
 
 // Contains reports whether the segment covers (asid, va).
@@ -66,13 +69,26 @@ func (s *Segment) Pages() uint64 {
 	return (s.Length + addr.PageSize - 1) / addr.PageSize
 }
 
-// Touch records an access for utilization accounting.
+// Touch records an access to va, which must lie within the segment, for
+// utilization accounting.
 func (s *Segment) Touch(va addr.VA) {
-	if s.Touched == nil {
-		s.Touched = make(map[uint64]struct{})
+	i := va.Page() - s.Base.Page()
+	w := i / 64
+	if w >= uint64(len(s.touched)) {
+		// Sized on first touch to cover every page of the segment; a
+		// Compact merge may extend it later.
+		n := max(w+1, (s.Pages()+63)/64)
+		s.touched = append(s.touched, make([]uint64, n-uint64(len(s.touched)))...)
 	}
-	s.Touched[va.Page()] = struct{}{}
+	if bit := uint64(1) << (i % 64); s.touched[w]&bit == 0 {
+		s.touched[w] |= bit
+		s.nTouched++
+	}
 }
+
+// TouchedPages returns how many distinct pages of the segment were
+// accessed.
+func (s *Segment) TouchedPages() uint64 { return s.nTouched }
 
 // Utilization returns touched pages / allocated pages.
 func (s *Segment) Utilization() float64 {
@@ -80,7 +96,7 @@ func (s *Segment) Utilization() float64 {
 	if p == 0 {
 		return 0
 	}
-	return float64(len(s.Touched)) / float64(p)
+	return float64(s.nTouched) / float64(p)
 }
 
 func (s *Segment) String() string {
@@ -258,8 +274,11 @@ func (m *Manager) Compact(asid addr.ASID) int {
 				m.Tree.Delete(MakeKey(asid, b.Base))
 			}
 			a.Length += b.Length
-			for page := range b.Touched {
-				a.Touch(addr.PageToVA(page))
+			for w, word := range b.touched {
+				for ; word != 0; word &= word - 1 {
+					page := b.Base.Page() + uint64(w)*64 + uint64(bits.TrailingZeros64(word))
+					a.Touch(addr.PageToVA(page))
+				}
 			}
 			m.Table.Release(b.ID)
 			segs = append(segs[:i+1], segs[i+2:]...)

@@ -369,8 +369,8 @@ func TestCompactMergesAdjacentSegments(t *testing.T) {
 	}
 	// Touch accounting survives the merge.
 	s, _ := m.LookupSoft(asidA, 0)
-	if len(s.Touched) != 3 {
-		t.Errorf("touched pages after merge = %d, want 3", len(s.Touched))
+	if s.TouchedPages() != 3 {
+		t.Errorf("touched pages after merge = %d, want 3", s.TouchedPages())
 	}
 }
 

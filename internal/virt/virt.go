@@ -127,10 +127,8 @@ func (hv *Hypervisor) NewVM(guestBytes uint64, hostChunks int) (*VM, error) {
 			return nil, err
 		}
 		vm.HostSegs = append(vm.HostSegs, seg)
-		for f := uint64(0); f < frames; f++ {
-			if err := vm.HostPT.Map(addr.VA(gpa+f*addr.PageSize), ma+addr.PA(f*addr.PageSize), addr.PermRW, false); err != nil {
-				return nil, err
-			}
+		if err := vm.HostPT.MapRange(addr.VA(gpa), ma, frames, addr.PermRW, false); err != nil {
+			return nil, err
 		}
 		gpa += frames * addr.PageSize
 	}
@@ -265,7 +263,8 @@ func (hv *Hypervisor) BreakContentShare(vm *VM, gpa uint64) error {
 type Walk2DResult struct {
 	// Path lists every machine address read: up to 4 host-walk reads per
 	// guest level plus the guest PTE itself, plus the final host walk of
-	// the data gPA — 24 reads for a full walk.
+	// the data gPA — 24 reads for a full walk. It aliases the walker's
+	// buffer and is valid until the walker's next Walk.
 	Path []addr.PA
 	// GuestPTE is the guest leaf (gVA -> gPA).
 	GuestPTE pagetable.PTE
@@ -291,6 +290,8 @@ type Walker2D struct {
 	Walks stats.Counter
 	// Accesses counts total memory reads issued by walks.
 	Accesses stats.Counter
+	// path is the reused buffer behind Walk2DResult.Path.
+	path []addr.PA
 }
 
 // NewWalker2D creates a 2D walker; withNestedTLB adds a 64-entry nested TLB.
@@ -302,19 +303,19 @@ func NewWalker2D(vm *VM, withNestedTLB bool) *Walker2D {
 	return w
 }
 
-// hostPath appends the machine addresses needed to translate one gPA,
-// consulting the nested TLB first, and returns the MA.
-func (w *Walker2D) hostPath(gpa addr.GPA, path []addr.PA) ([]addr.PA, addr.PA, bool, bool) {
+// hostPath appends to the walk path the machine addresses needed to
+// translate one gPA, consulting the nested TLB first, and returns the MA.
+func (w *Walker2D) hostPath(gpa addr.GPA) (ma addr.PA, shared, ok bool) {
 	vpn := uint64(gpa) >> addr.PageBits
 	if w.NestedTLB != nil {
 		if e, ok := w.NestedTLB.Lookup(hostASID(w.VM.VMID), vpn); ok {
-			return path, addr.FrameToPA(e.PFN) + addr.PA(uint64(gpa)&(addr.PageSize-1)), e.Shared, true
+			return addr.FrameToPA(e.PFN) + addr.PA(uint64(gpa)&(addr.PageSize-1)), e.Shared, true
 		}
 	}
-	hostWalk, pte, ok := w.VM.HostPT.WalkPath(addr.VA(gpa))
-	path = append(path, hostWalk...)
+	hostWalk, n, pte, ok := w.VM.HostPT.WalkPath(addr.VA(gpa))
+	w.path = append(w.path, hostWalk[:n]...)
 	if !ok {
-		return path, 0, false, false
+		return 0, false, false
 	}
 	if w.NestedTLB != nil {
 		w.NestedTLB.Insert(tlb.Entry{
@@ -322,7 +323,7 @@ func (w *Walker2D) hostPath(gpa addr.GPA, path []addr.PA) ([]addr.PA, addr.PA, b
 			Perm: pte.Perm, Shared: pte.Shared,
 		})
 	}
-	return path, addr.FrameToPA(pte.Frame) + addr.PA(uint64(gpa)&(addr.PageSize-1)), pte.Shared, true
+	return addr.FrameToPA(pte.Frame) + addr.PA(uint64(gpa)&(addr.PageSize-1)), pte.Shared, true
 }
 
 // Walk translates (asid, gva) through the guest tables of process p and
@@ -330,25 +331,30 @@ func (w *Walker2D) hostPath(gpa addr.GPA, path []addr.PA) ([]addr.PA, addr.PA, b
 // would issue.
 func (w *Walker2D) Walk(p *osmodel.Process, gva addr.VA) Walk2DResult {
 	w.Walks.Inc()
-	var res Walk2DResult
-	guestPath, guestPTE, ok := p.PT.WalkPath(gva)
+	w.path = w.path[:0]
+	res := w.walk(p, gva)
+	res.Path = w.path
+	w.Accesses.Add(uint64(len(w.path)))
+	return res
+}
+
+// walk performs Walk, appending the reads to w.path and leaving
+// res.Path unset.
+func (w *Walker2D) walk(p *osmodel.Process, gva addr.VA) (res Walk2DResult) {
+	guestPath, n, guestPTE, ok := p.PT.WalkPath(gva)
 	// Each guest-table read is at a gPA that itself needs host translation.
-	for _, gSlot := range guestPath {
-		before := len(res.Path)
-		var ma addr.PA
-		var hok bool
-		res.Path, ma, _, hok = w.hostPath(addr.GPA(gSlot), res.Path)
-		if len(res.Path) == before {
+	for _, gSlot := range guestPath[:n] {
+		before := len(w.path)
+		ma, _, hok := w.hostPath(addr.GPA(gSlot))
+		if len(w.path) == before {
 			res.NestedTLBHits++
 		}
 		if !hok {
-			w.Accesses.Add(uint64(len(res.Path)))
 			return res
 		}
-		res.Path = append(res.Path, ma) // the guest PTE read itself
+		w.path = append(w.path, ma) // the guest PTE read itself
 	}
 	if !ok {
-		w.Accesses.Add(uint64(len(res.Path)))
 		return res
 	}
 	res.GuestPTE = guestPTE
@@ -358,21 +364,16 @@ func (w *Walker2D) Walk(p *osmodel.Process, gva addr.VA) Walk2DResult {
 	} else {
 		res.GPA = addr.GPA(uint64(guestPTE.Frame)<<addr.PageBits | uint64(gva.PageOffset()))
 	}
-	before := len(res.Path)
-	var hostShared bool
-	var ma addr.PA
-	var hok bool
-	res.Path, ma, hostShared, hok = w.hostPath(res.GPA, res.Path)
-	if len(res.Path) == before {
+	before := len(w.path)
+	ma, hostShared, hok := w.hostPath(res.GPA)
+	if len(w.path) == before {
 		res.NestedTLBHits++
 	}
 	if !hok {
-		w.Accesses.Add(uint64(len(res.Path)))
 		return res
 	}
 	res.MA = ma
 	res.HostShared = hostShared
 	res.OK = true
-	w.Accesses.Add(uint64(len(res.Path)))
 	return res
 }
