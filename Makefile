@@ -2,7 +2,7 @@
 # suite under the race detector (the sweep runner is concurrent).
 GO ?= go
 
-.PHONY: all build test race vet ci parity invariants fuzz-smoke service-race sim-race cluster-race chaos metrics-lint staticcheck govulncheck bench bench-hotpath bench-check bench-all bench-service bench-cluster sweep sweep-full clean
+.PHONY: all build test race vet ci parity invariants fuzz-smoke service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-hotpath bench-check bench-all sweep sweep-full clean
 
 all: build
 
@@ -26,7 +26,7 @@ race:
 # Set BENCH_CHECK=1 to also gate hot-path throughput against the
 # committed BENCH_hotpath.json (off by default: benchmark wall time and
 # machine-to-machine variance don't belong in every CI run).
-ci: vet staticcheck govulncheck test race service-race sim-race cluster-race chaos metrics-lint parity invariants fuzz-smoke $(if $(BENCH_CHECK),bench-check)
+ci: vet staticcheck govulncheck test race service-race sim-race chaos metrics-lint parity invariants fuzz-smoke $(if $(BENCH_CHECK),bench-check)
 
 # service-race runs the hvcd service integration suite alone under the
 # race detector: concurrent clients submitting/watching/cancelling jobs
@@ -35,21 +35,11 @@ ci: vet staticcheck govulncheck test race service-race sim-race cluster-race cha
 service-race:
 	$(GO) test -race -count=1 ./internal/service/...
 
-# cluster-race runs the multi-node cluster suites alone under the race
-# detector: rendezvous ownership, peer fetch/replication over live HTTP,
-# cluster-wide dedup and the owner-routing balancer — the cross-node
-# paths where a lock held across a network call would deadlock or race.
-cluster-race:
-	$(GO) test -race -count=1 -run 'TestCluster|TestBalancer' ./internal/service
-	$(GO) test -race -count=1 ./internal/service/cluster ./internal/service/client
-
 # chaos runs the deterministic service-chaos suite under the race
 # detector: seeded store write faults (fail/tear/bit-flip), jobs blowing
-# their deadlines, an overload-breaker trip, mid-stream client
-# disconnects, and cluster peer faults (owner down/slow/corrupt, plus a
-# real owner kill mid-workload), each asserting no corrupt record is
-# served, no watcher deadlocks, no job fails for a peer's sins, and the
-# daemon converges back to healthy.
+# their deadlines, an overload-breaker trip and mid-stream client
+# disconnects, each asserting no corrupt record is served, no watcher
+# deadlocks, and the daemon converges back to healthy.
 chaos:
 	$(GO) test -race -count=1 ./internal/service/chaos
 
@@ -109,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPTEEncodeDecode -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzMapLookupAgree -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzMapRangeMatchesMap -fuzztime=10s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s ./internal/service/store
 
 # bench runs the per-experiment benchmarks and the full-sweep benchmark,
 # which writes BENCH_sweep.json (wall-clock seconds per Quick sweep) for
@@ -134,24 +125,6 @@ bench-check:
 
 bench-all:
 	$(GO) test -run=NONE -bench=. -benchmem .
-
-# bench-service measures sustained job throughput through the daemon:
-# start hvcd on a scratch port, drive it with `hvcctl bench` (fresh phase
-# then cache-served phase), record BENCH_service.json, shut down.
-bench-service: build
-	$(GO) build -o /tmp/hvcd ./cmd/hvcd && $(GO) build -o /tmp/hvcctl ./cmd/hvcctl
-	/tmp/hvcd -addr 127.0.0.1:8078 -quiet & HVCD=$$!; \
-	sleep 1; \
-	/tmp/hvcctl -addr http://127.0.0.1:8078 bench -c 8 -n 32 -out BENCH_service.json; \
-	RC=$$?; kill $$HVCD 2>/dev/null; exit $$RC
-
-# bench-cluster measures the multi-node cluster: in-process 1/2/4-node
-# clusters on loopback, a capacity-paced fresh-throughput scaling phase,
-# a shared-key phase proving cluster-wide dedup (one simulation per
-# unique key, peer fetches everywhere else), and a peer-hit vs local-hit
-# latency comparison. Writes BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/hvcctl bench-cluster -out BENCH_cluster.json
 
 # sweep regenerates every table/figure at Quick scale on all cores;
 # sweep-full runs the paper-length windows.

@@ -1,17 +1,16 @@
 // Command benchcheck gates hot-path performance regressions: it compares
 // a freshly measured BENCH_hotpath.json against the committed baseline
 // and exits non-zero when any organization's batched throughput dropped
-// by more than the threshold, or when any organization's batch/scalar
+// by more than the tolerance, or when any organization's batch/scalar
 // speedup in the fresh run fell below the floor — the batched path must
 // never be slower than the scalar path it replaces (the virt-2d 0.96x
 // regression is the canonical example the floor exists to catch).
 //
 // The allowed regression is the -tolerance flag (default 0.10 = 10%), so
-// gates with different noise floors — the hot-path microbenchmark vs the
-// service throughput benchmark — can run the same checker with different
-// slack. -threshold is the deprecated alias of -tolerance. The speedup
-// floor is the -speedup-floor flag (default 1.0; negative disables it,
-// for results files that carry no speedup column).
+// gates with different noise floors can run the same checker with
+// different slack. The speedup floor is the -speedup-floor flag (default
+// 1.0; negative disables it, for results files that carry no speedup
+// column).
 //
 // Usage (see `make bench-check`):
 //
@@ -43,7 +42,6 @@ func main() {
 	base := flag.String("base", "BENCH_hotpath.json", "recorded baseline results")
 	fresh := flag.String("new", "", "freshly measured results to check")
 	tolerance := flag.Float64("tolerance", 0.10, "max allowed fractional regression per organization (0 <= t < 1)")
-	threshold := flag.Float64("threshold", 0.10, "deprecated alias of -tolerance")
 	speedupFloor := flag.Float64("speedup-floor", 1.0, "min batch/scalar speedup per organization in the fresh run (negative disables)")
 	version := buildinfo.Flag()
 	flag.Parse()
@@ -52,12 +50,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcheck: -new is required")
 		os.Exit(2)
 	}
-	tol, err := pickTolerance(*tolerance, *threshold, flagsSet())
-	if err != nil {
+	if err := validateTolerance(*tolerance); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
 	}
-	regressions, err := check(*base, *fresh, tol, *speedupFloor)
+	regressions, err := check(*base, *fresh, *tolerance, *speedupFloor)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
@@ -71,29 +68,14 @@ func main() {
 	fmt.Println("benchcheck: ok — no organization regressed beyond the tolerance")
 }
 
-// flagsSet reports which flags were given explicitly.
-func flagsSet() map[string]bool {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
-}
-
-// pickTolerance resolves -tolerance against its deprecated -threshold
-// alias and validates the result: a tolerance below 0 would fail every
-// run, and 1 or above would pass any regression including a drop to
-// zero, so both are rejected rather than silently gating nothing.
-func pickTolerance(tolerance, threshold float64, set map[string]bool) (float64, error) {
-	if set["tolerance"] && set["threshold"] && tolerance != threshold {
-		return 0, fmt.Errorf("-tolerance %v and -threshold %v disagree; drop the deprecated -threshold", tolerance, threshold)
-	}
-	tol := tolerance
-	if set["threshold"] && !set["tolerance"] {
-		tol = threshold
-	}
+// validateTolerance rejects a -tolerance outside [0, 1): below 0 would
+// fail every run, and 1 or above would pass any regression including a
+// drop to zero, so both are refused rather than silently gating nothing.
+func validateTolerance(tol float64) error {
 	if tol < 0 || tol >= 1 {
-		return 0, fmt.Errorf("-tolerance %v out of range: want 0 <= t < 1 (fraction of baseline throughput)", tol)
+		return fmt.Errorf("-tolerance %v out of range: want 0 <= t < 1 (fraction of baseline throughput)", tol)
 	}
-	return tol, nil
+	return nil
 }
 
 // check compares the fresh batch throughput of every baseline organization

@@ -168,29 +168,18 @@ func TestPickToleranceValidation(t *testing.T) {
 	cases := []struct {
 		name      string
 		tolerance float64
-		threshold float64
-		set       map[string]bool
-		want      float64
 		wantErr   bool
 	}{
-		{"default", 0.10, 0.10, map[string]bool{}, 0.10, false},
-		{"explicit tolerance", 0.25, 0.10, map[string]bool{"tolerance": true}, 0.25, false},
-		{"deprecated threshold honoured", 0.10, 0.05, map[string]bool{"threshold": true}, 0.05, false},
-		{"both agree", 0.2, 0.2, map[string]bool{"tolerance": true, "threshold": true}, 0.2, false},
-		{"both disagree", 0.2, 0.3, map[string]bool{"tolerance": true, "threshold": true}, 0, true},
-		{"negative", -0.1, 0.1, map[string]bool{"tolerance": true}, 0, true},
-		{"one", 1.0, 0.1, map[string]bool{"tolerance": true}, 0, true},
-		{"above one", 5, 0.1, map[string]bool{"tolerance": true}, 0, true},
-		{"zero is allowed", 0, 0.1, map[string]bool{"tolerance": true}, 0, false},
+		{"default", 0.10, false},
+		{"explicit tolerance", 0.25, false},
+		{"negative", -0.1, true},
+		{"one", 1.0, true},
+		{"above one", 5, true},
+		{"zero is allowed", 0, false},
 	}
 	for _, tc := range cases {
-		got, err := pickTolerance(tc.tolerance, tc.threshold, tc.set)
-		if (err != nil) != tc.wantErr {
+		if err := validateTolerance(tc.tolerance); (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, wantErr %v", tc.name, err, tc.wantErr)
-			continue
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("%s: tolerance = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

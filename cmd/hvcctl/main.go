@@ -1,6 +1,6 @@
 // Command hvcctl is the thin CLI over the hvcd daemon API: submit jobs,
-// watch them to completion, stream timelines, cancel, introspect the
-// catalogs, and load-test the daemon.
+// watch them to completion, stream timelines, cancel, and introspect the
+// catalogs and metrics.
 //
 // Usage:
 //
@@ -11,8 +11,6 @@
 //	hvcctl [-addr URL] timeline <job-id>
 //	hvcctl [-addr URL] cancel <job-id>
 //	hvcctl [-addr URL] jobs | orgs | experiments | health | metrics
-//	hvcctl [-addr URL] bench -c 8 -n 64 [-insns 50000] [-out BENCH_service.json]
-//	hvcctl bench-cluster [-n 60] [-out BENCH_cluster.json]
 package main
 
 import (
@@ -24,8 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -40,7 +36,6 @@ var stdout io.Writer = os.Stdout
 
 func main() {
 	addr := flag.String("addr", "http://localhost:8077", "hvcd base URL")
-	servers := flag.String("servers", "", "comma-separated hvcd base URLs; submissions are owner-routed across them with round-robin failover (overrides -addr)")
 	version := buildinfo.Flag()
 	flag.Usage = usage
 	flag.Parse()
@@ -50,30 +45,15 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	c := client.New(*addr, nil)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	var bal *client.Balancer
-	c := client.New(*addr, nil)
-	if *servers != "" {
-		var err error
-		bal, err = client.NewBalancer(strings.Split(*servers, ","), nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hvcctl:", err)
-			os.Exit(2)
-		}
-		// Learn the membership for owner routing; a failed refresh just
-		// means round-robin until the nodes come up.
-		bal.Refresh(ctx)
-		// Non-submit commands talk to the first server.
-		c = bal.Clients()[0]
-	}
 
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 	var err error
 	switch cmd {
 	case "submit":
-		err = cmdSubmit(ctx, c, bal, args)
+		err = cmdSubmit(ctx, c, args)
 	case "status":
 		err = cmdStatus(ctx, c, args)
 	case "watch":
@@ -90,14 +70,8 @@ func main() {
 		err = cmdExperiments(ctx, c)
 	case "health":
 		err = cmdHealth(ctx, c)
-	case "cluster":
-		err = cmdCluster(ctx, c)
 	case "metrics":
-		err = cmdMetrics(ctx, c, args)
-	case "bench":
-		err = cmdBench(ctx, c, args)
-	case "bench-cluster":
-		err = cmdBenchCluster(ctx, args)
+		err = cmdMetrics(ctx, c)
 	default:
 		fmt.Fprintf(os.Stderr, "hvcctl: unknown command %q\n", cmd)
 		usage()
@@ -112,7 +86,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `hvcctl — client for the hvcd simulation daemon
 
-usage: hvcctl [-addr URL | -servers URL,URL,...] <command> [args]
+usage: hvcctl [-addr URL] <command> [args]
 
 commands:
   submit       submit a sim job (-org, -workloads, -insns, ...) or sweep (-sweep <experiment>)
@@ -124,22 +98,13 @@ commands:
   orgs         list organizations and workloads
   experiments  list registered experiments
   health       daemon liveness (/healthz) and readiness (/readyz)
-  cluster      node identity and cluster membership (/v1/cluster)
-  metrics      daemon counters (-prom for Prometheus text format)
-  bench        load-generate and record sustained jobs/sec
-  bench-cluster  boot in-process 1/2/4-node clusters and record scaling, dedup and peer latency
-
-With -servers, submissions route to each job key's cluster owner node
-when computable and fail over round-robin on 429/503 or connection
-errors; other commands talk to the first listed server.
+  metrics      daemon metrics (Prometheus text exposition)
 `)
 }
 
 // cmdSubmit submits one job built from flags; -wait watches it to
-// completion and prints the final report. A non-nil balancer routes
-// the submission to the job key's cluster owner (failing over
-// round-robin) and the watch follows the node that took it.
-func cmdSubmit(ctx context.Context, c *client.Client, bal *client.Balancer, args []string) error {
+// completion and prints the final report.
+func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	org := fs.String("org", "", "organization (sim jobs; default hybrid-manyseg+sc)")
 	wls := fs.String("workloads", "", "comma-separated workload names (default gups)")
@@ -173,17 +138,7 @@ func cmdSubmit(ctx context.Context, c *client.Client, bal *client.Balancer, args
 			}
 		}
 	}
-	var resp service.SubmitResponse
-	var err error
-	if bal != nil {
-		var served *client.Client
-		resp, served, err = bal.SubmitWait(ctx, spec, client.Backoff{})
-		if served != nil {
-			c = served // watch the node that took the job
-		}
-	} else {
-		resp, err = c.SubmitWait(ctx, spec)
-	}
+	resp, err := c.SubmitWait(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -302,38 +257,9 @@ func cmdJobs(ctx context.Context, c *client.Client, args []string) error {
 		from := ""
 		if j.Provenance != "" {
 			from = " from=" + j.Provenance
-			if j.OriginNode != "" {
-				from += "@" + j.OriginNode
-			}
 		}
 		fmt.Fprintf(stdout, "%-8s %-9s %-6s %-18s cached=%-5v intervals=%d%s\n",
 			j.ID, j.State, kind, what, j.Cached, j.Intervals, from)
-	}
-	return nil
-}
-
-// cmdCluster prints the node's identity and, when clustering is
-// enabled, its membership view with per-peer health.
-func cmdCluster(ctx context.Context, c *client.Client) error {
-	view, err := c.Cluster(ctx)
-	if err != nil {
-		return err
-	}
-	if !view.Enabled {
-		fmt.Fprintf(stdout, "node %s: clustering disabled\n", view.NodeID)
-		return nil
-	}
-	fmt.Fprintf(stdout, "node %s: %d members\n", view.NodeID, len(view.Members))
-	for _, m := range view.Members {
-		mark := " "
-		if m.Self {
-			mark = "*"
-		}
-		health := "healthy"
-		if !m.Healthy {
-			health = "unhealthy"
-		}
-		fmt.Fprintf(stdout, "%s %-12s %-28s %s\n", mark, m.ID, m.URL, health)
 	}
 	return nil
 }
@@ -384,123 +310,12 @@ func cmdHealth(ctx context.Context, c *client.Client) error {
 	return nil
 }
 
-func cmdMetrics(ctx context.Context, c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	prom := fs.Bool("prom", false, "print the Prometheus text exposition instead of JSON")
-	fs.Parse(args)
-	if *prom {
-		b, err := c.MetricsProm(ctx)
-		if err != nil {
-			return err
-		}
-		stdout.Write(b)
-		return nil
-	}
-	m, err := c.Metrics(ctx)
+// cmdMetrics prints the daemon's Prometheus text exposition.
+func cmdMetrics(ctx context.Context, c *client.Client) error {
+	b, err := c.MetricsProm(ctx)
 	if err != nil {
 		return err
 	}
-	b, _ := json.MarshalIndent(m, "", "  ")
-	fmt.Fprintln(stdout, string(b))
-	return nil
-}
-
-// benchResult is the BENCH_service.json schema: sustained jobs/sec for
-// fresh (simulating) and cached (content-addressed hit) submissions.
-type benchResult struct {
-	Clients          int     `json:"clients"`
-	Jobs             int     `json:"jobs"`
-	Instructions     uint64  `json:"instructions_per_job"`
-	FreshSeconds     float64 `json:"fresh_seconds"`
-	FreshJobsPerSec  float64 `json:"fresh_jobs_per_sec"`
-	CachedSeconds    float64 `json:"cached_seconds"`
-	CachedJobsPerSec float64 `json:"cached_jobs_per_sec"`
-	CacheHits        uint64  `json:"cache_hits"`
-	Simulated        uint64  `json:"simulated"`
-}
-
-// cmdBench load-generates: c concurrent clients push n unique sim jobs
-// (distinct seeds) and wait for completion, then resubmit the identical
-// specs to measure the content-addressed cache path. Sustained jobs/sec
-// for both phases lands in -out.
-func cmdBench(ctx context.Context, c *client.Client, args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	conc := fs.Int("c", 8, "concurrent clients")
-	n := fs.Int("n", 32, "total jobs")
-	insns := fs.Uint64("insns", 50_000, "instructions per job")
-	org := fs.String("org", "hybrid-manyseg+sc", "organization")
-	out := fs.String("out", "BENCH_service.json", "result file")
-	fs.Parse(args)
-	if *conc < 1 || *n < 1 {
-		return fmt.Errorf("bench: -c and -n must be positive")
-	}
-
-	specs := make([]service.JobSpec, *n)
-	for i := range specs {
-		specs[i] = service.JobSpec{
-			Org:          *org,
-			Workloads:    []string{"gups"},
-			Instructions: *insns,
-			Seed:         int64(i + 1), // unique seed → unique cache key
-		}
-	}
-
-	run := func(phase string) (float64, error) {
-		var next atomic.Int64
-		var firstErr atomic.Value
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < *conc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(specs) || ctx.Err() != nil {
-						return
-					}
-					resp, err := c.SubmitWait(ctx, specs[i])
-					if err == nil {
-						_, err = c.Watch(ctx, resp.ID, 20*time.Millisecond)
-					}
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err, _ := firstErr.Load().(error); err != nil {
-			return 0, fmt.Errorf("bench %s phase: %w", phase, err)
-		}
-		return time.Since(start).Seconds(), ctx.Err()
-	}
-
-	fresh, err := run("fresh")
-	if err != nil {
-		return err
-	}
-	cached, err := run("cached")
-	if err != nil {
-		return err
-	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		return err
-	}
-	res := benchResult{
-		Clients: *conc, Jobs: *n, Instructions: *insns,
-		FreshSeconds: fresh, FreshJobsPerSec: float64(*n) / fresh,
-		CachedSeconds: cached, CachedJobsPerSec: float64(*n) / cached,
-		CacheHits: m.CacheHits, Simulated: m.Simulated,
-	}
-	b, _ := json.MarshalIndent(res, "", "  ")
-	b = append(b, '\n')
-	if err := os.WriteFile(*out, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench: %d jobs × %d insns, %d clients: fresh %.1f jobs/s, cached %.1f jobs/s → %s\n",
-		*n, *insns, *conc, res.FreshJobsPerSec, res.CachedJobsPerSec, *out)
-	return nil
+	_, err = stdout.Write(b)
+	return err
 }

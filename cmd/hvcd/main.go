@@ -14,7 +14,7 @@
 //	GET    /v1/orgs               organization + workload catalog
 //	GET    /v1/experiments        experiment registry
 //	GET    /healthz, /readyz      liveness; readiness (503 draining/overloaded)
-//	GET    /metrics               counters as JSON or Prometheus text
+//	GET    /metrics               Prometheus text exposition
 //
 // SIGTERM/SIGINT drains gracefully: submissions are refused, running
 // simulations quiesce at a chunk boundary, running sweeps checkpoint
@@ -22,9 +22,13 @@
 // restart resumes), and the process exits once the workers finish or the
 // drain timeout expires.
 //
+// With -store DIR, results are also kept on disk and survive restarts.
+// Several daemons given the same -store directory serve each other's
+// results from it (DESIGN.md §15).
+//
 // Usage:
 //
-//	hvcd -addr :8077 -workers 4 -queue 64 -rate 50
+//	hvcd -addr :8077 -workers 4 -queue 64 -rate 50 -store /var/lib/hvcd
 package main
 
 import (
@@ -41,32 +45,7 @@ import (
 
 	"hybridvc/internal/buildinfo"
 	"hybridvc/internal/service"
-	"hybridvc/internal/service/cluster"
 )
-
-// newCluster assembles the cluster view from the -peers flag family.
-// An empty -peers keeps the daemon single-node (nil cluster).
-func newCluster(peers, nodeID, advertise, token string, timeout, probe time.Duration, logger *slog.Logger) (*cluster.Cluster, error) {
-	if peers == "" {
-		return nil, nil
-	}
-	if nodeID == "" {
-		return nil, fmt.Errorf("-peers requires -node-id")
-	}
-	members, err := cluster.ParsePeers(peers)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.New(cluster.Config{
-		NodeID:        nodeID,
-		Advertise:     advertise,
-		Members:       members,
-		Token:         token,
-		FetchTimeout:  timeout,
-		ProbeInterval: probe,
-		Logger:        logger,
-	})
-}
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
@@ -87,12 +66,6 @@ func main() {
 	breakerTrips := flag.Int("breaker-trips", 3, "consecutive slow queue waits that trip the breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long the tripped breaker sheds before probing again")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
-	nodeID := flag.String("node-id", "", "this node's identity in logs, metrics and the cluster (default hvcd)")
-	peers := flag.String("peers", "", "static cluster membership as id=url,... (empty = single node)")
-	advertise := flag.String("advertise", "", "this node's base URL as peers reach it (required with -peers when -node-id is absent from the list)")
-	clusterToken := flag.String("cluster-token", "", "shared secret authenticating peer API calls")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-call budget for peer fetch/replicate")
-	probeInterval := flag.Duration("peer-probe-interval", time.Second, "cadence of the per-peer /readyz health probes")
 	quiet := flag.Bool("quiet", false, "log warnings and errors only")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	version := buildinfo.Flag()
@@ -100,11 +73,6 @@ func main() {
 	buildinfo.HandleFlag(version, "hvcd")
 
 	logger, err := newLogger(*logFormat, *quiet)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hvcd:", err)
-		os.Exit(2)
-	}
-	clus, err := newCluster(*peers, *nodeID, *advertise, *clusterToken, *peerTimeout, *probeInterval, logger)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hvcd:", err)
 		os.Exit(2)
@@ -129,9 +97,6 @@ func main() {
 		BreakerQueueWait: *breakerWait,
 		BreakerTrips:     *breakerTrips,
 		BreakerCooldown:  *breakerCooldown,
-
-		NodeID:  *nodeID,
-		Cluster: clus,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hvcd:", err)

@@ -285,8 +285,6 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 // home slots up front lets those independent loads overlap.
 const permPrefetchBlock = 32
 
-var permTouchSink uint64
-
 // prefetchPerms warms the shadow-permission slots for the next block of
 // requests. Reads only; semantically invisible.
 func (m *HybridMMU) prefetchPerms(reqs []Request) {
@@ -298,7 +296,7 @@ func (m *HybridMMU) prefetchPerms(reqs []Request) {
 	for j := 0; j < n; j++ {
 		t += m.shadowPerm.touch(makePermKey(reqs[j].Proc.ASID, reqs[j].VA.Page()))
 	}
-	permTouchSink += t
+	m.shadowPerm.sink += t
 }
 
 // RouteBatch implements pipeline.BatchFrontEnd: it decodes the maximal

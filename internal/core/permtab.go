@@ -18,6 +18,9 @@ type permTable struct {
 	shift uint
 	live  int // occupied slots
 	used  int // occupied slots plus tombstones
+	// sink keeps prefetch touches live. It is per table, not a package
+	// variable, because parallel simulations touch their own tables.
+	sink uint64
 }
 
 const (

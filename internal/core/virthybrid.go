@@ -297,7 +297,7 @@ func (m *VirtHybridMMU) prefetchPerms(reqs []Request) {
 	for j := 0; j < n; j++ {
 		t += m.shadowPerm.touch(makePermKey(reqs[j].Proc.ASID, reqs[j].VA.Page()))
 	}
-	permTouchSink += t
+	m.shadowPerm.sink += t
 }
 
 // RouteBatch implements pipeline.BatchFrontEnd with the same quiet-probe /

@@ -18,9 +18,6 @@ type cacheEntry struct {
 	// lineage is the lineage ID of the job that produced the result, so
 	// cache-served jobs can report their provenance chain.
 	lineage string
-	// originNode is the cluster node that originally simulated the
-	// result (empty for locally produced results outside a cluster).
-	originNode string
 }
 
 // resultCache is a bounded LRU keyed by the canonical job hash. It is
@@ -65,20 +62,6 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 	}
 	c.hits.Add(1)
 	c.order.MoveToFront(el)
-	return el.Value.(*lruItem).entry, true
-}
-
-// peek returns the cached entry without touching the hit/miss counters
-// or the recency order. The submit path's post-peer-fetch recheck and
-// the peer GET handler use it: neither is a client-facing cache lookup,
-// so neither should skew the cache metrics.
-func (c *resultCache) peek(key string) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
 	return el.Value.(*lruItem).entry, true
 }
 

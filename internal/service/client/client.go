@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"hybridvc/internal/service"
-	"hybridvc/internal/service/cluster"
 	"hybridvc/internal/stats"
 )
 
@@ -111,12 +110,6 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.Subm
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &out)
 	return out, err
 }
-
-// Backoff parameterizes SubmitWait's retry pacing for retryable
-// rejections (429/503) that carry no Retry-After hint. It is the same
-// capped jittered exponential the cluster layer uses for peer
-// replication, re-exported here so existing callers keep compiling.
-type Backoff = cluster.Backoff
 
 // SubmitWait submits with bounded retries on retryable rejections
 // (429 backpressure/rate limiting, 503 draining/overloaded): it honours
@@ -242,14 +235,6 @@ func (c *Client) Orgs(ctx context.Context) (service.CatalogResponse, error) {
 	return out, err
 }
 
-// Cluster fetches the daemon's cluster view: its node identity and,
-// when clustering is enabled, the membership with per-peer health.
-func (c *Client) Cluster(ctx context.Context) (service.ClusterResponse, error) {
-	var out service.ClusterResponse
-	err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &out)
-	return out, err
-}
-
 // Experiments fetches the experiment registry listing.
 func (c *Client) Experiments(ctx context.Context) ([]service.ExperimentInfo, error) {
 	var out []service.ExperimentInfo
@@ -296,28 +281,12 @@ func (c *Client) Ready(ctx context.Context) (service.ReadyResponse, error) {
 	return out, nil
 }
 
-// Metrics fetches /metrics and returns the daemon's own counter block.
-func (c *Client) Metrics(ctx context.Context) (service.MetricsSnapshot, error) {
-	var all map[string]json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &all); err != nil {
-		return service.MetricsSnapshot{}, err
-	}
-	var out service.MetricsSnapshot
-	raw, ok := all["hvcd"]
-	if !ok {
-		return out, fmt.Errorf("metrics: no hvcd block in response")
-	}
-	err := json.Unmarshal(raw, &out)
-	return out, err
-}
-
-// MetricsProm fetches /metrics in Prometheus text exposition format.
+// MetricsProm fetches /metrics, the Prometheus text exposition.
 func (c *Client) MetricsProm(ctx context.Context) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Accept", "text/plain")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err

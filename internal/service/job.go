@@ -53,8 +53,7 @@ type Job struct {
 	reportJSON    []byte
 	tables        []string
 	cached        bool
-	provenance    string // cache-served jobs: "memory", "disk" or "peer"
-	originNode    string // cluster node that originally simulated the result
+	provenance    string // cache-served jobs: "memory" or "disk"
 	checkpoint    string
 	parentLineage string
 	created       time.Time
@@ -192,10 +191,8 @@ func (j *Job) finish(state string, report []byte, tables []string, errMsg string
 // result (it was never queued). parentLineage is the lineage ID of the
 // job that originally produced the cached result, so the lineage chain
 // request → cached result → producing run stays traceable; provenance
-// records which tier served it ("memory", "disk" or "peer") and
-// originNode which cluster node originally simulated it (empty outside
-// a cluster).
-func (j *Job) finishCached(report []byte, tables []string, intervals []stats.Interval, parentLineage, provenance, originNode string) {
+// records which tier served it ("memory" or "disk").
+func (j *Job) finishCached(report []byte, tables []string, intervals []stats.Interval, parentLineage, provenance string) {
 	tl := &stats.Timeline{}
 	for _, iv := range intervals {
 		tl.Append(iv)
@@ -203,7 +200,6 @@ func (j *Job) finishCached(report []byte, tables []string, intervals []stats.Int
 	j.mu.Lock()
 	j.cached = true
 	j.provenance = provenance
-	j.originNode = originNode
 	j.tl = tl
 	j.parentLineage = parentLineage
 	j.created = time.Now()
@@ -240,12 +236,10 @@ type JobStatus struct {
 	State  string `json:"state"`
 	Cached bool   `json:"cached"`
 	// Provenance records which cache tier served a born-done job:
-	// "memory" (LRU), "disk" (durable store) or "peer" (fetched from the
-	// key's owner node). Empty for fresh runs and coalesced submissions.
+	// "memory" (LRU) or "disk" (durable store, possibly written by
+	// another daemon sharing the directory). Empty for fresh runs and
+	// coalesced submissions.
 	Provenance string `json:"provenance,omitempty"`
-	// OriginNode is the cluster node that originally simulated the
-	// result. Empty for locally simulated results outside a cluster.
-	OriginNode string `json:"origin_node,omitempty"`
 	Error      string `json:"error,omitempty"`
 
 	// Lineage is the lineage ID of the submission that created the job;
@@ -280,8 +274,8 @@ func (j *Job) Status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.ID, Key: j.Key, State: j.state, Cached: j.cached,
-		Provenance: j.provenance, OriginNode: j.originNode,
-		Error: j.errMsg, Spec: j.Spec, Checkpoint: j.checkpoint,
+		Provenance: j.provenance, Error: j.errMsg,
+		Spec: j.Spec, Checkpoint: j.checkpoint,
 		Lineage: j.Lineage, ParentLineage: j.parentLineage,
 		Created: j.created,
 	}

@@ -17,7 +17,6 @@ import (
 
 	"hybridvc"
 	"hybridvc/experiments"
-	"hybridvc/internal/service/cluster"
 	"hybridvc/internal/service/store"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/telemetry"
@@ -55,8 +54,9 @@ type Config struct {
 	// StoreDir enables the durable result store: completed results are
 	// persisted there (atomic, checksummed — see the store package) and
 	// a restarted daemon serves them as warm cache hits with
-	// provenance=disk. Empty disables the disk tier; the daemon is then
-	// memory-only as before.
+	// provenance=disk. Daemons that share one StoreDir also serve each
+	// other's results this way. Empty disables the disk tier; the daemon
+	// is then memory-only.
 	StoreDir string
 	// StoreTTL expires store records this long after they were written
 	// (default 24h; < 0 disables expiry).
@@ -84,17 +84,6 @@ type Config struct {
 	BreakerQueueWait time.Duration
 	BreakerTrips     int
 	BreakerCooldown  time.Duration
-
-	// NodeID names this daemon in logs, metrics (hvcd_node_info) and
-	// cluster provenance. Default "hvcd"; clustered daemons must give
-	// each node a distinct ID.
-	NodeID string
-	// Cluster enables multi-node operation: on a local cache miss the
-	// submit path asks the key's rendezvous owner for the result before
-	// simulating, and freshly simulated results are best-effort
-	// replicated to their owner. Nil runs the daemon single-node, as
-	// before.
-	Cluster *cluster.Cluster
 
 	// Logger receives structured request and job-lifecycle logs: one
 	// record per lifecycle transition carrying the lineage ID, spec key,
@@ -127,9 +116,6 @@ func (c *Config) fillDefaults() {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.NodeID == "" {
-		c.NodeID = "hvcd"
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -149,9 +135,6 @@ type metrics struct {
 	queueFull   atomic.Uint64 // submissions rejected 429 by backpressure
 	deadlines   atomic.Uint64 // jobs failed by the per-job deadline
 	busy        atomic.Int64  // workers currently executing a job (gauge)
-
-	peerServed   atomic.Uint64 // peer GETs answered with a record
-	peerAccepted atomic.Uint64 // peer PUTs (replications) accepted
 
 	// The "completed" counter lives in the telemetry collector: it IS the
 	// end-to-end latency histogram's sample count, so the counter and the
@@ -192,31 +175,6 @@ type MetricsSnapshot struct {
 	// Store is the durable-tier counter block; nil when the disk store
 	// is disabled.
 	Store *store.Metrics `json:"store,omitempty"`
-
-	// NodeID identifies this daemon (always present, "hvcd" by default).
-	NodeID string `json:"node_id"`
-	// Cluster is the multi-node counter block; nil when clustering is
-	// disabled.
-	Cluster *ClusterMetrics `json:"cluster,omitempty"`
-}
-
-// ClusterMetrics is the multi-node counter block of MetricsSnapshot:
-// the cluster package's own counters plus the peer-API serving counters
-// that live on the daemon side.
-type ClusterMetrics struct {
-	Nodes           int    `json:"nodes"`
-	PeersHealthy    int    `json:"peers_healthy"`
-	Fetches         uint64 `json:"peer_fetches"`
-	Hits            uint64 `json:"peer_hits"`
-	Misses          uint64 `json:"peer_misses"`
-	Errors          uint64 `json:"peer_errors"`
-	Skipped         uint64 `json:"peer_skipped"`
-	Replicated      uint64 `json:"replicated"`
-	ReplicateErrors uint64 `json:"replicate_errors"`
-	// Served counts peer GETs this node answered with a record;
-	// Accepted counts replication PUTs it installed.
-	Served   uint64 `json:"peer_served"`
-	Accepted uint64 `json:"peer_accepted"`
 }
 
 // Server schedules jobs on a bounded worker pool and answers the HTTP
@@ -225,8 +183,7 @@ type ClusterMetrics struct {
 type Server struct {
 	cfg     Config
 	cache   *resultCache
-	store   *store.Store     // durable second tier; nil when disabled
-	cluster *cluster.Cluster // multi-node peer tier; nil when disabled
+	store   *store.Store // durable second tier; nil when disabled
 	limiter *rateLimiter
 	breaker *breaker
 	met     metrics
@@ -286,7 +243,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cache:    newResultCache(cfg.CacheEntries),
 		store:    disk,
-		cluster:  cfg.Cluster,
 		limiter:  newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
 		breaker:  newBreaker(cfg.BreakerQueueWait, cfg.BreakerTrips, cfg.BreakerCooldown),
 		tel:      telemetry.NewCollector(),
@@ -303,18 +259,11 @@ func New(cfg Config) (*Server, error) {
 // Store returns the durable result store (nil when disabled).
 func (s *Server) Store() *store.Store { return s.store }
 
-// Cluster returns the multi-node cluster view (nil when disabled).
-func (s *Server) Cluster() *cluster.Cluster { return s.cluster }
-
-// NodeID returns this daemon's node identity.
-func (s *Server) NodeID() string { return s.cfg.NodeID }
-
 // Telemetry returns the daemon's stage-latency collector (the /metrics
 // Prometheus exposition renders it).
 func (s *Server) Telemetry() *telemetry.Collector { return s.tel }
 
-// Start launches the worker pool (and, when clustering is enabled, the
-// peer health probes). It must be called exactly once.
+// Start launches the worker pool. It must be called exactly once.
 func (s *Server) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -325,11 +274,7 @@ func (s *Server) Start() {
 			}
 		}()
 	}
-	if s.cluster != nil {
-		s.cluster.Start()
-	}
 	s.logger.Info("hvcd started",
-		"node", s.cfg.NodeID, "clustered", s.cluster != nil,
 		"workers", s.cfg.Workers, "queue_depth", s.cfg.QueueDepth,
 		"cache_entries", s.cfg.CacheEntries, "spool", s.cfg.SpoolDir)
 }
@@ -372,11 +317,9 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 // Identical specs deduplicate through the content-addressed key: a key
 // with a live (queued/running/done) job coalesces onto it, a key with a
 // cached result gets a job born done, and only genuinely new work is
-// enqueued. In a cluster, a key every local tier misses is first asked
-// of its rendezvous owner node; only when the owner has nothing (or is
-// unreachable) does the simulation run here. A full queue returns
-// ErrQueueFull; a draining server ErrDraining. lineage identifies this
-// submission in logs and traces (empty mints one).
+// enqueued. A full queue returns ErrQueueFull; a draining server
+// ErrDraining. lineage identifies this submission in logs and traces
+// (empty mints one).
 func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, error) {
 	if lineage == "" {
 		lineage = telemetry.NewLineageID()
@@ -388,47 +331,57 @@ func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, 
 	key := spec.CacheKey()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return SubmitResult{}, ErrDraining
 	}
 	s.met.submitted.Add(1)
-	if res, ok := s.serveLocalLocked(spec, key, lineage, arrived, true); ok {
-		s.mu.Unlock()
-		return res, nil
-	}
-	s.mu.Unlock()
 
-	// Every local tier missed. In a cluster, ask the key's rendezvous
-	// owner for the record before burning a worker on a simulation some
-	// other node may already have run. The fetch happens outside s.mu —
-	// it is a network call and must not stall unrelated submissions.
-	if rec, ok := s.fetchFromOwner(key); ok {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.draining {
-			return SubmitResult{}, ErrDraining
+	// Coalesce onto a live job with the same key: queued or running
+	// (the submitter shares its id and will see its result), or done
+	// (its result is the cached result). Failed/canceled jobs do not
+	// absorb resubmissions — the user is asking to try again.
+	if prev, ok := s.byKey[key]; ok {
+		switch prev.State() {
+		case StateQueued, StateRunning:
+			s.met.deduped.Add(1)
+			s.logJob(prev, lineage, "submitted",
+				"coalesced", true, "origin", prev.Lineage)
+			return SubmitResult{Job: prev, Lineage: lineage, Origin: prev.Lineage}, nil
+		case StateDone:
+			s.met.deduped.Add(1)
+			s.cache.hits.Add(1)
+			s.tel.ObserveCacheServe(time.Since(arrived))
+			s.logJob(prev, lineage, "submitted",
+				"cache_hit", true, "origin", prev.Lineage)
+			return SubmitResult{Job: prev, Lineage: lineage, Origin: prev.Lineage}, nil
 		}
-		// A racing submission may have installed the key while we were
-		// on the network; prefer the local copy.
-		if res, ok := s.serveLocalLocked(spec, key, lineage, arrived, false); ok {
-			return res, nil
-		}
-		return s.installPeerLocked(spec, key, lineage, arrived, rec), nil
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining { // drain may have begun during the peer fetch
-		return SubmitResult{}, ErrDraining
+	// A cold key may still hit the result cache (the original job aged
+	// out of the registry, or the key was evicted from byKey on retry).
+	if e, ok := s.cache.get(key); ok {
+		return s.serveCachedLocked(spec, key, lineage, arrived, e, "memory"), nil
 	}
-	if res, ok := s.serveLocalLocked(spec, key, lineage, arrived, false); ok {
-		return res, nil
+
+	// Second tier: the durable store. A hit means an earlier life of this
+	// daemon, or another daemon sharing the store directory, produced
+	// this exact result — serve it, promote it into the memory LRU, and
+	// record provenance=disk in the lineage chain.
+	if s.store != nil {
+		if rec, ok := s.store.Get(key); ok {
+			e := &cacheEntry{
+				reportJSON: rec.Report, tables: rec.Tables,
+				intervals: rec.Intervals, lineage: rec.Lineage,
+			}
+			s.cache.put(key, e)
+			return s.serveCachedLocked(spec, key, lineage, arrived, e, "disk"), nil
+		}
 	}
 
 	// Only genuinely fresh work reaches the breaker: an open breaker
-	// sheds new simulations but everything above — dedup, memory, disk,
-	// peer — still serves.
+	// sheds new simulations but everything above — dedup, memory, disk —
+	// still serves.
 	if !s.breaker.admit() {
 		return SubmitResult{}, ErrOverloaded
 	}
@@ -447,123 +400,15 @@ func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, 
 	return SubmitResult{Job: job, Fresh: true, Lineage: lineage, Origin: lineage}, nil
 }
 
-// serveLocalLocked tries every local tier for key and reports whether
-// the submission was satisfied. The caller holds s.mu. count=false is
-// the post-peer-fetch recheck: it must not re-count a cache miss the
-// first pass already recorded, and it skips the disk tier — any record
-// that arrived in the interim (racing submission, replication PUT) was
-// also promoted into the memory LRU, which the peek covers.
-func (s *Server) serveLocalLocked(spec JobSpec, key, lineage string, arrived time.Time, count bool) (SubmitResult, bool) {
-	// Coalesce onto a live job with the same key: queued or running
-	// (the submitter shares its id and will see its result), or done
-	// (its result is the cached result). Failed/canceled jobs do not
-	// absorb resubmissions — the user is asking to try again.
-	if prev, ok := s.byKey[key]; ok {
-		switch prev.State() {
-		case StateQueued, StateRunning:
-			s.met.deduped.Add(1)
-			s.logJob(prev, lineage, "submitted",
-				"coalesced", true, "origin", prev.Lineage)
-			return SubmitResult{Job: prev, Lineage: lineage, Origin: prev.Lineage}, true
-		case StateDone:
-			s.met.deduped.Add(1)
-			s.cache.hits.Add(1)
-			s.tel.ObserveCacheServe(time.Since(arrived))
-			s.logJob(prev, lineage, "submitted",
-				"cache_hit", true, "origin", prev.Lineage)
-			return SubmitResult{Job: prev, Lineage: lineage, Origin: prev.Lineage}, true
-		}
-	}
-
-	// A cold key may still hit the result cache (the original job aged
-	// out of the registry, or the key was evicted from byKey on retry).
-	var e *cacheEntry
-	var ok bool
-	if count {
-		e, ok = s.cache.get(key)
-	} else {
-		e, ok = s.cache.peek(key)
-	}
-	if ok {
-		job := newJob(s.newID(), key, lineage, spec, s.lifetime)
-		job.finishCached(e.reportJSON, e.tables, e.intervals, e.lineage, "memory", e.originNode)
-		s.register(job)
-		s.tel.ObserveCacheServe(time.Since(arrived))
-		s.logJob(job, "", "submitted", "cache_hit", true, "provenance", "memory", "origin", e.lineage)
-		return SubmitResult{Job: job, Lineage: lineage, Origin: e.lineage}, true
-	}
-
-	// Second tier: the durable store. A hit means some earlier daemon
-	// life produced this exact result — serve it, promote it into the
-	// memory LRU, and record provenance=disk in the lineage chain. A
-	// miss is an in-memory index lookup, not disk I/O.
-	if count && s.store != nil {
-		if rec, ok := s.store.Get(key); ok {
-			e := &cacheEntry{
-				reportJSON: rec.Report, tables: rec.Tables,
-				intervals: rec.Intervals, lineage: rec.Lineage,
-				originNode: rec.Node,
-			}
-			s.cache.put(key, e)
-			job := newJob(s.newID(), key, lineage, spec, s.lifetime)
-			job.finishCached(e.reportJSON, e.tables, e.intervals, e.lineage, "disk", e.originNode)
-			s.register(job)
-			s.tel.ObserveCacheServe(time.Since(arrived))
-			s.logJob(job, "", "submitted", "cache_hit", true, "provenance", "disk", "origin", e.lineage)
-			return SubmitResult{Job: job, Lineage: lineage, Origin: e.lineage}, true
-		}
-	}
-	return SubmitResult{}, false
-}
-
-// fetchFromOwner asks the key's rendezvous owner for its record over
-// the peer API. It returns false — meaning "simulate locally" — when
-// clustering is off, this node owns the key itself, the owner is
-// already marked unhealthy (counted as skipped), or the fetch misses
-// or fails: a degraded owner must never fail the submission.
-func (s *Server) fetchFromOwner(key string) (store.Record, bool) {
-	c := s.cluster
-	if c == nil {
-		return store.Record{}, false
-	}
-	owner := c.OwnerOf(key)
-	if owner.ID == c.NodeID() {
-		return store.Record{}, false
-	}
-	if !c.Healthy(owner.ID) {
-		c.SkipUnhealthy()
-		return store.Record{}, false
-	}
-	rec, ok, err := c.Fetch(s.lifetime, owner, key)
-	if err != nil || !ok {
-		return store.Record{}, false
-	}
-	return rec, true
-}
-
-// installPeerLocked serves a submission from a record fetched off the
-// key's owner: the record is promoted into the local memory LRU and
-// disk store (so the next hit is local) and the born-done job carries
-// provenance "peer" with the originating node. The caller holds s.mu.
-func (s *Server) installPeerLocked(spec JobSpec, key, lineage string, arrived time.Time, rec store.Record) SubmitResult {
-	e := &cacheEntry{
-		reportJSON: rec.Report, tables: rec.Tables,
-		intervals: rec.Intervals, lineage: rec.Lineage,
-		originNode: rec.Node,
-	}
-	s.cache.put(key, e)
-	if s.store != nil {
-		if perr := s.store.Put(rec); perr != nil {
-			s.logger.Warn("peer record store write failed",
-				"key", key, "error", perr.Error())
-		}
-	}
+// serveCachedLocked answers a submission from a cached result: a job
+// born done, registered under key, whose provenance names the tier
+// ("memory" or "disk") that served it. The caller holds s.mu.
+func (s *Server) serveCachedLocked(spec JobSpec, key, lineage string, arrived time.Time, e *cacheEntry, provenance string) SubmitResult {
 	job := newJob(s.newID(), key, lineage, spec, s.lifetime)
-	job.finishCached(e.reportJSON, e.tables, e.intervals, e.lineage, "peer", rec.Node)
+	job.finishCached(e.reportJSON, e.tables, e.intervals, e.lineage, provenance)
 	s.register(job)
 	s.tel.ObserveCacheServe(time.Since(arrived))
-	s.logJob(job, "", "submitted", "cache_hit", true,
-		"provenance", "peer", "origin", e.lineage, "origin_node", rec.Node)
+	s.logJob(job, "", "submitted", "cache_hit", true, "provenance", provenance, "origin", e.lineage)
 	return SubmitResult{Job: job, Lineage: lineage, Origin: e.lineage}
 }
 
@@ -651,18 +496,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		m := s.store.Metrics()
 		storeMet = &m
 	}
-	var clusterMet *ClusterMetrics
-	if s.cluster != nil {
-		cm := s.cluster.Metrics()
-		clusterMet = &ClusterMetrics{
-			Nodes: cm.Nodes, PeersHealthy: cm.PeersHealthy,
-			Fetches: cm.Fetches, Hits: cm.Hits, Misses: cm.Misses,
-			Errors: cm.Errors, Skipped: cm.Skipped,
-			Replicated: cm.Replicated, ReplicateErrors: cm.ReplicateErrors,
-			Served:   s.met.peerServed.Load(),
-			Accepted: s.met.peerAccepted.Load(),
-		}
-	}
 	return MetricsSnapshot{
 		Submitted:   s.met.submitted.Load(),
 		Deduped:     s.met.deduped.Load(),
@@ -688,8 +521,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		BreakerTrips:     breakerTrips,
 		Shed:             shed,
 		Store:            storeMet,
-		NodeID:           s.cfg.NodeID,
-		Cluster:          clusterMet,
 	}
 }
 
@@ -716,9 +547,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	if s.cluster != nil {
-		s.cluster.Stop()
-	}
 	s.logger.Info("hvcd draining", "live_jobs", len(live))
 	for _, j := range live {
 		j.Cancel()
@@ -786,26 +614,23 @@ func (s *Server) runJob(job *Job) {
 
 	switch {
 	case err == nil:
-		entry := &cacheEntry{reportJSON: report, tables: tables, lineage: job.Lineage, originNode: s.cfg.NodeID}
+		entry := &cacheEntry{reportJSON: report, tables: tables, lineage: job.Lineage}
 		if tl := job.timeline(); tl != nil {
 			entry.intervals = tl.Intervals()
 		}
 		s.cache.put(job.Key, entry)
-		rec := store.Record{
-			Key: job.Key, Report: report, Tables: tables,
-			Intervals: entry.intervals, Lineage: job.Lineage,
-			Node: s.cfg.NodeID,
-		}
 		if s.store != nil {
 			// Durable tier is best-effort on the write path: a failed write
 			// (full disk, injected fault) costs warm restarts, not this
 			// result.
-			if perr := s.store.Put(rec); perr != nil {
+			if perr := s.store.Put(store.Record{
+				Key: job.Key, Report: report, Tables: tables,
+				Intervals: entry.intervals, Lineage: job.Lineage,
+			}); perr != nil {
 				s.logger.Warn("result store write failed",
 					"job", job.ID, "key", job.Key, "error", perr.Error())
 			}
 		}
-		s.replicateToOwner(job, rec)
 		// Observe stage latencies BEFORE finish wakes watchers: a client
 		// that sees "done" must also see the counters agreeing.
 		wait, exec, e2e := job.latencies(time.Now())
@@ -837,30 +662,6 @@ func (s *Server) runJob(job *Job) {
 		_, exec, e2e := job.latencies(time.Now())
 		s.logJob(job, "", "failed", "error", err.Error(),
 			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
-	}
-}
-
-// replicateToOwner best-effort pushes a freshly simulated result onto
-// the key's rendezvous owner, so the cluster converges to one
-// simulation per key: the next node to miss on this key asks the owner
-// and finds it. Runs on the worker before the job finishes (bounded by
-// the cluster's replicate budget, a few fetch timeouts at worst);
-// failure is logged and counted by the cluster, never surfaced to the
-// job. A no-op outside a cluster, for keys this node owns itself, and
-// for owners already marked unhealthy.
-func (s *Server) replicateToOwner(job *Job, rec store.Record) {
-	c := s.cluster
-	if c == nil {
-		return
-	}
-	owner := c.OwnerOf(rec.Key)
-	if owner.ID == c.NodeID() || !c.Healthy(owner.ID) {
-		return
-	}
-	if err := c.Replicate(s.lifetime, owner, rec); err != nil {
-		s.logJob(job, "", "replicate_failed", "owner", owner.ID, "error", err.Error())
-	} else {
-		s.logJob(job, "", "replicated", "owner", owner.ID)
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -107,9 +106,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("GET /v1/orgs", s.handleOrgs)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	mux.HandleFunc("GET /v1/peer/results/{key}", s.handlePeerGet)
-	mux.HandleFunc("PUT /v1/peer/results/{key}", s.handlePeerPut)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -433,37 +429,13 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// handleMetrics serves the daemon counters, content-negotiated on the
-// Accept header. A client accepting text/plain (Prometheus scrapers) gets
-// the exposition-format rendering of the counters, gauges and stage
-// latency histograms; everyone else gets the original expvar-style JSON
-// object — the process-wide expvar variables extended with an "hvcd" key
-// holding the scheduler/cache counters — so existing JSON consumers are
-// untouched.
+// handleMetrics serves the daemon counters, gauges and stage latency
+// histograms as the Prometheus text exposition, whatever the Accept
+// header asks for. All stage histograms and the completed counter come
+// from ONE collector snapshot: hvcd_completed_total is the end-to-end
+// histogram's sample count, so on every scrape — including mid-run —
+// the histograms' +Inf buckets and the counter reconcile exactly.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/plain") {
-		s.writePromMetrics(w)
-		return
-	}
-	vars := map[string]json.RawMessage{}
-	expvar.Do(func(kv expvar.KeyValue) {
-		vars[kv.Key] = json.RawMessage(kv.Value.String())
-	})
-	own, err := json.Marshal(s.MetricsSnapshot())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "marshal metrics: %v", err)
-		return
-	}
-	vars["hvcd"] = own
-	writeJSON(w, http.StatusOK, vars)
-}
-
-// writePromMetrics renders the Prometheus text exposition. All stage
-// histograms and the completed counter come from ONE collector snapshot:
-// hvcd_completed_total is the end-to-end histogram's sample count, so on
-// every scrape — including mid-run — the histograms' +Inf buckets and
-// the counter reconcile exactly.
-func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	m := s.MetricsSnapshot()
 	st := s.tel.Snapshot()
 
@@ -496,22 +468,6 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	enc.Counter("hvcd_store_evictions_total", "Result-store records evicted by TTL or the size budget.", sm.Evictions)
 	enc.Counter("hvcd_store_corruptions_total", "Corrupt result-store records detected and quarantined.", sm.Corruptions)
 
-	// Cluster families follow the same discipline: emitted (all zeros)
-	// even on a single-node daemon, so the family set is stable.
-	var cm ClusterMetrics
-	if m.Cluster != nil {
-		cm = *m.Cluster
-	}
-	enc.Counter("hvcd_peer_fetches_total", "Peer result fetches attempted against key owners.", cm.Fetches)
-	enc.Counter("hvcd_peer_hits_total", "Peer result fetches answered with a record.", cm.Hits)
-	enc.Counter("hvcd_peer_misses_total", "Peer result fetches the owner cleanly missed.", cm.Misses)
-	enc.Counter("hvcd_peer_errors_total", "Peer result fetches that failed (transport, auth, corrupt body).", cm.Errors)
-	enc.Counter("hvcd_peer_skipped_total", "Peer fetches not attempted because the owner was marked unhealthy.", cm.Skipped)
-	enc.Counter("hvcd_peer_replicated_total", "Fresh results replicated onto their owner node.", cm.Replicated)
-	enc.Counter("hvcd_peer_replicate_errors_total", "Failed replications to an owner node.", cm.ReplicateErrors)
-	enc.Counter("hvcd_peer_served_total", "Peer GETs this node answered with a record.", cm.Served)
-	enc.Counter("hvcd_peer_accepted_total", "Replication PUTs this node installed.", cm.Accepted)
-
 	enc.Gauge("hvcd_queue_depth", "Jobs waiting in the submission queue.", float64(m.QueueDepth))
 	enc.Gauge("hvcd_jobs", "Jobs resident in the registry, any state.", float64(m.Jobs))
 	enc.Gauge("hvcd_workers", "Size of the worker pool.", float64(m.Workers))
@@ -525,13 +481,9 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	enc.Gauge("hvcd_breaker_state", "Overload breaker state: 0 closed, 1 half-open, 2 open.", BreakerStateValue(m.BreakerState))
 	enc.Gauge("hvcd_store_records", "Records resident in the durable result store.", float64(sm.Records))
 	enc.Gauge("hvcd_store_bytes", "Bytes resident in the durable result store.", float64(sm.Bytes))
-	enc.Gauge("hvcd_cluster_nodes", "Cluster membership size (0 when clustering is disabled).", float64(cm.Nodes))
-	enc.Gauge("hvcd_cluster_peers_healthy", "Peers currently believed healthy, self excluded.", float64(cm.PeersHealthy))
 	enc.Gauge("hvcd_uptime_seconds", "Seconds since the server started.", float64(m.UptimeSec))
 	enc.Gauge("hvcd_build_info", "Build metadata; the value is always 1.", 1,
 		telemetry.Label{Name: "version", Value: buildinfo.Version()})
-	enc.Gauge("hvcd_node_info", "Node identity; the value is always 1.", 1,
-		telemetry.Label{Name: "node_id", Value: m.NodeID})
 
 	enc.Histogram("hvcd_queue_wait_seconds", "Time jobs spent queued before a worker picked them up.",
 		st.QueueWait, telemetry.LatencyScale)

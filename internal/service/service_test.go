@@ -128,13 +128,14 @@ func TestSubmitTwiceServedFromCache(t *testing.T) {
 		t.Errorf("submitted/completed = %d/%d, want 2/1", m.Submitted, m.Completed)
 	}
 
-	// The counters must agree over HTTP too (client → /metrics → hvcd block).
-	hm, err := c.Metrics(ctx)
+	// The counters must agree over HTTP too (client → /metrics exposition).
+	body, err := c.MetricsProm(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hm.Simulated != 1 || hm.Workers != 2 {
-		t.Errorf("/metrics simulated/workers = %d/%d, want 1/2", hm.Simulated, hm.Workers)
+	simulated, workers := promValue(t, body, "hvcd_simulated_total"), promValue(t, body, "hvcd_workers")
+	if simulated != 1 || workers != 2 {
+		t.Errorf("/metrics simulated/workers = %v/%v, want 1/2", simulated, workers)
 	}
 }
 

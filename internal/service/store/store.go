@@ -19,8 +19,11 @@
 //     open and on the write path, so the store converges to its bounds
 //     without a background goroutine.
 //
-// The index (key → size/mtime) lives in memory, so a miss costs a map
-// lookup, not disk I/O; only hits read the file back.
+// The index (key → size/mtime) lives in memory. A key the index misses
+// costs one stat of its record path: several daemons may share one
+// store directory, and a record another daemon wrote since this store
+// last looked is indexed on the spot and served like any other. Only
+// hits read the file back.
 package store
 
 import (
@@ -53,11 +56,6 @@ type Record struct {
 	Tables    []string         `json:"tables,omitempty"`
 	Intervals []stats.Interval `json:"intervals,omitempty"`
 	Lineage   string           `json:"lineage,omitempty"`
-	// Node is the cluster node ID that originally simulated the result
-	// (empty for records written before clustering or with it disabled).
-	// It rides the payload so provenance survives peer replication and
-	// restarts; absent in old records, which decode fine.
-	Node string `json:"node,omitempty"`
 }
 
 // Hooks intercept store writes for deterministic fault injection (the
@@ -210,13 +208,18 @@ func encode(rec Record) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encode %s: %w", rec.Key, err)
 	}
+	return frame(payload), nil
+}
+
+// frame prefixes a payload with the record header.
+func frame(payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload))
 	copy(buf[0:4], recordMagic[:])
 	binary.BigEndian.PutUint16(buf[4:6], recordVersion)
 	binary.BigEndian.PutUint64(buf[8:16], uint64(len(payload)))
 	binary.BigEndian.PutUint32(buf[16:20], crc32.Checksum(payload, crcTable))
 	copy(buf[headerSize:], payload)
-	return buf, nil
+	return buf
 }
 
 // decode verifies the framing and returns the payload record. Any
@@ -324,13 +327,21 @@ func syncDir(dir string) {
 	}
 }
 
-// Get returns the record for key. Misses are cheap (in-memory index);
-// expired records are removed and report a miss; a record that fails
-// verification is quarantined and reports a miss — corrupt bytes are
-// never served.
+// Get returns the record for key. A key the index misses is looked up
+// with one stat, so records written by another daemon on the same
+// directory are found; expired records are removed and report a miss;
+// a record that fails verification is quarantined and reports a miss —
+// corrupt bytes are never served.
 func (s *Store) Get(key string) (Record, bool) {
 	s.mu.Lock()
 	e, ok := s.index[key]
+	if !ok {
+		if info, err := os.Stat(s.path(key)); err == nil {
+			e, ok = indexEntry{size: info.Size(), mtime: info.ModTime()}, true
+			s.index[key] = e
+			s.bytes += e.size
+		}
+	}
 	if ok && s.expired(e) {
 		s.removeLocked(key, e)
 		s.evictions.Add(1)

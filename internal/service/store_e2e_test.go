@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"hybridvc/internal/service"
 	"hybridvc/internal/service/client"
+	"hybridvc/internal/service/store"
 )
 
 // TestCrashRestartServesFromDisk is the durable-store acceptance path: a
@@ -97,5 +99,135 @@ func TestCrashRestartServesFromDisk(t *testing.T) {
 	}
 	if total := srv1.MetricsSnapshot().Simulated + m2.Simulated; total != 1 {
 		t.Errorf("simulations across both lives = %d, want exactly 1", total)
+	}
+}
+
+// startSharedPair boots two daemons whose -store is one directory.
+func startSharedPair(t *testing.T) ([2]*service.Server, [2]*client.Client) {
+	t.Helper()
+	storeDir := t.TempDir()
+	var srvs [2]*service.Server
+	var cs [2]*client.Client
+	for i := range srvs {
+		srvs[i], cs[i] = startServer(t, service.Config{Workers: 1, StoreDir: storeDir})
+	}
+	return srvs, cs
+}
+
+// TestSharedStoreDirectory: two daemons on one store directory simulate
+// each unique key once between them. Which daemon sees a key first
+// rotates; the other serves that key from disk, byte-identical.
+func TestSharedStoreDirectory(t *testing.T) {
+	srvs, cs := startSharedPair(t)
+	ctx := context.Background()
+	const keys = 4
+	for seed := int64(1); seed <= keys; seed++ {
+		spec := service.JobSpec{Instructions: 30_000, Interval: 5_000, Seed: seed}
+		first, second := cs[seed%2], cs[(seed+1)%2]
+
+		resp1, err := first.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st1 := waitState(t, first, resp1.ID, service.StateDone)
+		if st1.State != service.StateDone || len(st1.Report) == 0 {
+			t.Fatalf("seed %d first daemon: %s (%s)", seed, st1.State, st1.Error)
+		}
+
+		resp2, err := second.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp2.Cached || resp2.Key != resp1.Key {
+			t.Fatalf("seed %d second daemon did not serve the shared record: %+v", seed, resp2)
+		}
+		st2, err := second.Job(ctx, resp2.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.Provenance != "disk" {
+			t.Errorf("seed %d provenance = %q, want disk", seed, st2.Provenance)
+		}
+		if !bytes.Equal(st1.Report, st2.Report) {
+			t.Errorf("seed %d: shared report differs from the original bytes", seed)
+		}
+		if st2.Intervals != st1.Intervals || st2.ParentLineage != st1.Lineage {
+			t.Errorf("seed %d: shared job replays %d intervals from %q, original %d from %q",
+				seed, st2.Intervals, st2.ParentLineage, st1.Intervals, st1.Lineage)
+		}
+	}
+	if sims := srvs[0].MetricsSnapshot().Simulated + srvs[1].MetricsSnapshot().Simulated; sims != keys {
+		t.Errorf("two daemons simulated %d times for %d unique keys", sims, keys)
+	}
+}
+
+// TestSharedStoreFirstSubmissionRace: both daemons see the first
+// submission of one key at once, so both may simulate it. The records
+// are identical, so the rename race is harmless: the store ends with one
+// clean record and both daemons serve the same bytes.
+func TestSharedStoreFirstSubmissionRace(t *testing.T) {
+	srvs, cs := startSharedPair(t)
+	ctx := context.Background()
+	spec := service.JobSpec{Instructions: 30_000, Seed: 42}
+
+	var reports [2][]byte
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := c.Submit(ctx, spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			st, err := c.Watch(ctx, resp.ID, 5*time.Millisecond)
+			if err != nil || st.State != service.StateDone {
+				t.Errorf("daemon %d: %v %s (%s)", i, err, st.State, st.Error)
+				return
+			}
+			reports[i] = st.Report
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if len(reports[0]) == 0 || !bytes.Equal(reports[0], reports[1]) {
+		t.Fatal("racing daemons serve different reports")
+	}
+
+	disk, err := store.Open(store.Options{Dir: srvs[0].Store().Dir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := disk.Len(); n != 1 {
+		t.Errorf("store holds %d records for one key", n)
+	}
+	if q := disk.Quarantined(); q != 0 {
+		t.Errorf("%d records quarantined", q)
+	}
+	for i, srv := range srvs {
+		if m := srv.Store().Metrics(); m.Corruptions != 0 {
+			t.Errorf("daemon %d counted %d corrupt records", i, m.Corruptions)
+		}
+	}
+	// Both daemons serve the settled record's bytes on resubmission.
+	for i, c := range cs {
+		resp, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Job(ctx, resp.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Cached || !bytes.Equal(st.Report, reports[0]) {
+			t.Errorf("daemon %d resubmission: cached=%v, report identical=%v",
+				i, resp.Cached, bytes.Equal(st.Report, reports[0]))
+		}
 	}
 }

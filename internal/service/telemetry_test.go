@@ -108,18 +108,6 @@ func TestMetricsLint(t *testing.T) {
 		"# TYPE hvcd_store_corruptions_total counter",
 		"# TYPE hvcd_store_records gauge",
 		"# TYPE hvcd_store_bytes gauge",
-		"# TYPE hvcd_peer_fetches_total counter",
-		"# TYPE hvcd_peer_hits_total counter",
-		"# TYPE hvcd_peer_misses_total counter",
-		"# TYPE hvcd_peer_errors_total counter",
-		"# TYPE hvcd_peer_skipped_total counter",
-		"# TYPE hvcd_peer_replicated_total counter",
-		"# TYPE hvcd_peer_replicate_errors_total counter",
-		"# TYPE hvcd_peer_served_total counter",
-		"# TYPE hvcd_peer_accepted_total counter",
-		"# TYPE hvcd_cluster_nodes gauge",
-		"# TYPE hvcd_cluster_peers_healthy gauge",
-		"# TYPE hvcd_node_info gauge",
 	} {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("exposition missing %q", family)
@@ -149,17 +137,6 @@ func TestMetricsLint(t *testing.T) {
 	}
 	if v := promValue(t, body2, "hvcd_store_records"); v != 0 {
 		t.Errorf("store-less hvcd_store_records = %v, want 0", v)
-	}
-	// Same stability for the cluster families: a single-node daemon
-	// exposes them zero-valued, with the default node identity stamped.
-	if v := promValue(t, body2, "hvcd_cluster_nodes"); v != 0 {
-		t.Errorf("single-node hvcd_cluster_nodes = %v, want 0", v)
-	}
-	if v := promValue(t, body2, "hvcd_peer_fetches_total"); v != 0 {
-		t.Errorf("single-node hvcd_peer_fetches_total = %v, want 0", v)
-	}
-	if v := promValue(t, body2, `hvcd_node_info{node_id="hvcd"}`); v != 1 {
-		t.Errorf("single-node hvcd_node_info = %v, want 1", v)
 	}
 }
 
@@ -220,30 +197,31 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation: no Accept header (or JSON) keeps the
-// legacy expvar-style JSON body; text/plain switches to the exposition.
+// TestMetricsContentNegotiation: /metrics has one format. Whatever the
+// Accept header says — none, JSON, or text/plain — the response is the
+// Prometheus exposition and lints clean.
 func TestMetricsContentNegotiation(t *testing.T) {
-	_, c, base := startServerURL(t, service.Config{Workers: 1})
-	ctx := context.Background()
-
-	// The Go client sends no Accept header: must decode as JSON.
-	if _, err := c.Metrics(ctx); err != nil {
-		t.Fatalf("JSON metrics path broken: %v", err)
-	}
-
-	req, _ := http.NewRequest(http.MethodGet, base+"/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
-		t.Errorf("Content-Type = %q, want %q", ct, telemetry.ContentType)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if err := telemetry.Lint(body); err != nil {
-		t.Errorf("negotiated exposition: %v", err)
+	_, _, base := startServerURL(t, service.Config{Workers: 1})
+	for _, accept := range []string{"", "application/json", "text/plain"} {
+		req, _ := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
+			t.Errorf("Accept %q: Content-Type = %q, want %q", accept, ct, telemetry.ContentType)
+		}
+		if err := telemetry.Lint(body); err != nil {
+			t.Errorf("Accept %q: exposition not well-formed: %v", accept, err)
+		}
+		if !bytes.Contains(body, []byte("# TYPE hvcd_completed_total counter")) {
+			t.Errorf("Accept %q: body is not the hvcd exposition:\n%s", accept, body)
+		}
 	}
 }
 
