@@ -2,7 +2,7 @@
 # suite under the race detector (the sweep runner is concurrent).
 GO ?= go
 
-.PHONY: all build test race vet ci parity invariants fuzz-smoke service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-hotpath bench-check bench-all sweep sweep-full clean
+.PHONY: all build test race vet fmt ci parity invariants fuzz-smoke service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-hotpath bench-check bench-all sweep sweep-full clean
 
 all: build
 
@@ -15,6 +15,11 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when a tracked Go file is not gofmt-clean. It checks tracked
+# files only, so build outputs under .bench_build/ are never scanned.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+
 # The heavy simulation shape tests skip themselves under -race (they
 # validate numerics, not concurrency, and are 10x+ slower instrumented);
 # the runner's concurrency is still exercised end to end by the tests in
@@ -26,7 +31,7 @@ race:
 # Set BENCH_CHECK=1 to also gate hot-path throughput against the
 # committed BENCH_hotpath.json (off by default: benchmark wall time and
 # machine-to-machine variance don't belong in every CI run).
-ci: vet staticcheck govulncheck test race service-race sim-race chaos metrics-lint parity invariants fuzz-smoke $(if $(BENCH_CHECK),bench-check)
+ci: fmt vet staticcheck govulncheck test race service-race sim-race chaos metrics-lint parity invariants fuzz-smoke $(if $(BENCH_CHECK),bench-check)
 
 # service-race runs the hvcd service integration suite alone under the
 # race detector: concurrent clients submitting/watching/cancelling jobs

@@ -29,15 +29,24 @@ func Parity(s Scale) (*stats.Table, error) {
 	simCfg.Timeslice = 10_000
 
 	var cells []Cell
+	add := func(org hybridvc.Organization, wl string, cores int) {
+		cells = append(cells, Cell{
+			Label:        fmt.Sprintf("parity/%s/%dc/%s", wl, cores, org),
+			Config:       hybridvc.Config{Org: org, Cores: cores, Sim: simCfg},
+			Workloads:    []string{wl},
+			Instructions: insns,
+			Extract:      parityRow(string(org), wl, cores),
+		})
+	}
 	for _, org := range hybridvc.Organizations() {
 		for _, wl := range parityWorkloads {
-			cells = append(cells, Cell{
-				Label:        fmt.Sprintf("parity/%s/%s", wl, org),
-				Config:       hybridvc.Config{Org: org, Cores: 1, Sim: simCfg},
-				Workloads:    []string{wl},
-				Instructions: insns,
-				Extract:      parityRow(string(org), wl),
-			})
+			add(org, wl, 1)
+		}
+		// The synonym mix again on four cores, one process each, runs
+		// the parallel run loop and cross-core snoops, which no
+		// single-core row reaches. The OVC model is single-core.
+		if org != hybridvc.OVC {
+			add(org, "postgres", 4)
 		}
 	}
 	results, err := runCells(cells)
@@ -45,7 +54,7 @@ func Parity(s Scale) (*stats.Table, error) {
 		return nil, err
 	}
 	t := stats.NewTable("Parity: per-organization stat fingerprint",
-		"org", "workload", "cycles", "insns", "ipc", "xlat_pj", "dyn_pj",
+		"org", "workload", "cores", "cycles", "insns", "ipc", "xlat_pj", "dyn_pj",
 		"llc_hits", "llc_misses", "mem_wbs", "back_invals", "faults", "walk_steps")
 	for _, r := range results {
 		t.AddRow(r.Value.([]string)...)
@@ -54,7 +63,7 @@ func Parity(s Scale) (*stats.Table, error) {
 }
 
 // parityRow extracts one cell's fingerprint while the system is alive.
-func parityRow(org, wl string) func(*hybridvc.System, sim.Report) (any, error) {
+func parityRow(org, wl string, cores int) func(*hybridvc.System, sim.Report) (any, error) {
 	return func(sys *hybridvc.System, rep sim.Report) (any, error) {
 		h := sys.Mem.Hierarchy()
 		bh, ok := sys.Mem.(core.BaseHolder)
@@ -64,6 +73,7 @@ func parityRow(org, wl string) func(*hybridvc.System, sim.Report) (any, error) {
 		b := bh.BaseState()
 		return []string{
 			org, wl,
+			fmt.Sprintf("%d", cores),
 			fmt.Sprintf("%d", rep.Cycles),
 			fmt.Sprintf("%d", rep.Instructions),
 			fmt.Sprintf("%.6f", rep.IPC),

@@ -237,7 +237,10 @@ func (h *Hierarchy) invalidateRemote(core int, n addr.Name) {
 func (h *Hierarchy) snoop(core int, n addr.Name, isWrite bool) State {
 	remote := Invalid
 	for c := 0; c < h.cfg.NumCores; c++ {
-		if c == core {
+		// Inclusion (L2 ⊇ L1d ∪ L1i) lets the L2 probe rule a core out, as
+		// in backInvalidate: most snoops then cost one set scan per remote
+		// core instead of three.
+		if c == core || h.l2[c].Probe(n) == nil {
 			continue
 		}
 		for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
@@ -479,10 +482,24 @@ func (h *Hierarchy) CheckInvariants() error {
 			return fmt.Errorf("cache: %v held M/E while %d cores hold copies", n, len(cores))
 		}
 	}
-	// Inclusion: every private line must be present in the LLC.
+	// Inclusion: every private line must be present in the LLC, and every
+	// L1 line in its core's L2 (snoop and backInvalidate rely on that).
 	for n := range holders {
 		if h.llc.Probe(n) == nil {
 			return fmt.Errorf("cache: %v cached privately but absent from LLC", n)
+		}
+	}
+	for c := 0; c < h.cfg.NumCores; c++ {
+		var err error
+		for _, l1 := range []*Cache{h.l1d[c], h.l1i[c]} {
+			l1.ForEachLine(func(n addr.Name, _ *Line) {
+				if err == nil && h.l2[c].Probe(n) == nil {
+					err = fmt.Errorf("cache: %v in core %d's L1 but not its L2", n, c)
+				}
+			})
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// Metadata payloads must mirror LLC residency exactly.

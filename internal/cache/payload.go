@@ -16,11 +16,11 @@ type PayloadListener interface {
 }
 
 // payloadTable is the hierarchy-owned open-addressed map from a metadata
-// block's packed name key to its one-word payload. It follows the permTable
-// idiom (Fibonacci hashing, linear probing, tombstoned deletes, grow at 3/4
-// occupancy) but keys are full 64-bit Name.Key() values, so live slots are
-// marked with keyValidBit — bit 1, which Name.Key() never sets — instead of
-// packing state into spare key bits. Steady-state lookups allocate nothing.
+// block's packed name key to its one-word payload: Fibonacci hashing,
+// linear probing, tombstoned deletes, grow at 3/4 occupancy. Keys are full
+// 64-bit Name.Key() values, so live slots are marked with keyValidBit —
+// bit 1, which Name.Key() never sets — rather than with state packed into
+// spare key bits. Steady-state lookups allocate nothing.
 type payloadTable struct {
 	keys  []uint64 // Name.Key()|keyValidBit, 0 (empty), or payloadTomb
 	vals  []uint64

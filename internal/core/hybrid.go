@@ -103,22 +103,6 @@ func delayedTLBLatency(entries int) uint64 {
 	}
 }
 
-// permKey packs (ASID, VPN) into one word: the VPN needs VABits-PageBits
-// = 36 bits, leaving the top bits for the 16-bit ASID. A scalar key keeps
-// the shadow-permission map on the runtime's fast uint64 path — this
-// lookup runs once per virtually routed access, so hashing a struct key
-// was measurable on the hot path.
-type permKey uint64
-
-func makePermKey(asid addr.ASID, page uint64) permKey {
-	return permKey(uint64(asid)<<(addr.VABits-addr.PageBits) | page)
-}
-
-// asid recovers the address space a key belongs to (ASID flushes).
-func (k permKey) asid() addr.ASID {
-	return addr.ASID(k >> (addr.VABits - addr.PageBits))
-}
-
 // HybridMMU is the hybrid virtual caching memory system. It is wired as
 // pipeline stages: HybridMMU itself is the FrontEnd (synonym filter,
 // synonym TLB path, permission faults) and the Backend (delayed
@@ -134,10 +118,6 @@ type HybridMMU struct {
 	delayedTLB *tlb.TLB
 	// Segment-based delayed translation.
 	translator *segment.Translator
-
-	// shadowPerm caches translation permissions for cache fills
-	// (simulator bookkeeping, not hardware state).
-	shadowPerm *permTable
 
 	// fpWindow tracks per-ASID (accesses, false positives) for the
 	// adaptive filter rebuild policy.
@@ -184,10 +164,9 @@ func NewHybridMMU(cfg HybridConfig, k *osmodel.Kernel) *HybridMMU {
 		cfg.Energy.PerAccess[energy.DelayedTLB] = energy.DelayedTLBEnergy(cfg.DelayedTLBEntries)
 	}
 	m := &HybridMMU{
-		cfg:        cfg,
-		kernel:     k,
-		shadowPerm: newPermTable(),
-		fpWindow:   make(map[addr.ASID]*fpStats),
+		cfg:      cfg,
+		kernel:   k,
+		fpWindow: make(map[addr.ASID]*fpStats),
 	}
 	m.Engine = pipeline.NewEngine(NewBase(cfg.Hier, cfg.DRAM, cfg.Energy), m, nil, m)
 	for i := 0; i < cfg.Hier.NumCores; i++ {
@@ -241,18 +220,14 @@ func (m *HybridMMU) DelayedTLB() *tlb.TLB { return m.delayedTLB }
 // SynTLB exposes core i's synonym TLB.
 func (m *HybridMMU) SynTLB(core int) *tlb.TLB { return m.synTLB[core] }
 
-// fillPerm returns the permission to record on a fill of (asid, page),
-// from the shadow cache or the process page tables.
-func (m *HybridMMU) fillPerm(proc *osmodel.Process, va addr.VA) addr.Perm {
-	key := makePermKey(proc.ASID, va.Page())
-	if p, ok := m.shadowPerm.get(key); ok {
-		return p
-	}
+// fillPerm returns the permission a fill of va records in the cache tag:
+// the leaf permission in proc's page tables, or PermNone when the page is
+// unmapped. The page tables are its only copy.
+func fillPerm(proc *osmodel.Process, va addr.VA) addr.Perm {
 	pte, ok := proc.PT.Lookup(va.PageAligned())
 	if !ok {
 		return addr.PermNone
 	}
-	m.shadowPerm.set(key, pte.Perm)
 	return pte.Perm
 }
 
@@ -279,26 +254,6 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	return m.routeVirtual(req, res)
 }
 
-// permPrefetchBlock is how many requests ahead the batched front ends
-// warm shadow-permission table slots. The table is large on big
-// footprints, so its probes are host-cache misses; touching a block of
-// home slots up front lets those independent loads overlap.
-const permPrefetchBlock = 32
-
-// prefetchPerms warms the shadow-permission slots for the next block of
-// requests. Reads only; semantically invisible.
-func (m *HybridMMU) prefetchPerms(reqs []Request) {
-	n := len(reqs)
-	if n > permPrefetchBlock {
-		n = permPrefetchBlock
-	}
-	var t uint64
-	for j := 0; j < n; j++ {
-		t += m.shadowPerm.touch(makePermKey(reqs[j].Proc.ASID, reqs[j].VA.Page()))
-	}
-	m.shadowPerm.sink += t
-}
-
 // RouteBatch implements pipeline.BatchFrontEnd: it decodes the maximal
 // prefix of reqs whose routing is pure — non-synonym accesses (and filter
 // false positives) with a mapped, permission-satisfying page, and true
@@ -315,13 +270,10 @@ func (m *HybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Deci
 	}
 	i := 0
 	for ; i < len(reqs); i++ {
-		if i%permPrefetchBlock == 0 {
-			m.prefetchPerms(reqs[i:])
-		}
 		req := &reqs[i]
 		isWrite := req.Kind == cache.Write
 		if m.cfg.FilterBypass {
-			perm := m.fillPerm(req.Proc, req.VA)
+			perm := fillPerm(req.Proc, req.VA)
 			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
 				break
 			}
@@ -330,7 +282,7 @@ func (m *HybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Deci
 			continue
 		}
 		if !req.Proc.Filter.ProbeQuiet(req.VA) {
-			perm := m.fillPerm(req.Proc, req.VA)
+			perm := fillPerm(req.Proc, req.VA)
 			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
 				break
 			}
@@ -350,7 +302,7 @@ func (m *HybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Deci
 		if e.NonSynonym {
 			// Filter false positive corrected by the TLB entry: the access
 			// proceeds virtually like a non-synonym.
-			perm := m.fillPerm(req.Proc, req.VA)
+			perm := fillPerm(req.Proc, req.VA)
 			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
 				break
 			}
@@ -449,7 +401,7 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 // routeVirtual handles non-synonym accesses: demand-paging and CoW faults
 // up front, then ASID+VA through the whole hierarchy.
 func (m *HybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
-	perm := m.fillPerm(req.Proc, req.VA)
+	perm := fillPerm(req.Proc, req.VA)
 	if perm == addr.PermNone {
 		// Unmapped: demand paging fault, then retry.
 		fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
@@ -458,7 +410,7 @@ func (m *HybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
 		if !fixed {
 			return pipeline.DoneNow()
 		}
-		perm = m.fillPerm(req.Proc, req.VA)
+		perm = fillPerm(req.Proc, req.VA)
 		if perm == addr.PermNone {
 			return pipeline.DoneNow()
 		}
@@ -470,7 +422,7 @@ func (m *HybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
 		if !fixed {
 			return pipeline.DoneNow()
 		}
-		perm = m.fillPerm(req.Proc, req.VA)
+		perm = fillPerm(req.Proc, req.VA)
 	}
 	return pipeline.GoVirtual(perm)
 }
@@ -609,7 +561,7 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 // --- osmodel.ShootdownSink ---
 
 // TLBShootdown invalidates (asid, vpn) in every synonym TLB and the
-// delayed translation structures, and drops the shadow permission.
+// delayed translation structures.
 func (m *HybridMMU) TLBShootdown(asid addr.ASID, vpn uint64) {
 	m.TLBShootdowns.Inc()
 	for _, st := range m.synTLB {
@@ -622,23 +574,16 @@ func (m *HybridMMU) TLBShootdown(asid addr.ASID, vpn uint64) {
 		// Conservative: the 2 MiB granule containing the page.
 		m.translator.SC.FlushAll()
 	}
-	m.shadowPerm.del(makePermKey(asid, vpn))
 }
 
 // FlushPage removes a page's lines from the hierarchy.
 func (m *HybridMMU) FlushPage(page addr.Name) {
 	m.Hier.FlushPage(page)
-	if !page.Synonym {
-		m.shadowPerm.del(makePermKey(page.ASID, page.Page()))
-	}
 }
 
 // SetPagePerm updates cached permission bits (r/o content sharing).
 func (m *HybridMMU) SetPagePerm(page addr.Name, perm addr.Perm) {
 	m.Hier.SetPagePerm(page, perm)
-	if !page.Synonym {
-		m.shadowPerm.set(makePermKey(page.ASID, page.Page()), perm)
-	}
 }
 
 // FilterUpdate models the per-core filter storage reload after the OS
@@ -660,6 +605,5 @@ func (m *HybridMMU) FlushASID(asid addr.ASID) {
 	if m.translator != nil && m.translator.SC != nil {
 		m.translator.SC.FlushAll()
 	}
-	m.shadowPerm.flushASID(asid)
 	delete(m.fpWindow, asid)
 }

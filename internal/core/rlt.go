@@ -216,9 +216,6 @@ func (m *RLTVC) insertNonSynonym(core int, proc *osmodel.Process, vpn uint64) {
 func (m *RLTVC) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
 	i := 0
 	for ; i < len(reqs); i++ {
-		if i%permPrefetchBlock == 0 {
-			m.prefetchPerms(reqs[i:])
-		}
 		req := &reqs[i]
 		isWrite := req.Kind == cache.Write
 		rc := m.rlt[req.Core]
@@ -227,7 +224,7 @@ func (m *RLTVC) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision
 			break
 		}
 		if e.NonSynonym {
-			perm := m.fillPerm(req.Proc, req.VA)
+			perm := fillPerm(req.Proc, req.VA)
 			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
 				break
 			}

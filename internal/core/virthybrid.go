@@ -145,8 +145,6 @@ type VirtHybridMMU struct {
 
 	pairs map[addr.ASID]*synfilter.Pair
 
-	shadowPerm *permTable
-
 	SynonymCandidates   stats.Counter
 	FalsePositives      stats.Counter
 	TrueSynonymAccesses stats.Counter
@@ -172,7 +170,6 @@ func NewVirtHybridMMU(cfg VirtHybridConfig, vm *virt.VM, hv *virt.Hypervisor) *V
 		walkers:    make(map[uint32]*virt.Walker2D),
 		guestXlate: make(map[uint32]*segment.Translator),
 		pairs:      make(map[addr.ASID]*synfilter.Pair),
-		shadowPerm: newPermTable(),
 	}
 	m.Engine = pipeline.NewEngine(NewBase(cfg.Hier, cfg.DRAM, cfg.Energy), m, nil, m)
 	for i := 0; i < cfg.Hier.NumCores; i++ {
@@ -239,21 +236,6 @@ func (m *VirtHybridMMU) pair(p *osmodel.Process) *synfilter.Pair {
 	return pr
 }
 
-// fillPerm mirrors the native MMU's shadow permission cache, using the
-// guest page tables.
-func (m *VirtHybridMMU) fillPerm(proc *osmodel.Process, gva addr.VA) addr.Perm {
-	key := makePermKey(proc.ASID, gva.Page())
-	if p, ok := m.shadowPerm.get(key); ok {
-		return p
-	}
-	pte, ok := proc.PT.Lookup(gva.PageAligned())
-	if !ok {
-		return addr.PermNone
-	}
-	m.shadowPerm.set(key, pte.Perm)
-	return pte.Perm
-}
-
 // timed2DWalk performs a nested walk, charging each of its machine-address
 // reads through the cache hierarchy.
 func (m *VirtHybridMMU) timed2DWalk(core int, proc *osmodel.Process, gva addr.VA) (virt.Walk2DResult, uint64) {
@@ -286,20 +268,6 @@ func (m *VirtHybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	return m.routeVirtual(req, res)
 }
 
-// prefetchPerms warms the shadow-permission slots for the next block of
-// requests, exactly as HybridMMU.prefetchPerms does. Reads only.
-func (m *VirtHybridMMU) prefetchPerms(reqs []Request) {
-	n := len(reqs)
-	if n > permPrefetchBlock {
-		n = permPrefetchBlock
-	}
-	var t uint64
-	for j := 0; j < n; j++ {
-		t += m.shadowPerm.touch(makePermKey(reqs[j].Proc.ASID, reqs[j].VA.Page()))
-	}
-	m.shadowPerm.sink += t
-}
-
 // RouteBatch implements pipeline.BatchFrontEnd with the same quiet-probe /
 // commit discipline as the native hybrid MMU: non-synonym accesses (and
 // filter false positives) with a mapped, permission-satisfying guest page
@@ -308,14 +276,11 @@ func (m *VirtHybridMMU) prefetchPerms(reqs []Request) {
 func (m *VirtHybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
 	i := 0
 	for ; i < len(reqs); i++ {
-		if i%permPrefetchBlock == 0 {
-			m.prefetchPerms(reqs[i:])
-		}
 		req := &reqs[i]
 		isWrite := req.Kind == cache.Write
 		pr := m.pair(req.Proc)
 		if !pr.ProbeQuiet(req.VA) {
-			perm := m.fillPerm(req.Proc, req.VA)
+			perm := fillPerm(req.Proc, req.VA)
 			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
 				break
 			}
@@ -331,7 +296,7 @@ func (m *VirtHybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.
 			break // 2D nested walk: impure
 		}
 		if e.NonSynonym {
-			perm := m.fillPerm(req.Proc, req.VA)
+			perm := fillPerm(req.Proc, req.VA)
 			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
 				break
 			}
@@ -420,7 +385,7 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 // routeVirtual: VMID-extended ASID + gVA addressing; demand-paging and
 // CoW faults resolve before the hierarchy runs.
 func (m *VirtHybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
-	perm := m.fillPerm(req.Proc, req.VA)
+	perm := fillPerm(req.Proc, req.VA)
 	if perm == addr.PermNone {
 		fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
 		res.Latency += fl
@@ -428,7 +393,7 @@ func (m *VirtHybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decisio
 		if !fixed {
 			return pipeline.DoneNow()
 		}
-		perm = m.fillPerm(req.Proc, req.VA)
+		perm = fillPerm(req.Proc, req.VA)
 		if perm == addr.PermNone {
 			return pipeline.DoneNow()
 		}
@@ -440,7 +405,7 @@ func (m *VirtHybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decisio
 		if !fixed {
 			return pipeline.DoneNow()
 		}
-		perm = m.fillPerm(req.Proc, req.VA)
+		perm = fillPerm(req.Proc, req.VA)
 	}
 	return pipeline.GoVirtual(perm)
 }
@@ -512,14 +477,15 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 	}
 	ma := h.PA
 	if m.sc != nil {
-		m.fillSC(proc.ASID, gva, g.Seg, h.Seg, ma)
+		m.fillSC(proc, gva, g.Seg, h.Seg, ma)
 	}
 	return ma, lat, true
 }
 
 // fillSC installs a direct gVA->MA granule entry when the whole 2 MiB
 // granule is contiguous through both segment mappings.
-func (m *VirtHybridMMU) fillSC(asid addr.ASID, gva addr.VA, gseg, hseg *segment.Segment, ma addr.PA) {
+func (m *VirtHybridMMU) fillSC(proc *osmodel.Process, gva addr.VA, gseg, hseg *segment.Segment, ma addr.PA) {
+	asid := proc.ASID
 	gStart := gva & ^addr.VA(addr.HugePageSize-1)
 	gEnd := gStart + addr.HugePageSize - 1
 	if !gseg.Contains(asid, gStart) || !gseg.Contains(asid, gEnd) {
@@ -536,7 +502,7 @@ func (m *VirtHybridMMU) fillSC(asid addr.ASID, gva addr.VA, gseg, hseg *segment.
 	if maBase+addr.PA(off) != ma {
 		return // non-contiguous composition; stay conservative
 	}
-	m.sc.Fill(asid, gva, maBase, m.fillPerm(m.vmOf(asid).Kernel.Process(asid), gva))
+	m.sc.Fill(asid, gva, maBase, fillPerm(proc, gva))
 }
 
 // xlate runs one segment translation step, on the translator's scratch
@@ -561,23 +527,16 @@ func (m *VirtHybridMMU) TLBShootdown(asid addr.ASID, vpn uint64) {
 	if m.sc != nil {
 		m.sc.FlushAll()
 	}
-	m.shadowPerm.del(makePermKey(asid, vpn))
 }
 
 // FlushPage implements the sink.
 func (m *VirtHybridMMU) FlushPage(page addr.Name) {
 	m.Hier.FlushPage(page)
-	if !page.Synonym {
-		m.shadowPerm.del(makePermKey(page.ASID, page.Page()))
-	}
 }
 
 // SetPagePerm implements the sink.
 func (m *VirtHybridMMU) SetPagePerm(page addr.Name, perm addr.Perm) {
 	m.Hier.SetPagePerm(page, perm)
-	if !page.Synonym {
-		m.shadowPerm.set(makePermKey(page.ASID, page.Page()), perm)
-	}
 }
 
 // FilterUpdate implements the sink.
@@ -592,6 +551,5 @@ func (m *VirtHybridMMU) FlushASID(asid addr.ASID) {
 	if m.sc != nil {
 		m.sc.FlushAll()
 	}
-	m.shadowPerm.flushASID(asid)
 	delete(m.pairs, asid)
 }

@@ -224,6 +224,14 @@ func (s *Store) Write64(pa addr.PA, v uint64) {
 	if uint64(pa)%8 != 0 {
 		panic(fmt.Sprintf("mem: unaligned Write64 at %#x", uint64(pa)))
 	}
+	off := pa.PageOffset()
+	binary.LittleEndian.PutUint64(s.Page(pa)[off:off+8], v)
+}
+
+// Page returns the backing bytes of the frame containing pa, backing the
+// frame on first use. Words are little-endian, as Read64 and Write64 see
+// them. A caller that writes many words of one frame fetches it once.
+func (s *Store) Page(pa addr.PA) *[addr.PageSize]byte {
 	f := pa.Frame()
 	c := f >> chunkBits
 	if n := c + 1; n > uint64(len(s.dir)) {
@@ -240,8 +248,7 @@ func (s *Store) Write64(pa addr.PA, v uint64) {
 		ch[f&(chunkFrames-1)] = p
 		s.backed++
 	}
-	off := pa.PageOffset()
-	binary.LittleEndian.PutUint64(p[off:off+8], v)
+	return p
 }
 
 // ZeroPage clears the page containing pa.

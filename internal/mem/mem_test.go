@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -216,8 +217,8 @@ func TestStoreRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestStoreMatchesMapModel drives random writes, reads and page clears
-// against a map of words, on frames chosen around directory-chunk
+// TestStoreMatchesMapModel drives random writes (word by word and through
+// Page), reads and page clears against a map of words, on frames chosen around directory-chunk
 // boundaries and near 16 GiB, and checks every read, the zero reads of
 // unbacked frames, and PagesBacked.
 func TestStoreMatchesMapModel(t *testing.T) {
@@ -235,9 +236,16 @@ func TestStoreMatchesMapModel(t *testing.T) {
 		f := frames[rng.Intn(len(frames))]
 		pa := addr.FrameToPA(f) + addr.PA(rng.Intn(addr.PageSize/8)*8)
 		switch rng.Intn(8) {
-		case 0, 1, 2:
+		case 0, 1:
 			v := rng.Uint64()
 			s.Write64(pa, v)
+			words[pa] = v
+			backed[f] = true
+		case 2:
+			// The same write through the page itself.
+			v := rng.Uint64()
+			off := pa.PageOffset()
+			binary.LittleEndian.PutUint64(s.Page(pa)[off:off+8], v)
 			words[pa] = v
 			backed[f] = true
 		case 3:

@@ -11,6 +11,7 @@
 package pagetable
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hybridvc/internal/addr"
@@ -167,9 +168,13 @@ func (t *Tables) Map(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) error 
 // pa+i*4KiB. It leaves exactly the state that calling Map page by page in
 // ascending order would: intermediate tables are allocated in the same
 // order, and on error the pages before the failing one stay mapped. It
-// descends from the root once per leaf table rather than once per page.
+// descends from the root once per leaf table rather than once per page,
+// and writes each leaf table's run through its page from one encoded
+// entry: entry i is the first plus i frames, which cannot carry out of
+// the frame field because physical frame numbers have PABits-PageBits
+// bits.
 func (t *Tables) MapRange(va addr.VA, pa addr.PA, pages uint64, perm addr.Perm, shared bool) error {
-	pte := PTE{Present: true, Perm: perm, Shared: shared}
+	pte := PTE{Present: true, Frame: pa.Frame(), Perm: perm, Shared: shared}.Encode()
 	for pages > 0 {
 		// The canonical boundary is 2 MiB aligned, so one check covers
 		// every page that shares this leaf table.
@@ -180,17 +185,18 @@ func (t *Tables) MapRange(va addr.VA, pa addr.PA, pages uint64, perm addr.Perm, 
 		if err != nil {
 			return err
 		}
-		n := min(pages, 512-indexAt(va, 0))
-		for i := uint64(0); i < n; i++ {
-			slot := entryAddr(table, va, 0)
-			if t.store.Read64(slot)&ptePresent == 0 {
+		leaf := t.store.Page(table)
+		first := indexAt(va, 0)
+		n := min(pages, 512-first)
+		for off := first * 8; off < (first+n)*8; off += 8 {
+			slot := leaf[off : off+8]
+			if binary.LittleEndian.Uint64(slot)&ptePresent == 0 {
 				t.Mapped++
 			}
-			pte.Frame = pa.Frame()
-			t.store.Write64(slot, pte.Encode())
-			va += addr.PageSize
-			pa += addr.PageSize
+			binary.LittleEndian.PutUint64(slot, pte)
+			pte += 1 << pteFrameLo
 		}
+		va += addr.VA(n * addr.PageSize)
 		pages -= n
 	}
 	return nil

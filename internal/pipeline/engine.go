@@ -69,7 +69,7 @@ type Backend interface {
 // BatchFrontEnd is an optional FrontEnd extension for the structure-of-
 // arrays batch path. RouteBatch decodes a maximal prefix of reqs whose
 // routing is pure: decided entirely from front-end state (synonym filters,
-// TLBs, segment registers, shadow permissions) without touching any
+// TLBs, segment registers, page-table permissions) without touching any
 // order-sensitive shared state — no cache hierarchy or DRAM accesses, no
 // timed page walks, no OS faults. For each decoded element i it writes the
 // decision into dec[i], adds any front-end latency to res[i], and commits

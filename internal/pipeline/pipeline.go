@@ -1,10 +1,11 @@
 // Package pipeline decomposes a memory system organization into three
 // composable translation stages executed by one shared access engine:
 //
-//   - a FrontEnd that routes each reference before the L1 (synonym filter
-//     + synonym TLB, a conventional TLB, range/direct segments, ...),
-//     deciding whether the cache hierarchy is accessed physically or
-//     virtually (or not at all, after an unrecoverable fault);
+//   - a FrontEnd that routes each reference before the L1 (a synonym
+//     filter with its synonym TLB, a conventional TLB, range/direct
+//     segments, ...), deciding whether the cache hierarchy is accessed
+//     physically or virtually (or not at all, after an unrecoverable
+//     fault);
 //   - a cache stage — by default the full coherent hierarchy, replaceable
 //     for designs like OVC whose L1 alone is virtual; and
 //   - an optional Backend that finishes the access after the hierarchy

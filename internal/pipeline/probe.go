@@ -75,14 +75,14 @@ type TLBLevel uint8
 
 // The TLB structures across all organizations.
 const (
-	TLBSynonym TLBLevel = iota // per-core synonym TLB (hybrid designs)
-	TLBL1                      // first-level conventional TLB
-	TLBL2                      // second-level conventional TLB
-	TLBHuge                    // 2 MiB split TLB (conventional baseline)
-	TLBDelayed                 // post-LLC delayed TLB
-	TLBRange                   // RMM range TLB
-	TLBXlatCache               // cached metadata block probe in L2/LLC (victima, rlt-vc)
-	TLBRLT                     // per-core reverse-lookup record cache (rlt-vc)
+	TLBSynonym   TLBLevel = iota // per-core synonym TLB (hybrid designs)
+	TLBL1                        // first-level conventional TLB
+	TLBL2                        // second-level conventional TLB
+	TLBHuge                      // 2 MiB split TLB (conventional baseline)
+	TLBDelayed                   // post-LLC delayed TLB
+	TLBRange                     // RMM range TLB
+	TLBXlatCache                 // cached metadata block probe in L2/LLC (victima, rlt-vc)
+	TLBRLT                       // per-core reverse-lookup record cache (rlt-vc)
 	NumTLBLevels
 )
 

@@ -8,8 +8,8 @@ import (
 // fakeClock steps a breaker through time deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestBreaker(threshold time.Duration, trips int, cooldown time.Duration) (*breaker, *fakeClock) {
 	b := newBreaker(threshold, trips, cooldown)
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}

@@ -44,9 +44,9 @@ type Options struct {
 
 // Counts reports what the injector actually did.
 type Counts struct {
-	Writes int // store writes observed
-	Failed int // writes failed with ErrInjected
-	Torn   int // writes truncated
+	Writes  int // store writes observed
+	Failed  int // writes failed with ErrInjected
+	Torn    int // writes truncated
 	Flipped int // writes bit-flipped
 	// Keys affected per fault, in injection order.
 	FailedKeys, TornKeys, FlippedKeys []string

@@ -421,9 +421,11 @@ func TestDrain(t *testing.T) {
 // The sweep drain/resume test registers one synthetic experiment: three
 // cells return instantly, the last blocks on sweepGate until the test
 // releases it. Run counts prove which cells re-executed after resume.
+// Each run of the test installs a fresh gate and zeroes the counts, so it
+// repeats under -count.
 var (
 	registerSweepExp sync.Once
-	sweepGate        = make(chan struct{})
+	sweepGate        atomic.Value // chan struct{}
 	sweepCellRuns    [4]atomic.Int32
 )
 
@@ -440,7 +442,7 @@ func sweepExpName() string {
 						Fn: func() (any, error) {
 							sweepCellRuns[i].Add(1)
 							if i == len(cells)-1 {
-								<-sweepGate
+								<-sweepGate.Load().(chan struct{})
 							}
 							return fmt.Sprintf("v%d", i), nil
 						},
@@ -474,6 +476,11 @@ func sweepExpName() string {
 // the spool dir, and resubmitting the same spec to a new server on the
 // same spool resumes the journaled cells instead of re-running them.
 func TestSweepDrainCheckpointResume(t *testing.T) {
+	gate := make(chan struct{})
+	sweepGate.Store(gate)
+	for i := range sweepCellRuns {
+		sweepCellRuns[i].Store(0)
+	}
 	spool := t.TempDir()
 	spec := service.JobSpec{Kind: service.KindSweep, Experiment: sweepExpName()}
 	ctx := context.Background()
@@ -520,7 +527,7 @@ func TestSweepDrainCheckpointResume(t *testing.T) {
 
 	// "Restart": a fresh server over the same spool dir. Release the gate
 	// so the one unjournaled cell can finish this time.
-	close(sweepGate)
+	close(gate)
 	_, c2 := startServer(t, service.Config{Workers: 1, SpoolDir: spool})
 	resp2, err := c2.Submit(ctx, spec)
 	if err != nil {

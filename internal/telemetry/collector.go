@@ -27,10 +27,10 @@ var DefaultLatencyBounds = []uint64{
 // disagreeing about how many jobs completed.
 type Collector struct {
 	mu         sync.Mutex
-	queueWait  *stats.Histogram // queued → running, completed jobs only
-	execute    *stats.Histogram // running → done
-	endToEnd   *stats.Histogram // submit → done
-	cacheServe *stats.Histogram // submit → born-done (dedup-done or cache hit)
+	queueWait  *stats.Histogram            // queued → running, completed jobs only
+	execute    *stats.Histogram            // running → done
+	endToEnd   *stats.Histogram            // submit → done
+	cacheServe *stats.Histogram            // submit → born-done (dedup-done or cache hit)
 	simulate   map[string]*stats.Histogram // execute latency by org, sim jobs
 }
 
