@@ -104,13 +104,18 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPTEEncodeDecode -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzMapLookupAgree -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzMapRangeMatchesMap -fuzztime=10s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzLeafRunsMatchWords -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s ./internal/service/store
 
-# bench runs the per-experiment benchmarks and the full-sweep benchmark,
-# which writes BENCH_sweep.json (wall-clock seconds per Quick sweep) for
-# tracking the perf trajectory.
+# bench runs the repository benchmark (bench/, see bench/README.md) once
+# on every workload BENCHMARK.json declares, with tracing off: each run
+# prints its end-to-end metrics as the last line of standard output.
+BENCH_WORKLOADS := $(shell sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
+
 bench:
-	$(GO) test -run=NONE -bench=BenchmarkQuickFullSweep -benchtime=1x .
+	@for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # bench-hotpath compares the scalar and batched access paths on every
 # organization and writes BENCH_hotpath.json: refs/sec per organization
@@ -140,6 +145,7 @@ sweep-full:
 	$(GO) run ./cmd/tablegen -exp all -full
 
 # BENCH_hotpath.json is checked in as the recorded hot-path trajectory,
-# so clean leaves it alone; bench-hotpath rewrites it in place.
+# so clean leaves it alone; bench-hotpath rewrites it in place. bench/run.sh
+# builds into .bench_build/.
 clean:
-	rm -f BENCH_sweep.json
+	rm -rf .bench_build

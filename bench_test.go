@@ -9,11 +9,8 @@
 package hybridvc_test
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
 	"testing"
-	"time"
 
 	"hybridvc"
 	"hybridvc/experiments"
@@ -211,36 +208,6 @@ func BenchmarkAblationHugePages(b *testing.B) {
 		sinkTable = t
 		if i == 0 {
 			b.Log("\n" + t.String())
-		}
-	}
-}
-
-// BenchmarkQuickFullSweep runs every registered experiment (the whole
-// `tablegen -exp all` sweep) at Quick scale on the parallel runner and
-// records the wall-clock per sweep in BENCH_sweep.json, so the perf
-// trajectory of the full evaluation is tracked over time.
-func BenchmarkQuickFullSweep(b *testing.B) {
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.All() {
-			tables, err := e.Run(experiments.Quick)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sinkTable = tables
-		}
-	}
-	secs := time.Since(start).Seconds() / float64(b.N)
-	b.ReportMetric(secs, "s/sweep")
-	out, err := json.MarshalIndent(map[string]any{
-		"name":              "quick_full_sweep",
-		"jobs":              experiments.Jobs(),
-		"experiments":       len(experiments.All()),
-		"seconds_per_sweep": secs,
-	}, "", "  ")
-	if err == nil {
-		if werr := os.WriteFile("BENCH_sweep.json", append(out, '\n'), 0o644); werr != nil {
-			b.Logf("BENCH_sweep.json not written: %v", werr)
 		}
 	}
 }

@@ -4,10 +4,9 @@
 //
 // Flag combinations are validated before any work starts, with distinct
 // exit codes so scripts can tell misuse classes apart: 2 for an unknown
-// organization, 3 for an invalid flag value or combination, 4 for an
-// unusable -metrics-addr. A SIGINT during the run stops the simulator at
-// a consistent boundary, flushes the partial report (and timeline, if
-// requested), and exits 130.
+// organization, 3 for an invalid flag value or combination. A SIGINT
+// during the run stops the simulator at a consistent boundary, flushes the
+// partial report (and timeline, if requested), and exits 130.
 //
 // Usage:
 //
@@ -16,11 +15,8 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -43,24 +39,22 @@ const (
 	exitFailure     = 1   // runtime failure
 	exitUnknownOrg  = 2   // -org names no selectable organization
 	exitBadFlags    = 3   // invalid flag value or combination
-	exitBadMetrics  = 4   // -metrics-addr is not a usable listen address
 	exitInterrupted = 130 // SIGINT: partial results were flushed
 )
 
 // options collects the validated flag set.
 type options struct {
-	org         string
-	orgSet      bool // -org given explicitly (flag.Visit)
-	workloads   []string
-	insns       uint64
-	cores       int
-	llc         int
-	dtlb        int
-	ic          int
-	interval    uint64
-	timeline    string
-	metricsAddr string
-	compare     bool
+	org       string
+	orgSet    bool // -org given explicitly (flag.Visit)
+	workloads []string
+	insns     uint64
+	cores     int
+	llc       int
+	dtlb      int
+	ic        int
+	interval  uint64
+	timeline  string
+	compare   bool
 }
 
 // validate checks the flag set up front and returns a non-zero exit code
@@ -101,17 +95,9 @@ func (o *options) validate() (int, string) {
 			return exitBadFlags, fmt.Sprintf("unknown workload %q (run -list for the catalog)", name)
 		}
 	}
-	observing := o.timeline != "" || o.metricsAddr != ""
-	if o.interval > 0 && !observing {
+	if o.interval > 0 && o.timeline == "" {
 		return exitBadFlags, fmt.Sprintf(
-			"-interval %d collects a time-series nobody reads; add -timeline or -metrics-addr", o.interval)
-	}
-	if o.metricsAddr != "" {
-		if _, port, err := net.SplitHostPort(o.metricsAddr); err != nil {
-			return exitBadMetrics, fmt.Sprintf("-metrics-addr %q: %v (want host:port, e.g. :8080)", o.metricsAddr, err)
-		} else if port == "" {
-			return exitBadMetrics, fmt.Sprintf("-metrics-addr %q: missing port (want host:port, e.g. :8080)", o.metricsAddr)
-		}
+			"-interval %d collects a time-series nobody reads; add -timeline", o.interval)
 	}
 	return 0, ""
 }
@@ -144,8 +130,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	timeline := flag.String("timeline", "", "write the interval time-series to this file (.csv = CSV, else NDJSON)")
-	interval := flag.Uint64("interval", 0, "instructions per time-series interval (0 = 10000 when -timeline/-metrics-addr is set)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live expvar metrics on this address (e.g. :8080) during the run")
+	interval := flag.Uint64("interval", 0, "instructions per time-series interval (0 = 10000 when -timeline is set)")
 	version := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.HandleFlag(version, "hvcsim")
@@ -170,17 +155,16 @@ func main() {
 	}
 
 	opts := options{
-		org:         *org,
-		workloads:   splitWorkloads(*wls),
-		insns:       *insns,
-		cores:       *cores,
-		llc:         *llc,
-		dtlb:        *dtlb,
-		ic:          *ic,
-		interval:    *interval,
-		timeline:    *timeline,
-		metricsAddr: *metricsAddr,
-		compare:     *compare,
+		org:       *org,
+		workloads: splitWorkloads(*wls),
+		insns:     *insns,
+		cores:     *cores,
+		llc:       *llc,
+		dtlb:      *dtlb,
+		ic:        *ic,
+		interval:  *interval,
+		timeline:  *timeline,
+		compare:   *compare,
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "org" {
@@ -204,8 +188,7 @@ func main() {
 		return
 	}
 
-	observing := opts.timeline != "" || opts.metricsAddr != ""
-	if observing && opts.interval == 0 {
+	if opts.timeline != "" && opts.interval == 0 {
 		opts.interval = 10_000
 	}
 	simCfg := sim.DefaultConfig()
@@ -232,8 +215,7 @@ func main() {
 	}
 
 	// Drive the simulator directly (rather than through sys.Run) so the
-	// SIGINT handler can stop it at a consistent access boundary, and so
-	// the Timeline exists before the run for the live metrics endpoint.
+	// SIGINT handler can stop it at a consistent access boundary.
 	simulator := sim.New(simCfg, sys.Mem, sys.Generators())
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -244,9 +226,6 @@ func main() {
 		<-sigs
 		os.Exit(exitInterrupted)
 	}()
-	if opts.metricsAddr != "" {
-		serveMetrics(opts.metricsAddr, opts.org, *wls, simulator.Timeline())
-	}
 	report := simulator.Run(opts.insns)
 	signal.Stop(sigs)
 
@@ -294,30 +273,6 @@ func writeTimeline(path string, tl *stats.Timeline) error {
 		return tl.WriteCSV(f)
 	}
 	return tl.WriteNDJSON(f)
-}
-
-// serveMetrics starts an expvar HTTP endpoint publishing the run's
-// identity and the latest interval snapshot; GET /debug/vars returns all
-// published variables as one JSON object. The Timeline is mutex-guarded,
-// so reads are safe while the simulation goroutine appends.
-func serveMetrics(addr, org, wls string, tl *stats.Timeline) {
-	expvar.NewString("hvcsim.org").Set(org)
-	expvar.NewString("hvcsim.workloads").Set(wls)
-	expvar.Publish("hvcsim.intervals", expvar.Func(func() any { return tl.Len() }))
-	expvar.Publish("hvcsim.latest", expvar.Func(func() any {
-		iv, ok := tl.Latest()
-		if !ok {
-			return nil
-		}
-		return iv
-	}))
-	go func() {
-		// expvar self-registers on the default mux at /debug/vars.
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "hvcsim: metrics:", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "hvcsim: live metrics at http://%s/debug/vars\n", addr)
 }
 
 // knownOrg reports whether name is a selectable organization.

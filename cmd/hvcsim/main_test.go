@@ -41,10 +41,6 @@ func TestValidateExitCodes(t *testing.T) {
 		{"unknown workload", func(o *options) { o.workloads = []string{"gups", "nope"} }, exitBadFlags, `"nope"`},
 		{"interval without consumer", func(o *options) { o.interval = 5000 }, exitBadFlags, "-interval"},
 		{"interval with timeline", func(o *options) { o.interval = 5000; o.timeline = "t.csv" }, 0, ""},
-		{"interval with metrics", func(o *options) { o.interval = 5000; o.metricsAddr = ":8080" }, 0, ""},
-		{"metrics addr no port", func(o *options) { o.metricsAddr = "localhost" }, exitBadMetrics, "-metrics-addr"},
-		{"metrics addr empty port", func(o *options) { o.metricsAddr = "localhost:" }, exitBadMetrics, "missing port"},
-		{"metrics addr ok", func(o *options) { o.metricsAddr = ":0"; o.timeline = "" }, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

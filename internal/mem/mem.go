@@ -1,12 +1,12 @@
 // Package mem models physical memory: a contiguous-extent frame allocator
 // (segment translation requires variable-length contiguous physical
-// regions), a sparse byte-addressable backing store for pages that hold real
-// contents (page tables, the segment index tree), and a DRAM-lite timing
-// model with banks and open-row tracking.
+// regions) and a DRAM-lite timing model with banks and open-row tracking.
+// Physical memory holds no contents: the structures that live in simulated
+// frames (page tables, the segment index tree) keep their entries on the
+// host and use their frames' addresses for timed accesses.
 package mem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -165,101 +165,6 @@ func (a *Allocator) LargestFreeExtent() uint64 {
 // NumFreeExtents returns how many disjoint free runs exist — a direct
 // measure of external fragmentation.
 func (a *Allocator) NumFreeExtents() int { return len(a.free) }
-
-// chunkBits sets the Store's directory granule: one chunk holds the page
-// pointers of 1<<chunkBits consecutive frames (512 frames, 2 MiB).
-const (
-	chunkBits   = 9
-	chunkFrames = 1 << chunkBits
-)
-
-// page is the backing bytes of one physical frame.
-type page = [addr.PageSize]byte
-
-// Store is the sparse backing store for physical pages that carry real
-// contents in the simulation (page-table pages and index-tree pages).
-// Ordinary data pages never allocate backing bytes.
-//
-// Frames are found through a two-level directory: dir[frame>>chunkBits]
-// points to a chunk of page pointers indexed by the frame's low bits, so a
-// lookup is two indexed loads with no hashing. Chunks and pages are
-// allocated on first write; an unbacked frame reads as zero and allocates
-// nothing. Pages are never released (ZeroPage clears in place).
-type Store struct {
-	dir    []*[chunkFrames]*page
-	backed int
-}
-
-// NewStore creates an empty backing store.
-func NewStore() *Store { return &Store{} }
-
-// lookup returns frame f's backing page, or nil when it has none.
-func (s *Store) lookup(f uint64) *page {
-	c := f >> chunkBits
-	if c >= uint64(len(s.dir)) {
-		return nil
-	}
-	if ch := s.dir[c]; ch != nil {
-		return ch[f&(chunkFrames-1)]
-	}
-	return nil
-}
-
-// Read64 reads the 8-byte word at pa (must be 8-byte aligned).
-func (s *Store) Read64(pa addr.PA) uint64 {
-	if uint64(pa)%8 != 0 {
-		panic(fmt.Sprintf("mem: unaligned Read64 at %#x", uint64(pa)))
-	}
-	p := s.lookup(pa.Frame())
-	if p == nil {
-		return 0
-	}
-	off := pa.PageOffset()
-	return binary.LittleEndian.Uint64(p[off : off+8])
-}
-
-// Write64 writes the 8-byte word at pa (must be 8-byte aligned), backing
-// its page on first write.
-func (s *Store) Write64(pa addr.PA, v uint64) {
-	if uint64(pa)%8 != 0 {
-		panic(fmt.Sprintf("mem: unaligned Write64 at %#x", uint64(pa)))
-	}
-	off := pa.PageOffset()
-	binary.LittleEndian.PutUint64(s.Page(pa)[off:off+8], v)
-}
-
-// Page returns the backing bytes of the frame containing pa, backing the
-// frame on first use. Words are little-endian, as Read64 and Write64 see
-// them. A caller that writes many words of one frame fetches it once.
-func (s *Store) Page(pa addr.PA) *[addr.PageSize]byte {
-	f := pa.Frame()
-	c := f >> chunkBits
-	if n := c + 1; n > uint64(len(s.dir)) {
-		s.dir = append(s.dir, make([]*[chunkFrames]*page, n-uint64(len(s.dir)))...)
-	}
-	ch := s.dir[c]
-	if ch == nil {
-		ch = new([chunkFrames]*page)
-		s.dir[c] = ch
-	}
-	p := ch[f&(chunkFrames-1)]
-	if p == nil {
-		p = new(page)
-		ch[f&(chunkFrames-1)] = p
-		s.backed++
-	}
-	return p
-}
-
-// ZeroPage clears the page containing pa.
-func (s *Store) ZeroPage(pa addr.PA) {
-	if p := s.lookup(pa.Frame()); p != nil {
-		*p = page{}
-	}
-}
-
-// PagesBacked returns how many pages currently hold backing bytes.
-func (s *Store) PagesBacked() int { return s.backed }
 
 // DRAMConfig parameterizes the DRAM timing model. Latencies are in core
 // cycles (the paper's core runs at 3.4 GHz over DDR3-1600).

@@ -1,10 +1,8 @@
 package mem
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"hybridvc/internal/addr"
 )
@@ -181,110 +179,6 @@ func TestNewAllocatorPanics(t *testing.T) {
 			NewAllocator(size)
 		}()
 	}
-}
-
-func TestStoreReadWrite(t *testing.T) {
-	s := NewStore()
-	if v := s.Read64(0x1000); v != 0 {
-		t.Errorf("unwritten read = %#x", v)
-	}
-	s.Write64(0x1000, 0xdead_beef_cafe_f00d)
-	if v := s.Read64(0x1000); v != 0xdead_beef_cafe_f00d {
-		t.Errorf("read back = %#x", v)
-	}
-	// Adjacent word untouched.
-	if v := s.Read64(0x1008); v != 0 {
-		t.Errorf("adjacent word = %#x", v)
-	}
-	if s.PagesBacked() != 1 {
-		t.Errorf("pages backed = %d", s.PagesBacked())
-	}
-	s.ZeroPage(0x1008)
-	if v := s.Read64(0x1000); v != 0 {
-		t.Errorf("after ZeroPage: %#x", v)
-	}
-}
-
-func TestStoreRoundTripProperty(t *testing.T) {
-	s := NewStore()
-	f := func(off uint16, v uint64) bool {
-		pa := addr.PA(uint64(off&0x1ff) * 8)
-		s.Write64(pa, v)
-		return s.Read64(pa) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestStoreMatchesMapModel drives random writes (word by word and through
-// Page), reads and page clears against a map of words, on frames chosen around directory-chunk
-// boundaries and near 16 GiB, and checks every read, the zero reads of
-// unbacked frames, and PagesBacked.
-func TestStoreMatchesMapModel(t *testing.T) {
-	const gib16 = 16 << 30 / addr.PageSize
-	frames := []uint64{
-		0, 1, chunkFrames - 1, chunkFrames, chunkFrames + 1,
-		2*chunkFrames - 1, 2 * chunkFrames, 7*chunkFrames + 3,
-		gib16 - chunkFrames, gib16 - 1, gib16, gib16 + 1,
-	}
-	s := NewStore()
-	words := map[addr.PA]uint64{}
-	backed := map[uint64]bool{}
-	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 20000; step++ {
-		f := frames[rng.Intn(len(frames))]
-		pa := addr.FrameToPA(f) + addr.PA(rng.Intn(addr.PageSize/8)*8)
-		switch rng.Intn(8) {
-		case 0, 1:
-			v := rng.Uint64()
-			s.Write64(pa, v)
-			words[pa] = v
-			backed[f] = true
-		case 2:
-			// The same write through the page itself.
-			v := rng.Uint64()
-			off := pa.PageOffset()
-			binary.LittleEndian.PutUint64(s.Page(pa)[off:off+8], v)
-			words[pa] = v
-			backed[f] = true
-		case 3:
-			s.ZeroPage(pa)
-			for w := range words {
-				if w.Frame() == f {
-					delete(words, w)
-				}
-			}
-		default:
-			if got := s.Read64(pa); got != words[pa] {
-				t.Fatalf("step %d: Read64(%#x) = %#x, want %#x", step, uint64(pa), got, words[pa])
-			}
-		}
-		if s.PagesBacked() != len(backed) {
-			t.Fatalf("step %d: PagesBacked = %d, want %d", step, s.PagesBacked(), len(backed))
-		}
-	}
-	// Frames never written read as zero and stay unbacked, including a
-	// frame inside a backed chunk and frames past the directory's end.
-	for _, f := range []uint64{2, chunkFrames + 2, 3 * chunkFrames, gib16 + 2, 1 << 30} {
-		s.ZeroPage(addr.FrameToPA(f))
-		if v := s.Read64(addr.FrameToPA(f) + 8); v != 0 {
-			t.Errorf("unbacked frame %d reads %#x", f, v)
-		}
-	}
-	if s.PagesBacked() != len(backed) {
-		t.Errorf("reads and clears of unbacked frames backed pages: %d, want %d", s.PagesBacked(), len(backed))
-	}
-}
-
-func TestStoreUnalignedPanics(t *testing.T) {
-	s := NewStore()
-	defer func() {
-		if recover() == nil {
-			t.Error("unaligned access did not panic")
-		}
-	}()
-	s.Read64(3)
 }
 
 func TestDRAMRowBuffer(t *testing.T) {

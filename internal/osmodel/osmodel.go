@@ -57,7 +57,6 @@ type Config struct {
 type Kernel struct {
 	cfg    Config
 	Alloc  *mem.Allocator
-	Store  *mem.Store
 	SegMgr *segment.Manager
 	sink   ShootdownSink
 
@@ -88,7 +87,6 @@ func NewKernel(cfg Config) *Kernel {
 	return &Kernel{
 		cfg:           cfg,
 		Alloc:         alloc,
-		Store:         mem.NewStore(),
 		SegMgr:        segment.NewManager(segment.NewNodeArena(alloc)),
 		sink:          nopSink{},
 		procs:         make(map[addr.ASID]*Process),
@@ -214,7 +212,7 @@ func (k *Kernel) NewProcess() (*Process, error) {
 	}
 	asid := addr.MakeASID(k.cfg.VMID, k.nextProc)
 	k.nextProc++
-	pt, err := pagetable.New(k.Alloc, k.Store)
+	pt, err := pagetable.New(k.Alloc)
 	if err != nil {
 		return nil, err
 	}

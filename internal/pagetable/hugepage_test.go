@@ -114,7 +114,7 @@ func TestHugePTEEncodeRoundTrip(t *testing.T) {
 
 func TestHugeOutOfMemory(t *testing.T) {
 	alloc := mem.NewAllocator(2 * addr.PageSize)
-	tbl, err := New(alloc, mem.NewStore())
+	tbl, err := New(alloc)
 	if err != nil {
 		t.Fatal(err)
 	}

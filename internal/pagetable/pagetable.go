@@ -4,6 +4,14 @@
 // on-chip caches absorb translation traffic — the effect the paper's
 // delayed translation exploits.
 //
+// Every table page owns a simulated frame, and walk paths are the
+// physical addresses of entries in those frames. The entries themselves
+// are held on the host, one node per table page. Most leaf tables are
+// written by MapRange as one contiguous run, the contiguity segment
+// translation exploits, so a leaf table is kept as that run (start index,
+// end index, first encoded entry) until a write departs from it. Only then
+// are its 512 words materialized.
+//
 // Page table entries carry a sharing (synonym) bit, which the paper adds to
 // mark pages whose state the synonym filter must report (Section III-A,
 // footnote 2): the TLB fill uses it to distinguish true synonyms from
@@ -11,7 +19,6 @@
 package pagetable
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"hybridvc/internal/addr"
@@ -76,18 +83,96 @@ func DecodePTE(v uint64) PTE {
 	}
 }
 
+// entries is the number of entries in one table page.
+const entries = addr.PageSize / 8
+
 // indexAt returns the 9-bit table index for the given level
 // (level 3 = PML4 ... level 0 = PT).
 func indexAt(va addr.VA, level int) uint64 {
 	return uint64(va) >> (addr.PageBits + 9*level) & 0x1ff
 }
 
+// node holds the entries of one table page. An upper-level table keeps
+// its entry words plus, for each entry that points to a table, that
+// table's node. A leaf (level-0) table is held as a run while page is
+// nil: entries [lo, hi) are first, first plus one frame, and so on, and
+// every other entry is zero. An empty run is a table with no entries.
+type node struct {
+	page   *[entries]uint64 // nil for a leaf held as its run
+	kids   *[entries]*node  // next-level tables; nil at level 0
+	lo, hi uint32
+	first  uint64
+}
+
+// newNode returns an empty table page for level.
+func newNode(level int) *node {
+	if level == 0 {
+		return &node{}
+	}
+	return &node{page: new([entries]uint64), kids: new([entries]*node)}
+}
+
+// entry returns the table's word i. Every read of a table entry goes
+// through it.
+func (n *node) entry(i uint64) uint64 {
+	if n.page != nil {
+		return n.page[i]
+	}
+	if i-uint64(n.lo) < uint64(n.hi-n.lo) {
+		return n.first + (i-uint64(n.lo))<<pteFrameLo
+	}
+	return 0
+}
+
+// words returns the table's words for writing, first materializing a leaf
+// held as its run.
+func (n *node) words() *[entries]uint64 {
+	if n.page == nil {
+		w := new([entries]uint64)
+		for i := n.lo; i < n.hi; i++ {
+			w[i] = n.first + uint64(i-n.lo)<<pteFrameLo
+		}
+		n.page = w
+	}
+	return n.page
+}
+
+// fill writes the leaf entries [i, i+count) as pte, pte plus one frame,
+// and so on, and returns how many of them were not present before. A leaf
+// held as its run stays one when it is empty or when the range starts at
+// the run's end with the run's next entry; any other range materializes
+// it. No entry can carry out of the frame field, because physical frame
+// numbers have PABits-PageBits bits.
+func (n *node) fill(i, count, pte uint64) int {
+	if n.page == nil {
+		switch {
+		case n.lo == n.hi:
+			n.lo, n.hi, n.first = uint32(i), uint32(i+count), pte
+			return int(count)
+		case i == uint64(n.hi) && pte == n.first+uint64(n.hi-n.lo)<<pteFrameLo:
+			n.hi += uint32(count)
+			return int(count)
+		}
+	}
+	w, added := n.words(), 0
+	for ; count > 0; count-- {
+		if w[i]&ptePresent == 0 {
+			added++
+		}
+		w[i] = pte
+		pte += 1 << pteFrameLo
+		i++
+	}
+	return added
+}
+
 // Tables is one address space's four-level page table.
 type Tables struct {
-	alloc *mem.Allocator
-	store *mem.Store
-	root  addr.PA
-	// tableFrames lists every frame holding table pages, for Destroy.
+	alloc  *mem.Allocator
+	root   *node
+	rootPA addr.PA
+	// tableFrames lists every frame holding table pages, in allocation
+	// order, for Destroy.
 	tableFrames []addr.PA
 	// FramesUsed counts frames consumed by table pages.
 	FramesUsed int
@@ -97,65 +182,57 @@ type Tables struct {
 
 // New allocates an empty table hierarchy (one root frame).
 // It returns an error when physical memory is exhausted.
-func New(alloc *mem.Allocator, store *mem.Store) (*Tables, error) {
+func New(alloc *mem.Allocator) (*Tables, error) {
 	root, ok := alloc.AllocFrame()
 	if !ok {
 		return nil, fmt.Errorf("pagetable: out of physical memory for root")
 	}
-	store.ZeroPage(root)
 	return &Tables{
-		alloc: alloc, store: store, root: root,
+		alloc: alloc, root: newNode(Levels - 1), rootPA: root,
 		tableFrames: []addr.PA{root}, FramesUsed: 1,
 	}, nil
 }
 
 // Destroy releases every table frame back to the allocator. The Tables
-// value must not be used afterwards. It does not free data frames; the OS
-// owns those.
+// value must not be used afterwards; it reads as empty. It does not free
+// data frames; the OS owns those.
 func (t *Tables) Destroy() {
 	for _, f := range t.tableFrames {
-		t.store.ZeroPage(f)
 		t.alloc.Free(f, 1)
 	}
+	t.root = &node{}
 	t.tableFrames = nil
 	t.FramesUsed = 0
 	t.Mapped = 0
 }
 
 // Root returns the physical address of the top-level table (the CR3 value).
-func (t *Tables) Root() addr.PA { return t.root }
+func (t *Tables) Root() addr.PA { return t.rootPA }
 
-// entryAddr returns the physical address of the PTE slot for va at level,
-// given the table page's physical address.
-func entryAddr(table addr.PA, va addr.VA, level int) addr.PA {
-	return table + addr.PA(indexAt(va, level)*8)
-}
-
-// tableAt descends from the root to the table page holding va's entries at
+// tableAt descends from the root to the table holding va's entries at
 // level stop, allocating missing intermediate tables on the way. A 4 KiB
 // descent (stop 0) refuses to pass through a 2 MiB leaf.
-func (t *Tables) tableAt(va addr.VA, stop int) (addr.PA, error) {
-	table := t.root
+func (t *Tables) tableAt(va addr.VA, stop int) (*node, error) {
+	n := t.root
 	for level := Levels - 1; level > stop; level-- {
-		slot := entryAddr(table, va, level)
-		v := t.store.Read64(slot)
+		i := indexAt(va, level)
+		v := n.entry(i)
 		if level == 1 && v&ptePresent != 0 && v&pteHuge != 0 {
-			return 0, fmt.Errorf("pagetable: 4 KiB map inside existing 2 MiB mapping at %#x", uint64(va))
+			return nil, fmt.Errorf("pagetable: 4 KiB map inside existing 2 MiB mapping at %#x", uint64(va))
 		}
 		if v&ptePresent == 0 {
 			frame, ok := t.alloc.AllocFrame()
 			if !ok {
-				return 0, fmt.Errorf("pagetable: out of physical memory at level %d", level)
+				return nil, fmt.Errorf("pagetable: out of physical memory at level %d", level)
 			}
-			t.store.ZeroPage(frame)
 			t.tableFrames = append(t.tableFrames, frame)
 			t.FramesUsed++
-			v = ptePresent | uint64(frame)&^uint64(addr.PageSize-1)
-			t.store.Write64(slot, v)
+			n.words()[i] = ptePresent | uint64(frame)&^uint64(addr.PageSize-1)
+			n.kids[i] = newNode(level - 1)
 		}
-		table = nextTable(v)
+		n = n.kids[i]
 	}
-	return table, nil
+	return n, nil
 }
 
 // Map installs a 4 KiB translation. Intermediate table pages are allocated
@@ -169,10 +246,7 @@ func (t *Tables) Map(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) error 
 // ascending order would: intermediate tables are allocated in the same
 // order, and on error the pages before the failing one stay mapped. It
 // descends from the root once per leaf table rather than once per page,
-// and writes each leaf table's run through its page from one encoded
-// entry: entry i is the first plus i frames, which cannot carry out of
-// the frame field because physical frame numbers have PABits-PageBits
-// bits.
+// and fills each leaf table's part from one encoded entry.
 func (t *Tables) MapRange(va addr.VA, pa addr.PA, pages uint64, perm addr.Perm, shared bool) error {
 	pte := PTE{Present: true, Frame: pa.Frame(), Perm: perm, Shared: shared}.Encode()
 	for pages > 0 {
@@ -181,21 +255,14 @@ func (t *Tables) MapRange(va addr.VA, pa addr.PA, pages uint64, perm addr.Perm, 
 		if !va.Canonical() {
 			return fmt.Errorf("pagetable: non-canonical VA %#x", uint64(va))
 		}
-		table, err := t.tableAt(va, 0)
+		leaf, err := t.tableAt(va, 0)
 		if err != nil {
 			return err
 		}
-		leaf := t.store.Page(table)
 		first := indexAt(va, 0)
-		n := min(pages, 512-first)
-		for off := first * 8; off < (first+n)*8; off += 8 {
-			slot := leaf[off : off+8]
-			if binary.LittleEndian.Uint64(slot)&ptePresent == 0 {
-				t.Mapped++
-			}
-			binary.LittleEndian.PutUint64(slot, pte)
-			pte += 1 << pteFrameLo
-		}
+		n := min(pages, entries-first)
+		t.Mapped += leaf.fill(first, n, pte)
+		pte += n << pteFrameLo
 		va += addr.VA(n * addr.PageSize)
 		pages -= n
 	}
@@ -212,30 +279,30 @@ func (t *Tables) MapHuge(va addr.VA, pa addr.PA, perm addr.Perm, shared bool) er
 		return fmt.Errorf("pagetable: MapHuge of unaligned addresses %#x -> %#x",
 			uint64(va), uint64(pa))
 	}
-	table, err := t.tableAt(va, 1)
+	pd, err := t.tableAt(va, 1)
 	if err != nil {
 		return err
 	}
-	slot := entryAddr(table, va, 1)
-	if v := t.store.Read64(slot); v&ptePresent != 0 {
+	i := indexAt(va, 1)
+	if v := pd.entry(i); v&ptePresent != 0 {
 		if v&pteHuge == 0 {
 			return fmt.Errorf("pagetable: 2 MiB map over existing 4 KiB mappings at %#x", uint64(va))
 		}
 	} else {
 		t.Mapped++
 	}
-	t.store.Write64(slot, PTE{Present: true, Frame: pa.Frame(), Perm: perm, Shared: shared, Huge: true}.Encode())
+	pd.words()[i] = PTE{Present: true, Frame: pa.Frame(), Perm: perm, Shared: shared, Huge: true}.Encode()
 	return nil
 }
 
 // Unmap removes the leaf translation for va, returning whether one existed.
 // Intermediate tables are not reclaimed (matching common OS behaviour).
 func (t *Tables) Unmap(va addr.VA) bool {
-	slot, _, ok := t.entrySlot(va)
-	if !ok || t.store.Read64(slot)&ptePresent == 0 {
+	n, i, ok := t.leaf(va)
+	if !ok || n.entry(i)&ptePresent == 0 {
 		return false
 	}
-	t.store.Write64(slot, 0)
+	n.words()[i] = 0
 	t.Mapped--
 	return true
 }
@@ -246,66 +313,61 @@ func nextTable(v uint64) addr.PA {
 	return addr.PA(v &^ uint64(ptePresent) &^ uint64(pteShared) &^ (3 << ptePermLo))
 }
 
-// entrySlot walks to va's leaf slot — the level-0 entry, or a level-1
-// entry whose PS bit maps a 2 MiB page — without allocating.
-func (t *Tables) entrySlot(va addr.VA) (slot addr.PA, huge, ok bool) {
-	table := t.root
+// leaf walks to va's leaf entry — entry i of a level-0 table, or of a
+// level-1 table whose entry's PS bit maps a 2 MiB page — without
+// allocating.
+func (t *Tables) leaf(va addr.VA) (n *node, i uint64, ok bool) {
+	n = t.root
 	for level := Levels - 1; level > 0; level-- {
-		s := entryAddr(table, va, level)
-		v := t.store.Read64(s)
+		i = indexAt(va, level)
+		v := n.entry(i)
 		if v&ptePresent == 0 {
-			return 0, false, false
+			return nil, 0, false
 		}
 		if level == 1 && v&pteHuge != 0 {
-			return s, true, true
+			return n, i, true
 		}
-		table = nextTable(v)
+		n = n.kids[i]
 	}
-	return entryAddr(table, va, 0), false, true
+	return n, indexAt(va, 0), true
 }
 
 // Lookup performs a functional (untimed) walk.
 func (t *Tables) Lookup(va addr.VA) (PTE, bool) {
-	slot, _, ok := t.entrySlot(va)
+	n, i, ok := t.leaf(va)
 	if !ok {
 		return PTE{}, false
 	}
-	pte := DecodePTE(t.store.Read64(slot))
+	pte := DecodePTE(n.entry(i))
 	return pte, pte.Present
+}
+
+// update rewrites va's present leaf entry with f, returning false if the
+// page is unmapped.
+func (t *Tables) update(va addr.VA, f func(*PTE)) bool {
+	n, i, ok := t.leaf(va)
+	if !ok {
+		return false
+	}
+	pte := DecodePTE(n.entry(i))
+	if !pte.Present {
+		return false
+	}
+	f(&pte)
+	n.words()[i] = pte.Encode()
+	return true
 }
 
 // SetShared flips the sharing (synonym) bit of an existing mapping,
 // returning false if the page is unmapped.
 func (t *Tables) SetShared(va addr.VA, shared bool) bool {
-	slot, _, ok := t.entrySlot(va)
-	if !ok {
-		return false
-	}
-	v := t.store.Read64(slot)
-	if v&ptePresent == 0 {
-		return false
-	}
-	pte := DecodePTE(v)
-	pte.Shared = shared
-	t.store.Write64(slot, pte.Encode())
-	return true
+	return t.update(va, func(p *PTE) { p.Shared = shared })
 }
 
 // SetPerm updates the permission of an existing mapping, returning false if
 // the page is unmapped.
 func (t *Tables) SetPerm(va addr.VA, perm addr.Perm) bool {
-	slot, _, ok := t.entrySlot(va)
-	if !ok {
-		return false
-	}
-	v := t.store.Read64(slot)
-	if v&ptePresent == 0 {
-		return false
-	}
-	pte := DecodePTE(v)
-	pte.Perm = perm
-	t.store.Write64(slot, pte.Encode())
-	return true
+	return t.update(va, func(p *PTE) { p.Perm = perm })
 }
 
 // WalkPath returns the physical addresses of the table entries a hardware
@@ -314,19 +376,19 @@ func (t *Tables) SetPerm(va addr.VA, perm addr.Perm) bool {
 // access per address in path[:n]. The path is returned by value so a walk
 // allocates nothing.
 func (t *Tables) WalkPath(va addr.VA) (path [Levels]addr.PA, n int, pte PTE, ok bool) {
-	table := t.root
+	tablePA, table := t.rootPA, t.root
 	for level := Levels - 1; level >= 0; level-- {
-		slot := entryAddr(table, va, level)
-		path[n] = slot
+		i := indexAt(va, level)
+		path[n] = tablePA + addr.PA(i*8)
 		n++
-		v := t.store.Read64(slot)
+		v := table.entry(i)
 		if v&ptePresent == 0 {
 			return path, n, PTE{}, false
 		}
 		if level == 0 || (level == 1 && v&pteHuge != 0) {
 			return path, n, DecodePTE(v), true
 		}
-		table = nextTable(v)
+		tablePA, table = nextTable(v), table.kids[i]
 	}
 	return path, n, PTE{}, false
 }

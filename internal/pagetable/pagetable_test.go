@@ -12,7 +12,7 @@ import (
 func newTables(t *testing.T) *Tables {
 	t.Helper()
 	alloc := mem.NewAllocator(64 << 20)
-	tbl, err := New(alloc, mem.NewStore())
+	tbl, err := New(alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestManyMappingsRandomized(t *testing.T) {
 
 func TestOutOfMemory(t *testing.T) {
 	alloc := mem.NewAllocator(2 * addr.PageSize) // root + one table page
-	tbl, err := New(alloc, mem.NewStore())
+	tbl, err := New(alloc)
 	if err != nil {
 		t.Fatal(err)
 	}

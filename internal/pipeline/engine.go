@@ -89,17 +89,6 @@ type BatchFrontEnd interface {
 	RouteBatch(reqs []Request, res []Result, dec []Decision) int
 }
 
-// BatchCacheStage is an optional CacheStage extension: PhysicalBatch
-// completes a run of physically routed accesses in order, equivalent to
-// one Physical call per element (dec[i].PA/Perm carry element i's route).
-// Custom stages implement it where a batched pass is profitable — e.g. to
-// prefetch their private structures across the run — and the engine falls
-// back to per-element Physical calls otherwise.
-type BatchCacheStage interface {
-	CacheStage
-	PhysicalBatch(reqs []Request, dec []Decision, res []Result)
-}
-
 // Engine executes a declaratively composed organization: it owns the
 // shared substrate (Base) and runs FrontEnd -> cache stage -> Backend for
 // every reference. Organizations embed *Engine and so inherit Access,
@@ -111,10 +100,9 @@ type Engine struct {
 	cache CacheStage // nil: the standard full hierarchy
 	back  Backend    // nil: no post-LLC stage
 
-	// bfront/bcache cache the optional batch interfaces of front/cache so
-	// the hot loop pays a nil-check instead of a type assertion per chunk.
+	// bfront caches front's optional batch interface so the hot loop pays
+	// a nil-check instead of a type assertion per chunk.
 	bfront BatchFrontEnd
-	bcache BatchCacheStage
 
 	// dec is the engine-owned decision lane of the structure-of-arrays
 	// batch path: RouteBatch decodes reqs[i] into dec[i], and the dispatch
@@ -138,7 +126,6 @@ type Engine struct {
 func NewEngine(base *Base, front FrontEnd, cacheStage CacheStage, back Backend) *Engine {
 	e := &Engine{Base: base, front: front, cache: cacheStage, back: back}
 	e.bfront, _ = front.(BatchFrontEnd)
-	e.bcache, _ = cacheStage.(BatchCacheStage)
 	return e
 }
 
@@ -249,7 +236,6 @@ const prefetchBlock = 32
 // prefetchBlock lanes it first touches the hierarchy sets the lanes will
 // scan (semantically invisible — see Hierarchy.TouchSets), then executes
 // the cache/backend stages per lane exactly as the scalar path would.
-// Physically routed lanes through a BatchCacheStage dispatch as sub-runs.
 func (e *Engine) dispatchRun(reqs []Request, dec []Decision, res []Result) {
 	for lo := 0; lo < len(reqs); lo += prefetchBlock {
 		hi := lo + prefetchBlock
@@ -259,17 +245,7 @@ func (e *Engine) dispatchRun(reqs []Request, dec []Decision, res []Result) {
 		if e.cache == nil {
 			e.prefetchLanes(reqs[lo:hi], dec[lo:hi])
 		}
-		i := lo
-		for i < hi {
-			if e.bcache != nil && dec[i].Verdict == Physical {
-				j := i + 1
-				for j < hi && dec[j].Verdict == Physical {
-					j++
-				}
-				e.bcache.PhysicalBatch(reqs[i:j], dec[i:j], res[i:j])
-				i = j
-				continue
-			}
+		for i := lo; i < hi; i++ {
 			req, r := &reqs[i], &res[i]
 			switch dec[i].Verdict {
 			case Physical:
@@ -298,7 +274,6 @@ func (e *Engine) dispatchRun(reqs []Request, dec []Decision, res []Result) {
 					e.back.Finish(req, r, &e.hres)
 				}
 			}
-			i++
 		}
 	}
 }

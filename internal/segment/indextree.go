@@ -22,7 +22,7 @@ const (
 // NodeArena materializes index tree nodes at physical addresses so the
 // index cache (a physically addressed cache of 64 B blocks) can cache them
 // and so node fetches are charged as memory accesses. Node *contents* are
-// kept in Go structures rather than encoded into the backing store; the
+// kept in Go structures rather than encoded into their frames; the
 // paper's hardware packs six keys and seven values into a 64 B line with
 // field compression, which affects only the encoding, not the traffic.
 type NodeArena struct {

@@ -23,7 +23,6 @@ import (
 // Hypervisor owns machine memory and the virtual machines.
 type Hypervisor struct {
 	Machine *mem.Allocator
-	Store   *mem.Store
 	// HostSegMgr holds host segments (gPA -> MA), using each VM's pseudo
 	// address space identified by MakeASID(vmid, 0).
 	HostSegMgr *segment.Manager
@@ -42,7 +41,6 @@ func NewHypervisor(machineBytes uint64) *Hypervisor {
 	alloc := mem.NewAllocator(machineBytes)
 	return &Hypervisor{
 		Machine:    alloc,
-		Store:      mem.NewStore(),
 		HostSegMgr: segment.NewManager(segment.NewNodeArena(alloc)),
 		vms:        make(map[uint32]*VM),
 		nextVMID:   1,
@@ -102,7 +100,7 @@ func (hv *Hypervisor) NewVM(guestBytes uint64, hostChunks int) (*VM, error) {
 		reverse:    make(map[uint64][]gvaRef),
 		hv:         hv,
 	}
-	hostPT, err := pagetable.New(hv.Machine, hv.Store)
+	hostPT, err := pagetable.New(hv.Machine)
 	if err != nil {
 		return nil, err
 	}
