@@ -2,7 +2,7 @@
 # suite under the race detector (the sweep runner is concurrent).
 GO ?= go
 
-.PHONY: all build test race vet fmt ci parity invariants fuzz-smoke service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-hotpath bench-check bench-all sweep sweep-full clean
+.PHONY: all build test race vet fmt ci parity determinism invariants fuzz-smoke service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-hotpath bench-check bench-all sweep sweep-full clean
 
 all: build
 
@@ -31,7 +31,7 @@ race:
 # Set BENCH_CHECK=1 to also gate hot-path throughput against the
 # committed BENCH_hotpath.json (off by default: benchmark wall time and
 # machine-to-machine variance don't belong in every CI run).
-ci: fmt vet staticcheck govulncheck test race service-race sim-race chaos metrics-lint parity invariants fuzz-smoke $(if $(BENCH_CHECK),bench-check)
+ci: fmt vet staticcheck govulncheck test race service-race sim-race chaos metrics-lint parity determinism invariants fuzz-smoke $(if $(BENCH_CHECK),bench-check)
 
 # service-race runs the hvcd service integration suite alone under the
 # race detector: concurrent clients submitting/watching/cancelling jobs
@@ -88,6 +88,21 @@ govulncheck:
 parity:
 	$(GO) test -run TestGoldenParity -count=1 ./experiments
 
+# determinism runs every registered experiment at Quick scale with one
+# sweep worker and with eight, and fails unless the two outputs are
+# byte-identical once the wall-time ("completed in") lines are stripped:
+# no result may depend on the worker count. The outputs stay in the
+# printed temporary directory when they differ.
+determinism:
+	@dir=$$(mktemp -d) && echo "determinism: $$dir" && \
+	$(GO) build -o $$dir/tablegen ./cmd/tablegen && \
+	$$dir/tablegen -exp all -jobs 1 > $$dir/jobs1.out && \
+	$$dir/tablegen -exp all -jobs 8 > $$dir/jobs8.out && \
+	grep -v "completed in" $$dir/jobs1.out > $$dir/jobs1.txt && \
+	grep -v "completed in" $$dir/jobs8.out > $$dir/jobs8.txt && \
+	diff $$dir/jobs1.txt $$dir/jobs8.txt && \
+	rm -rf $$dir
+
 # invariants runs the fault-injection suite on its own: every
 # organization under every fault type with the runtime invariant checker
 # attached, plus the seeded-determinism golden.
@@ -106,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzMapRangeMatchesMap -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzLeafRunsMatchWords -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s ./internal/service/store
+	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/service
 
 # bench runs the repository benchmark (bench/, see bench/README.md) once
 # on every workload BENCHMARK.json declares, with tracing off: each run

@@ -8,8 +8,8 @@
 // best of five trials, the standard way to strip GC/scheduler noise from
 // a steady-state measurement. The refs/sec of both paths, their ratio at
 // the simulator's default chunk, and the full chunk sweep land in
-// BENCH_hotpath.json so the hot-path trajectory is tracked alongside
-// BENCH_sweep.json. Run via:
+// BENCH_hotpath.json, which `make bench-check` compares against. End-to-end
+// speed is measured by the repository benchmark in bench/. Run via:
 //
 //	make bench-hotpath
 package hybridvc_test

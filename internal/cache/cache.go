@@ -95,20 +95,33 @@ type Cache struct {
 	WriteBks stats.Counter // dirty evictions
 }
 
-// New creates a cache. It panics on geometries that do not divide evenly;
-// cache shapes come from fixed experiment configurations.
-func New(cfg Config) *Cache {
+// Validate reports why the geometry cannot be built, or nil: the size
+// must hold at least one line, the ways must divide the line count, and
+// the set count must be a power of two.
+func (cfg Config) Validate() error {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache %s: invalid size/ways %d/%d", cfg.Name, cfg.SizeBytes, cfg.Ways))
+		return fmt.Errorf("cache %s: invalid size/ways %d/%d", cfg.Name, cfg.SizeBytes, cfg.Ways)
 	}
 	lines := cfg.SizeBytes / addr.LineSize
+	if lines == 0 {
+		return fmt.Errorf("cache %s: %d bytes hold no %d-byte line", cfg.Name, cfg.SizeBytes, addr.LineSize)
+	}
 	if lines%cfg.Ways != 0 {
-		panic(fmt.Sprintf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways))
+		return fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
 	}
-	nsets := lines / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, nsets))
+	if nsets := lines / cfg.Ways; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, nsets)
 	}
+	return nil
+}
+
+// New creates a cache. It panics on a geometry Validate rejects; cache
+// shapes come from fixed experiment configurations.
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	nsets := cfg.SizeBytes / addr.LineSize / cfg.Ways
 	return &Cache{
 		cfg: cfg, setMask: uint64(nsets - 1),
 		keys: make([]uint64, nsets*cfg.Ways),
@@ -315,8 +328,9 @@ func (c *Cache) Downgrade(n addr.Name) (wasDirty bool) {
 }
 
 // FlushMatching invalidates every line for which match returns true and
-// returns the number invalidated and how many were dirty. The OS uses this
-// for page remaps, synonym status changes, and permission revocations.
+// returns the number invalidated and how many were dirty. It visits every
+// way, so it serves whole-address-space flushes (FlushASID); a page flush
+// looks its lines up by name instead (FlushPage).
 func (c *Cache) FlushMatching(match func(addr.Name) bool) (flushed, dirty int) {
 	for i := range c.keys {
 		if c.keys[i] != 0 && match(c.nameAt(uint64(i))) {
@@ -332,21 +346,43 @@ func (c *Cache) FlushMatching(match func(addr.Name) bool) (flushed, dirty int) {
 	return flushed, dirty
 }
 
+// firstLine returns the name of the first line of the page that a
+// representative name (ASID+virtual page for non-synonym, frame for
+// synonym) identifies: its address aligned down to the page, with its
+// kind, ASID and synonym bit. The page's other lines follow at LineSize
+// steps; they are exactly the names for which SamePage(page) holds.
+func firstLine(page addr.Name) addr.Name {
+	page.Addr &^= addr.PageSize - 1
+	return page
+}
+
 // FlushPage invalidates all lines of a page identified by a representative
-// name (ASID+virtual page for non-synonym, frame for synonym).
+// name, looking each of the page's line names up in its own set.
 func (c *Cache) FlushPage(page addr.Name) (flushed, dirty int) {
-	return c.FlushMatching(func(n addr.Name) bool { return n.SamePage(page) })
+	n := firstLine(page)
+	for l := 0; l < addr.PageSize/addr.LineSize; l++ {
+		if d, ok := c.Invalidate(n); ok {
+			flushed++
+			if d {
+				dirty++
+			}
+		}
+		n.Addr += addr.LineSize
+	}
+	return flushed, dirty
 }
 
 // SetPagePerm updates the permission bits of every cached line of a page —
 // the paper's mechanism for r/o content sharing (Section III-D): permission
 // changes update cached copies rather than flushing them.
 func (c *Cache) SetPagePerm(page addr.Name, perm addr.Perm) (updated int) {
-	for i := range c.keys {
-		if c.keys[i] != 0 && c.nameAt(uint64(i)).SamePage(page) {
-			c.meta[i].Perm = perm
+	n := firstLine(page)
+	for l := 0; l < addr.PageSize/addr.LineSize; l++ {
+		if line := c.lookup(n); line != nil {
+			line.Perm = perm
 			updated++
 		}
+		n.Addr += addr.LineSize
 	}
 	return updated
 }

@@ -27,6 +27,7 @@ func TestCacheGeometry(t *testing.T) {
 		{SizeBytes: 512, Ways: 0},
 		{SizeBytes: 512, Ways: 3}, // 8 lines not divisible by 3
 		{SizeBytes: 576, Ways: 3}, // 3 sets: not a power of two
+		{SizeBytes: 32, Ways: 1},  // smaller than one line
 	} {
 		func() {
 			defer func() {

@@ -1,0 +1,141 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"hybridvc/internal/addr"
+)
+
+// flushPageScan is the whole-cache reference for FlushPage: it decodes
+// every valid way and invalidates those whose name is in the page.
+func flushPageScan(c *Cache, page addr.Name) (flushed, dirty int) {
+	return c.FlushMatching(func(n addr.Name) bool { return n.SamePage(page) })
+}
+
+// setPagePermScan is the whole-cache reference for SetPagePerm.
+func setPagePermScan(c *Cache, page addr.Name, perm addr.Perm) (updated int) {
+	for i := range c.keys {
+		if c.keys[i] != 0 && c.nameAt(uint64(i)).SamePage(page) {
+			c.meta[i].Perm = perm
+			updated++
+		}
+	}
+	return updated
+}
+
+// cloneCache copies c's ways so a reference can run beside it.
+func cloneCache(c *Cache) *Cache {
+	d := *c
+	d.keys = append([]uint64(nil), c.keys...)
+	d.lrus = append([]uint64(nil), c.lrus...)
+	d.meta = append([]Line(nil), c.meta...)
+	return &d
+}
+
+// waysDiff names the first way whose key, LRU stamp, state or permission
+// differs between got and want; it returns "" when every way agrees.
+func waysDiff(got, want *Cache) string {
+	for i := range want.keys {
+		if got.keys[i] != want.keys[i] || got.lrus[i] != want.lrus[i] || got.meta[i] != want.meta[i] {
+			return fmt.Sprintf("way %d: key %#x lru %d %+v, want key %#x lru %d %+v", i,
+				got.keys[i], got.lrus[i], got.meta[i], want.keys[i], want.lrus[i], want.meta[i])
+		}
+	}
+	return ""
+}
+
+// pageFlushNames draws block names for the page-flush tests. Most fall in
+// a few adjacent target pages, so a flushed page has many resident lines
+// and so do its neighbours; the rest scatter to keep every set busy. Kinds,
+// the synonym bit and three ASIDs vary independently, so each target page
+// holds lines of several names that differ from it in one field only.
+type pageFlushNames struct {
+	rng   *rand.Rand
+	asids [3]addr.ASID
+}
+
+const (
+	pageFlushTargets = 4
+	pageFlushBase    = 0x7000_0000_0000
+)
+
+func (g *pageFlushNames) name(scatter bool) addr.Name {
+	n := addr.Name{
+		Kind:    addr.PayloadKind(g.rng.Intn(3)),
+		Synonym: g.rng.Intn(2) == 0,
+		ASID:    g.asids[g.rng.Intn(len(g.asids))],
+	}
+	page := uint64(g.rng.Intn(pageFlushTargets))
+	if scatter {
+		page = uint64(g.rng.Intn(1 << 16))
+	}
+	n.Addr = pageFlushBase + page*addr.PageSize + uint64(g.rng.Intn(addr.PageSize/addr.LineSize))*addr.LineSize
+	return n
+}
+
+// representative returns a name for a target page that is not page
+// aligned: it points at one of the page's lines past the first.
+func (g *pageFlushNames) representative() addr.Name {
+	n := g.name(false)
+	n.Addr = n.Addr&^(addr.PageSize-1) + uint64(1+g.rng.Intn(addr.PageSize/addr.LineSize-1))*addr.LineSize
+	return n
+}
+
+var pageFlushPerms = []addr.Perm{addr.PermRO, addr.PermRW}
+
+func (g *pageFlushNames) perm() addr.Perm { return pageFlushPerms[g.rng.Intn(len(pageFlushPerms))] }
+
+func (g *pageFlushNames) fill(c *Cache, n int) {
+	states := []State{Shared, Exclusive, Modified}
+	for i := 0; i < n; i++ {
+		c.Fill(g.name(g.rng.Intn(4) == 0), states[g.rng.Intn(len(states))], g.perm())
+	}
+}
+
+// TestPageOpsMatchWholeCacheScan checks FlushPage and SetPagePerm, which
+// look up a page's 64 line names, against the whole-cache scan they
+// replace, on an L1-sized and an LLC-sized cache filled at random: the
+// counts and every way (key, LRU stamp, state, permission) must agree.
+func TestPageOpsMatchWholeCacheScan(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "L1D", SizeBytes: 32 << 10, Ways: 4, HitLatency: 4},
+		{Name: "LLC", SizeBytes: 2 << 20, Ways: 16, HitLatency: 27},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			c := New(cfg)
+			g := &pageFlushNames{rng: rand.New(rand.NewSource(7)),
+				asids: [3]addr.ASID{addr.MakeASID(0, 1), addr.MakeASID(0, 2), addr.MakeASID(1, 1)}}
+			lines := cfg.SizeBytes / addr.LineSize
+			g.fill(c, 2*lines)
+			flushedAny, updatedAny := false, false
+			for op := 0; op < 200; op++ {
+				page := g.representative()
+				ref := cloneCache(c)
+				if op%2 == 0 {
+					f, d := c.FlushPage(page)
+					wf, wd := flushPageScan(ref, page)
+					if f != wf || d != wd {
+						t.Fatalf("op %d FlushPage(%v) = %d flushed, %d dirty; want %d, %d", op, page, f, d, wf, wd)
+					}
+					flushedAny = flushedAny || f > 0
+				} else {
+					perm := g.perm()
+					u := c.SetPagePerm(page, perm)
+					if wu := setPagePermScan(ref, page, perm); u != wu {
+						t.Fatalf("op %d SetPagePerm(%v) = %d updated; want %d", op, page, u, wu)
+					}
+					updatedAny = updatedAny || u > 0
+				}
+				if d := waysDiff(c, ref); d != "" {
+					t.Fatalf("op %d on %v: %s", op, page, d)
+				}
+				g.fill(c, lines/16)
+			}
+			if !flushedAny || !updatedAny {
+				t.Fatalf("no page op found a line (flushed %v, updated %v): the fill misses the target pages", flushedAny, updatedAny)
+			}
+		})
+	}
+}

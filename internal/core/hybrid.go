@@ -103,6 +103,12 @@ func delayedTLBLatency(entries int) uint64 {
 	}
 }
 
+// DelayedTLBConfig returns the geometry of a delayed TLB with the given
+// number of entries: 8 ways, and the latency its size implies.
+func DelayedTLBConfig(entries int) tlb.Config {
+	return tlb.Config{Name: "delayed-tlb", Entries: entries, Ways: 8, Latency: delayedTLBLatency(entries)}
+}
+
 // HybridMMU is the hybrid virtual caching memory system. It is wired as
 // pipeline stages: HybridMMU itself is the FrontEnd (synonym filter,
 // synonym TLB path, permission faults) and the Backend (delayed
@@ -176,12 +182,7 @@ func NewHybridMMU(cfg HybridConfig, k *osmodel.Kernel) *HybridMMU {
 	}
 	switch cfg.Delayed {
 	case DelayedPageTLB:
-		m.delayedTLB = tlb.New(tlb.Config{
-			Name:    "delayed-tlb",
-			Entries: cfg.DelayedTLBEntries,
-			Ways:    8,
-			Latency: delayedTLBLatency(cfg.DelayedTLBEntries),
-		})
+		m.delayedTLB = tlb.New(DelayedTLBConfig(cfg.DelayedTLBEntries))
 	case DelayedSegments:
 		var sc *segment.SegCache
 		if cfg.WithSegmentCache {

@@ -15,17 +15,20 @@ type IndexCache struct {
 	c *cache.Cache
 }
 
-// NewIndexCache creates an index cache of the given size; associativity is
-// 8 ways, clamped down when the cache is smaller than 8 lines (the paper's
-// sensitivity study goes down to a single 64 B block).
-func NewIndexCache(sizeBytes int) *IndexCache {
+// IndexCacheConfig returns the index cache geometry for a capacity:
+// associativity is 8 ways, clamped down when the cache is smaller than 8
+// lines (the paper's sensitivity study goes down to a single 64 B block).
+func IndexCacheConfig(sizeBytes int) cache.Config {
 	ways := 8
 	if lines := sizeBytes / addr.LineSize; lines < ways {
 		ways = lines
 	}
-	return &IndexCache{c: cache.New(cache.Config{
-		Name: "index-cache", SizeBytes: sizeBytes, Ways: ways, HitLatency: 3,
-	})}
+	return cache.Config{Name: "index-cache", SizeBytes: sizeBytes, Ways: ways, HitLatency: 3}
+}
+
+// NewIndexCache creates an index cache of the given size.
+func NewIndexCache(sizeBytes int) *IndexCache {
+	return &IndexCache{c: cache.New(IndexCacheConfig(sizeBytes))}
 }
 
 // Access looks up the node line at pa, filling on miss, and reports a hit.

@@ -183,11 +183,11 @@ func TestChaosDeadlines(t *testing.T) {
 		Workers: 1, JobTimeout: 2 * time.Second,
 	})
 	ctx := context.Background()
-	a, err := c.Submit(ctx, service.JobSpec{Instructions: 2_000_000_000, Seed: 1})
+	a, err := c.Submit(ctx, service.JobSpec{Instructions: service.MaxInstructions, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Submit(ctx, service.JobSpec{Instructions: 2_000_000_000, Seed: 2})
+	b, err := c.Submit(ctx, service.JobSpec{Instructions: service.MaxInstructions, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestChaosDeadlines(t *testing.T) {
 	if st := watchDone(t, c, quick.ID); st.State != service.StateDone {
 		t.Errorf("quick job under deadline finished %s (%s)", st.State, st.Error)
 	}
-	retry, err := c.Submit(ctx, service.JobSpec{Instructions: 2_000_000_000, Seed: 1})
+	retry, err := c.Submit(ctx, service.JobSpec{Instructions: service.MaxInstructions, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 
 	// A long blocker pins the one worker while two short jobs accumulate
 	// queue wait behind it.
-	blocker, err := c.Submit(ctx, service.JobSpec{Instructions: 2_000_000_000, Seed: 100})
+	blocker, err := c.Submit(ctx, service.JobSpec{Instructions: service.MaxInstructions, Seed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 func TestChaosClientDisconnectMidStream(t *testing.T) {
 	_, c, _ := startServer(t, service.Config{Workers: 1})
 	ctx := context.Background()
-	resp, err := c.Submit(ctx, service.JobSpec{Instructions: 2_000_000_000, Interval: 5_000, Seed: 7})
+	resp, err := c.Submit(ctx, service.JobSpec{Instructions: service.MaxInstructions, Interval: 5_000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

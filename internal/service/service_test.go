@@ -355,6 +355,30 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
+// TestSubmitPastLimitIs400 checks that a sim spec the simulator could not
+// build, or one past a job limit, is refused at submission with a 400 that
+// names the field, instead of being queued to fail or to exhaust a worker.
+func TestSubmitPastLimitIs400(t *testing.T) {
+	srv, c := startServer(t, service.Config{Workers: 1})
+	for _, tc := range []struct {
+		spec  service.JobSpec
+		field string
+	}{
+		{service.JobSpec{LLCBytes: 12345}, "llc_bytes"},
+		{service.JobSpec{Cores: 1_000_000}, "cores"},
+		{service.JobSpec{LLCBytes: 1 << 40}, "llc_bytes"},
+	} {
+		_, err := c.Submit(context.Background(), tc.spec)
+		apiErr, ok := err.(*client.APIError)
+		if !ok || apiErr.StatusCode != 400 || !strings.Contains(apiErr.Message, tc.field) {
+			t.Errorf("submit %+v: %v, want a 400 naming %s", tc.spec, err, tc.field)
+		}
+	}
+	if m := srv.MetricsSnapshot(); m.Simulated != 0 {
+		t.Errorf("simulated = %d, want 0", m.Simulated)
+	}
+}
+
 // TestRateLimit checks the per-client token bucket: burst 1 means the
 // second immediate request is refused 429 before its body is even read.
 func TestRateLimit(t *testing.T) {

@@ -20,6 +20,9 @@ import (
 
 	"hybridvc"
 	"hybridvc/experiments"
+	"hybridvc/internal/cache"
+	"hybridvc/internal/core"
+	"hybridvc/internal/segment"
 	"hybridvc/internal/workload"
 )
 
@@ -108,10 +111,63 @@ func (s *JobSpec) normalizeSim() error {
 	if s.Interval == 0 {
 		s.Interval = 10_000
 	}
+	if err := s.checkLimits(); err != nil {
+		return err
+	}
 	// Sweep-only fields must be absent on a sim job: silently hashing
 	// them into the key would split the cache for no behavioural reason.
 	if s.Experiment != "" || s.Scale != "" {
 		return fmt.Errorf("experiment/scale are sweep-job fields (kind %q)", KindSweep)
+	}
+	return nil
+}
+
+// Limits on a sim job, so one request cannot ask a worker for an
+// unbounded hierarchy or run. Each sits well above every catalog and
+// experiment value (4 cores, a 2 MiB LLC, a 64K-entry delayed TLB, a
+// 64 KiB index cache, 10^6 instructions per core).
+const (
+	MaxCores             = 64
+	MaxInstructions      = 1_000_000_000 // per core
+	MaxLLCBytes          = 1 << 30
+	MaxDelayedTLBEntries = 1 << 20
+	MaxIndexCacheBytes   = 16 << 20
+)
+
+// checkLimits rejects a sim spec past a limit, or with a structure size
+// whose geometry the simulator could not build. A zero size takes the
+// simulator's default.
+func (s *JobSpec) checkLimits() error {
+	if s.Cores > MaxCores {
+		return fmt.Errorf("cores %d exceeds the limit of %d", s.Cores, MaxCores)
+	}
+	if s.Instructions > MaxInstructions {
+		return fmt.Errorf("instructions %d exceeds the limit of %d", s.Instructions, MaxInstructions)
+	}
+	for _, f := range []struct {
+		name     string
+		v, max   int
+		geometry func(int) error
+	}{
+		{"llc_bytes", s.LLCBytes, MaxLLCBytes, func(n int) error {
+			cfg := cache.DefaultHierarchyConfig(1).LLC
+			cfg.SizeBytes = n
+			return cfg.Validate()
+		}},
+		{"delayed_tlb_entries", s.DelayedTLBEntries, MaxDelayedTLBEntries,
+			func(n int) error { return core.DelayedTLBConfig(n).Validate() }},
+		{"index_cache_bytes", s.IndexCacheBytes, MaxIndexCacheBytes,
+			func(n int) error { return segment.IndexCacheConfig(n).Validate() }},
+	} {
+		if f.v == 0 {
+			continue
+		}
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("%s %d is outside the limit of 1..%d (0 takes the default)", f.name, f.v, f.max)
+		}
+		if err := f.geometry(f.v); err != nil {
+			return fmt.Errorf("%s %d: %v", f.name, f.v, err)
+		}
 	}
 	return nil
 }

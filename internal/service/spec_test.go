@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,24 +60,48 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
+// rejections are specs Normalize must refuse, each with a fragment of the
+// error it must give.
+var rejections = []struct {
+	name string
+	spec JobSpec
+	want string
+}{
+	{"unknown kind", JobSpec{Kind: "batch"}, "unknown job kind"},
+	{"unknown org", JobSpec{Org: "quantum"}, "unknown organization"},
+	{"unknown workload", JobSpec{Workloads: []string{"nope"}}, "unknown workload"},
+	{"ovc multicore", JobSpec{Org: "ovc", Cores: 2}, "single-core"},
+	{"sweep fields on sim", JobSpec{Experiment: "fig9"}, "sweep-job fields"},
+	{"sweep without experiment", JobSpec{Kind: KindSweep}, "needs an experiment"},
+	{"unknown experiment", JobSpec{Kind: KindSweep, Experiment: "fig99"}, "unknown experiment"},
+	{"bad scale", JobSpec{Kind: KindSweep, Experiment: "fig9", Scale: "huge"}, "unknown scale"},
+	{"sim fields on sweep", JobSpec{Kind: KindSweep, Experiment: "fig9", Seed: 3}, "not meaningful"},
+
+	// One past each limit.
+	{"cores past limit", JobSpec{Cores: MaxCores + 1}, "cores 65 exceeds the limit of 64"},
+	{"instructions past limit", JobSpec{Instructions: MaxInstructions + 1}, "instructions 1000000001 exceeds the limit of 1000000000"},
+	{"llc past limit", JobSpec{LLCBytes: MaxLLCBytes + 1}, "llc_bytes 1073741825 is outside the limit of 1..1073741824"},
+	{"llc twice the limit", JobSpec{LLCBytes: 2 * MaxLLCBytes}, "llc_bytes 2147483648 is outside"},
+	{"delayed tlb past limit", JobSpec{DelayedTLBEntries: MaxDelayedTLBEntries + 1}, "delayed_tlb_entries 1048577 is outside the limit of 1..1048576"},
+	{"index cache past limit", JobSpec{IndexCacheBytes: MaxIndexCacheBytes + 1}, "index_cache_bytes 16777217 is outside the limit of 1..16777216"},
+
+	// Negative sizes, and geometries the simulator's constructors panic on.
+	{"negative llc", JobSpec{LLCBytes: -1}, "llc_bytes -1 is outside"},
+	{"negative delayed tlb", JobSpec{DelayedTLBEntries: -8}, "delayed_tlb_entries -8 is outside"},
+	{"negative index cache", JobSpec{IndexCacheBytes: -64}, "index_cache_bytes -64 is outside"},
+	{"llc set count", JobSpec{LLCBytes: 12345}, "llc_bytes 12345: cache LLC: set count 12 not a power of two"},
+	{"llc below one set", JobSpec{LLCBytes: 512}, "llc_bytes 512: cache LLC: 8 lines not divisible by 16 ways"},
+	{"llc below one line", JobSpec{LLCBytes: 63}, "llc_bytes 63: cache LLC: 63 bytes hold no 64-byte line"},
+	{"delayed tlb ways", JobSpec{DelayedTLBEntries: 1020}, "delayed_tlb_entries 1020: tlb delayed-tlb: invalid geometry"},
+	{"delayed tlb set count", JobSpec{DelayedTLBEntries: 24}, "delayed_tlb_entries 24: tlb delayed-tlb: set count 3 not a power of two"},
+	{"index cache below one line", JobSpec{IndexCacheBytes: 32}, "index_cache_bytes 32: cache index-cache: invalid size/ways"},
+	{"index cache set count", JobSpec{IndexCacheBytes: 3 << 10}, "index_cache_bytes 3072: cache index-cache: set count 6 not a power of two"},
+}
+
 func TestNormalizeRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		spec JobSpec
-		want string
-	}{
-		{"unknown kind", JobSpec{Kind: "batch"}, "unknown job kind"},
-		{"unknown org", JobSpec{Org: "quantum"}, "unknown organization"},
-		{"unknown workload", JobSpec{Workloads: []string{"nope"}}, "unknown workload"},
-		{"ovc multicore", JobSpec{Org: "ovc", Cores: 2}, "single-core"},
-		{"sweep fields on sim", JobSpec{Experiment: "fig9"}, "sweep-job fields"},
-		{"sweep without experiment", JobSpec{Kind: KindSweep}, "needs an experiment"},
-		{"unknown experiment", JobSpec{Kind: KindSweep, Experiment: "fig99"}, "unknown experiment"},
-		{"bad scale", JobSpec{Kind: KindSweep, Experiment: "fig9", Scale: "huge"}, "unknown scale"},
-		{"sim fields on sweep", JobSpec{Kind: KindSweep, Experiment: "fig9", Seed: 3}, "not meaningful"},
-	}
-	for _, tc := range cases {
-		err := tc.spec.Normalize()
+	for _, tc := range rejections {
+		spec := tc.spec
+		err := spec.Normalize()
 		if err == nil {
 			t.Errorf("%s: Normalize accepted %+v", tc.name, tc.spec)
 			continue
@@ -84,4 +110,68 @@ func TestNormalizeRejections(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// atLimits are specs that sit exactly at a limit, or at the smallest size
+// the simulator can build, and must be accepted.
+var atLimits = []struct {
+	name string
+	spec JobSpec
+}{
+	{"cores at limit", JobSpec{Cores: MaxCores}},
+	{"instructions at limit", JobSpec{Instructions: MaxInstructions}},
+	{"llc at limit", JobSpec{LLCBytes: MaxLLCBytes}},
+	{"delayed tlb at limit", JobSpec{Org: "hybrid-dtlb", DelayedTLBEntries: MaxDelayedTLBEntries}},
+	{"index cache at limit", JobSpec{IndexCacheBytes: MaxIndexCacheBytes}},
+	{"one-set llc", JobSpec{LLCBytes: 1 << 10}},
+	{"one-set delayed tlb", JobSpec{DelayedTLBEntries: 8}},
+	{"one-line index cache", JobSpec{IndexCacheBytes: 64}},
+	{"fig9 delayed tlb", JobSpec{Org: "hybrid-dtlb", DelayedTLBEntries: 32768}},
+}
+
+func TestNormalizeAcceptsLimits(t *testing.T) {
+	for _, tc := range atLimits {
+		spec := tc.spec
+		if err := spec.Normalize(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzJobSpec decodes arbitrary bytes as a job spec. Nothing may panic,
+// and a spec Normalize accepts is canonical: normalizing it again changes
+// no field, and its cache key is the same both times.
+func FuzzJobSpec(f *testing.F) {
+	seeds := []JobSpec{{}, {Kind: KindSweep, Experiment: "latency"}}
+	for _, tc := range rejections {
+		seeds = append(seeds, tc.spec)
+	}
+	for _, tc := range atLimits {
+		seeds = append(seeds, tc.spec)
+	}
+	for _, s := range seeds {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if json.Unmarshal(data, &spec) != nil || spec.Normalize() != nil {
+			return
+		}
+		key := spec.CacheKey()
+		again := spec
+		again.Workloads = append([]string(nil), spec.Workloads...)
+		if err := again.Normalize(); err != nil {
+			t.Fatalf("second Normalize of %+v: %v", spec, err)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("second Normalize changed %+v to %+v", spec, again)
+		}
+		if k := again.CacheKey(); k != key {
+			t.Fatalf("cache key moved from %s to %s", key, k)
+		}
+	})
 }

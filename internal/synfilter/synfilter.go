@@ -59,10 +59,23 @@ func (f *Filter) MarkSynonym(va addr.VA) {
 	f.coarse.Insert(uint64(va) >> CoarseBits)
 }
 
-// MarkSynonymRange marks every 4 KiB page in [va, va+length).
+// MarkSynonymRange marks every 4 KiB page in [va, va+length): the pages
+// at va, va+4 KiB, ... below va+length. Pages in one granule set the same
+// bits, so each fine and coarse granule the pages fall in is inserted
+// once, which leaves the filter exactly as one MarkSynonym per page would;
+// Inserts still counts pages.
 func (f *Filter) MarkSynonymRange(va addr.VA, length uint64) {
-	for off := uint64(0); off < length; off += addr.PageSize {
-		f.MarkSynonym(va + addr.VA(off))
+	if length == 0 {
+		return
+	}
+	pages := (length + addr.PageSize - 1) / addr.PageSize
+	last := uint64(va) + (pages-1)*addr.PageSize
+	f.Inserts.Add(pages)
+	for g := uint64(va) >> FineBits; g <= last>>FineBits; g++ {
+		f.fine.Insert(g)
+	}
+	for g := uint64(va) >> CoarseBits; g <= last>>CoarseBits; g++ {
+		f.coarse.Insert(g)
 	}
 }
 

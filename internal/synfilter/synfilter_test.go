@@ -1,6 +1,7 @@
 package synfilter
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -205,5 +206,104 @@ func TestPairEitherFilterFlags(t *testing.T) {
 	}
 	if pair.Lookups.Value() != 3 || pair.Candidates.Value() != 2 {
 		t.Errorf("pair stats: %d/%d", pair.Candidates.Value(), pair.Lookups.Value())
+	}
+}
+
+// markPages is the per-page reference for MarkSynonymRange: one
+// MarkSynonym for every page at va, va+4 KiB, ... below va+length.
+func markPages(f *Filter, va addr.VA, length uint64) {
+	for off := uint64(0); off < length; off += addr.PageSize {
+		f.MarkSynonym(va + addr.VA(off))
+	}
+}
+
+// filterDiff describes how got differs from want in both Bloom filters'
+// words, their occupancy and Inserts; it returns "" when they agree.
+func filterDiff(got, want *Filter) string {
+	if got.fine.Words() != want.fine.Words() {
+		return "fine filter words differ"
+	}
+	if got.coarse.Words() != want.coarse.Words() {
+		return "coarse filter words differ"
+	}
+	gf, gc := got.Occupancy()
+	wf, wc := want.Occupancy()
+	if gf != wf || gc != wc {
+		return fmt.Sprintf("occupancy %v/%v, want %v/%v", gf, gc, wf, wc)
+	}
+	if g, w := got.Inserts.Value(), want.Inserts.Value(); g != w {
+		return fmt.Sprintf("inserts %d, want %d", g, w)
+	}
+	return ""
+}
+
+// rangeCases are the shapes a granule-at-a-time MarkSynonymRange is most
+// likely to get wrong.
+var rangeCases = []struct {
+	name   string
+	va     addr.VA
+	length uint64
+}{
+	{"zero length", 0x7000_0000_0000, 0},
+	{"one byte", 0x7000_0000_0000, 1},
+	{"one byte mid-page", 0x7000_0000_5123, 1},
+	// Pages 3..11 of a granule pair: the last page sits mid-way through
+	// the second 32 KiB granule.
+	{"mid-granule to mid-granule", 0x7000_0000_3000, 9 * addr.PageSize},
+	{"unaligned start, partial last page", 0x7000_0000_3800, 5*addr.PageSize + 1},
+	{"ends one byte into a granule", 0x7000_0000_1000, 7*addr.PageSize + 1},
+	{"crosses 16 MiB boundary", 0x7000_00ff_c000, 40 * addr.PageSize},
+	{"crosses 16 MiB boundary unaligned", 0x7000_00ff_f7c0, 3 * addr.PageSize},
+	{"postgres share", 0x7000_0000_0000, 128 << 20},
+}
+
+func TestMarkSynonymRangeMatchesPerPage(t *testing.T) {
+	for _, tc := range rangeCases {
+		got, want := New(), New()
+		got.MarkSynonymRange(tc.va, tc.length)
+		markPages(want, tc.va, tc.length)
+		if d := filterDiff(got, want); d != "" {
+			t.Errorf("%s: %s", tc.name, d)
+		}
+	}
+}
+
+func TestRebuildMatchesPerPage(t *testing.T) {
+	var all []Range
+	for _, tc := range rangeCases {
+		all = append(all, Range{Start: tc.va, Length: tc.length})
+	}
+	sets := map[string][]Range{"all cases": all}
+	for i, tc := range rangeCases {
+		sets[tc.name] = all[i : i+1]
+	}
+	for name, ranges := range sets {
+		got, want := New(), New()
+		// Stale bits that the rebuild must drop, plus earlier inserts
+		// that it keeps counting.
+		got.MarkSynonymRange(0x1000_0000, 16*addr.PageSize)
+		markPages(want, 0x1000_0000, 16*addr.PageSize)
+		got.Rebuild(ranges)
+		want.Clear()
+		for _, r := range ranges {
+			markPages(want, r.Start, r.Length)
+		}
+		if d := filterDiff(got, want); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+	}
+}
+
+func TestMarkSynonymRangeMatchesPerPageProperty(t *testing.T) {
+	prop := func(start uint64, length uint32) bool {
+		va := addr.VA(start % (1 << 47))
+		n := uint64(length) % (40 << 20)
+		got, want := New(), New()
+		got.MarkSynonymRange(va, n)
+		markPages(want, va, n)
+		return filterDiff(got, want) == ""
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

@@ -54,16 +54,25 @@ type TLB struct {
 	Stats   stats.HitMiss
 }
 
+// Validate reports why the geometry cannot be built, or nil: positive
+// entries and ways, ways dividing the entries, and a power-of-two set count.
+func (cfg Config) Validate() error {
+	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
+		return fmt.Errorf("tlb %s: invalid geometry %d entries / %d ways", cfg.Name, cfg.Entries, cfg.Ways)
+	}
+	if nsets := cfg.Entries / cfg.Ways; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("tlb %s: set count %d not a power of two", cfg.Name, nsets)
+	}
+	return nil
+}
+
 // New creates a TLB; it panics on invalid geometry (experiment
 // configurations are fixed, so geometry errors are programming errors).
 func New(cfg Config) *TLB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("tlb %s: invalid geometry %d entries / %d ways", cfg.Name, cfg.Entries, cfg.Ways))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	nsets := cfg.Entries / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("tlb %s: set count %d not a power of two", cfg.Name, nsets))
-	}
 	sets := make([][]Entry, nsets)
 	backing := make([]Entry, cfg.Entries)
 	for i := range sets {
