@@ -87,6 +87,19 @@ func (o *options) validate() (int, string) {
 	if o.ic < 1 {
 		return exitBadFlags, fmt.Sprintf("-ic %d: the index cache needs a positive size", o.ic)
 	}
+	for _, f := range []struct {
+		flag string
+		v    int
+		size hybridvc.Size
+	}{
+		{"-llc", o.llc, hybridvc.LLCSize},
+		{"-dtlb", o.dtlb, hybridvc.DelayedTLBSize},
+		{"-ic", o.ic, hybridvc.IndexCacheSize},
+	} {
+		if err := hybridvc.CheckSize(f.size, f.v); err != nil {
+			return exitBadFlags, fmt.Sprintf("%s %d: %v", f.flag, f.v, err)
+		}
+	}
 	if len(o.workloads) == 0 {
 		return exitBadFlags, "-workloads: need at least one workload name"
 	}

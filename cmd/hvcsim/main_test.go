@@ -37,6 +37,9 @@ func TestValidateExitCodes(t *testing.T) {
 		{"negative llc", func(o *options) { o.llc = -1 }, exitBadFlags, "-llc"},
 		{"zero dtlb", func(o *options) { o.dtlb = 0 }, exitBadFlags, "-dtlb"},
 		{"zero ic", func(o *options) { o.ic = 0 }, exitBadFlags, "-ic"},
+		{"unbuildable llc", func(o *options) { o.llc = 12345 }, exitBadFlags, "-llc 12345"},
+		{"unbuildable dtlb", func(o *options) { o.dtlb = 3 }, exitBadFlags, "-dtlb 3"},
+		{"unbuildable ic", func(o *options) { o.ic = 1000 }, exitBadFlags, "-ic 1000"},
 		{"no workloads", func(o *options) { o.workloads = nil }, exitBadFlags, "-workloads"},
 		{"unknown workload", func(o *options) { o.workloads = []string{"gups", "nope"} }, exitBadFlags, `"nope"`},
 		{"interval without consumer", func(o *options) { o.interval = 5000 }, exitBadFlags, "-interval"},

@@ -15,8 +15,13 @@ import (
 // newHotpathSystem builds a system with one loaded workload. A small LLC
 // keeps the miss paths (delayed translation, writeback translation) busy.
 func newHotpathSystem(t testing.TB, org hybridvc.Organization, wl string) *hybridvc.System {
+	return newHotpathSystemCores(t, org, wl, 1)
+}
+
+// newHotpathSystemCores is newHotpathSystem on cores cores.
+func newHotpathSystemCores(t testing.TB, org hybridvc.Organization, wl string, cores int) *hybridvc.System {
 	t.Helper()
-	sys, err := hybridvc.New(hybridvc.Config{Org: org, LLCBytes: 256 << 10, Seed: 1})
+	sys, err := hybridvc.New(hybridvc.Config{Org: org, Cores: cores, LLCBytes: 256 << 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +31,16 @@ func newHotpathSystem(t testing.TB, org hybridvc.Organization, wl string) *hybri
 	return sys
 }
 
-// collectRequests draws n data references from the system's first
-// generator. Two systems built with the same seed yield the same VA/kind
-// sequence, so equivalence tests can drive twins with matching streams.
+// collectRequests draws n data references round-robin from the system's
+// generators, issuing generator i's references from core i, so a
+// multi-process workload needs a core per process. Two systems built with
+// the same seed yield the same VA/kind sequence, so equivalence tests can
+// drive twins with matching streams.
 func collectRequests(sys *hybridvc.System, n int) []core.Request {
-	g := sys.Generators()[0]
+	gens := sys.Generators()
 	reqs := make([]core.Request, 0, n)
-	for len(reqs) < n {
-		in := g.Next()
+	for c := 0; len(reqs) < n; c = (c + 1) % len(gens) {
+		in := gens[c].Next()
 		if !in.IsMem || in.Mispredict {
 			continue
 		}
@@ -41,7 +48,7 @@ func collectRequests(sys *hybridvc.System, n int) []core.Request {
 		if in.IsStore {
 			kind = cache.Write
 		}
-		reqs = append(reqs, core.Request{Core: 0, Kind: kind, VA: in.VA, Proc: g.Proc})
+		reqs = append(reqs, core.Request{Core: c, Kind: kind, VA: in.VA, Proc: gens[c].Proc})
 	}
 	return reqs
 }
@@ -160,7 +167,7 @@ func TestAccessBatchZeroLength(t *testing.T) {
 // engine's scratch buffers and filled the caches, repeated AccessBatch
 // calls over a fixed request set must not allocate at all. Beyond the
 // paper's flagship organization it pins the two payload-carrying designs,
-// whose front ends ride the same batch machinery over typed-payload
+// whose front ends keep translations and synonym records in typed-payload
 // blocks.
 func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	for _, org := range []hybridvc.Organization{
@@ -175,35 +182,53 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 // paths: page walks (1D and 2D), delayed translation and payload fills.
 // After a warm-up stretch of gups, every organization must serve fresh
 // 128-reference gups batches — mostly LLC misses — without allocating.
+// The postgres-4c subtest pins the synonym path the same way: synonym-TLB
+// hits and walks, RLT record hits and cross-core snoops, on four cores
+// with four processes sharing a region. OVC is single-core, so it has no
+// such subtest.
 func TestAccessBatchMissPathAllocs(t *testing.T) {
-	const chunk, runs = 128, 20
 	for _, org := range hybridvc.Organizations() {
 		org := org
 		t.Run(string(org), func(t *testing.T) {
-			sys := newHotpathSystem(t, org, "gups")
-			warm := collectRequests(sys, 8192)
-			sys.Mem.AccessBatch(warm, make([]core.Result, len(warm)))
-
-			// AllocsPerRun calls the function once more than runs.
-			reqs := collectRequests(sys, (runs+1)*chunk)
-			res := make([]core.Result, chunk)
-			next, misses := 0, 0
-			avg := testing.AllocsPerRun(runs, func() {
-				sys.Mem.AccessBatch(reqs[next:next+chunk], res)
-				next += chunk
-				for i := range res {
-					if res[i].LLCMiss {
-						misses++
-					}
-				}
+			testMissPathAllocs(t, org, "gups", 1)
+			if org == hybridvc.OVC {
+				return
+			}
+			t.Run("postgres-4c", func(t *testing.T) {
+				testMissPathAllocs(t, org, "postgres", 4)
 			})
-			if avg != 0 {
-				t.Errorf("miss-path AccessBatch allocates %.2f times per batch, want 0", avg)
-			}
-			if misses < next/4 {
-				t.Errorf("only %d of %d references missed the LLC; the pin no longer covers the miss path", misses, next)
-			}
 		})
+	}
+}
+
+// testMissPathAllocs warms a cores-core system on workload wl, then
+// requires fresh 128-reference batches to allocate nothing, and at least
+// a quarter of their references to miss the LLC so the pin still covers
+// the miss path.
+func testMissPathAllocs(t *testing.T, org hybridvc.Organization, wl string, cores int) {
+	const chunk, runs = 128, 20
+	sys := newHotpathSystemCores(t, org, wl, cores)
+	warm := collectRequests(sys, 8192)
+	sys.Mem.AccessBatch(warm, make([]core.Result, len(warm)))
+
+	// AllocsPerRun calls the function once more than runs.
+	reqs := collectRequests(sys, (runs+1)*chunk)
+	res := make([]core.Result, chunk)
+	next, misses := 0, 0
+	avg := testing.AllocsPerRun(runs, func() {
+		sys.Mem.AccessBatch(reqs[next:next+chunk], res)
+		next += chunk
+		for i := range res {
+			if res[i].LLCMiss {
+				misses++
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("miss-path AccessBatch allocates %.2f times per batch, want 0", avg)
+	}
+	if misses < next/4 {
+		t.Errorf("only %d of %d references missed the LLC; the pin no longer covers the miss path", misses, next)
 	}
 }
 

@@ -24,10 +24,12 @@ import (
 	"fmt"
 
 	"hybridvc/internal/baseline"
+	"hybridvc/internal/cache"
 	"hybridvc/internal/core"
 	"hybridvc/internal/fault"
 	"hybridvc/internal/osmodel"
 	"hybridvc/internal/pipeline"
+	"hybridvc/internal/segment"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/virt"
 	"hybridvc/internal/workload"
@@ -136,6 +138,37 @@ func (c *Config) fillDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+}
+
+// Size names one of the structure sizes a Config sets.
+type Size int
+
+// The structure sizes CheckSize validates.
+const (
+	LLCSize        Size = iota // Config.LLCBytes
+	DelayedTLBSize             // Config.DelayedTLBEntries
+	IndexCacheSize             // Config.IndexCacheBytes
+)
+
+// CheckSize reports why the simulator could not build structure s with
+// size n, or nil when it can. Zero takes the default and passes. The
+// constructors panic on such a geometry, so callers that take sizes from
+// users (hvcsim flags, hvcd job specs) check them here first.
+func CheckSize(s Size, n int) error {
+	if n == 0 {
+		return nil
+	}
+	switch s {
+	case LLCSize:
+		cfg := cache.DefaultHierarchyConfig(1).LLC
+		cfg.SizeBytes = n
+		return cfg.Validate()
+	case DelayedTLBSize:
+		return core.DelayedTLBConfig(n).Validate()
+	case IndexCacheSize:
+		return segment.IndexCacheConfig(n).Validate()
+	}
+	panic(fmt.Sprintf("hybridvc: unknown size %d", s))
 }
 
 // System is a ready-to-run simulated machine.

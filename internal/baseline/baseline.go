@@ -54,17 +54,6 @@ type Conventional struct {
 	TLBShoots    stats.Counter
 	// HugeTLBHits counts translations served by the 2 MiB TLB.
 	HugeTLBHits stats.Counter
-
-	// missMemo records that RouteBatch just probed every TLB level for
-	// (core, asid, vpn) and found all of them missing. The engine scalar-
-	// processes that stopper immediately, so the very next translate call
-	// consumes the memo and commits the misses directly instead of
-	// rescanning three sets it already knows are empty. One-shot: cleared
-	// unconditionally at translate entry and on any shootdown.
-	missMemoValid bool
-	missMemoCore  int
-	missMemoASID  addr.ASID
-	missMemoVPN   uint64
 }
 
 // NewConventional builds the baseline and registers as the kernel's sink.
@@ -91,30 +80,17 @@ func (c *Conventional) TLB(core int) *tlb.TwoLevel { return c.tlbs[core] }
 // beyond the L1-overlapped lookup and walk costs.
 func (c *Conventional) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool) {
 	tl := c.tlbs[req.Core]
-	memoMiss := c.missMemoValid && c.missMemoCore == req.Core &&
-		c.missMemoASID == req.Proc.ASID && c.missMemoVPN == req.VA.Page()
-	c.missMemoValid = false
 	c.Acc.Access(energy.L1TLB, 1)
-	var tres tlb.Result
-	if memoMiss {
-		// RouteBatch already scanned all three levels and missed; commit
-		// the clock ticks and statistics those lookups would have recorded
-		// and fall through to the walk with tres.Level == 0.
-		c.hugeTLBs[req.Core].RecordMiss()
-		tl.L1.RecordMiss()
-		tl.L2.RecordMiss()
-	} else {
-		// The 2 MiB TLB is probed in parallel with the 4 KiB L1 TLB.
-		if e, ok := c.hugeTLBs[req.Core].Lookup(req.Proc.ASID, req.VA.HugePage()); ok {
-			c.HugeTLBHits.Inc()
-			if p := c.Probe(); p != nil {
-				p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBHuge, Hit: true})
-			}
-			off := uint64(req.VA) & (addr.HugePageSize - 1)
-			return addr.FrameToPA(e.PFN) + addr.PA(off), e.Perm, 0, true
+	// The 2 MiB TLB is probed in parallel with the 4 KiB L1 TLB.
+	if e, ok := c.hugeTLBs[req.Core].Lookup(req.Proc.ASID, req.VA.HugePage()); ok {
+		c.HugeTLBHits.Inc()
+		if p := c.Probe(); p != nil {
+			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBHuge, Hit: true})
 		}
-		tres = tl.Lookup(req.Proc.ASID, req.VA.Page())
+		off := uint64(req.VA) & (addr.HugePageSize - 1)
+		return addr.FrameToPA(e.PFN) + addr.PA(off), e.Perm, 0, true
 	}
+	tres := tl.Lookup(req.Proc.ASID, req.VA.Page())
 	if p := c.Probe(); p != nil {
 		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBHuge, Hit: false})
 		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
@@ -184,84 +160,11 @@ func (c *Conventional) Route(req *core.Request, res *core.Result) pipeline.Decis
 	return pipeline.GoPhysical(pa, perm)
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd: an element is pure when
-// some TLB level already translates it (huge, L1, or L2 — probed quietly
-// in the same priority order translate uses) and the access does not
-// write-fault. A pure element commits in the same pass: the probe that hit
-// is promoted with tlb.Touch, the levels that missed record their misses,
-// and an L2 hit refills L1 — the exact bookkeeping translate's replayed
-// lookups would do, without rescanning any set. TLB misses (timed walks)
-// and faults stop the run with nothing committed.
-func (c *Conventional) RouteBatch(reqs []core.Request, res []core.Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		if !c.routeBatchOne(&reqs[i], &res[i], &dec[i]) {
-			break
-		}
-	}
-	return i
-}
-
-// routeBatchOne decodes one batch element when some TLB level already
-// translates it (huge, L1, or L2, probed in translate's priority order),
-// committing the hit in the same pass. It reports false — leaving the
-// element untouched apart from the all-levels-missed memo — when the
-// element is impure (timed walk or write fault). DirectSegment reuses it
-// element-wise for its out-of-segment accesses.
-func (c *Conventional) routeBatchOne(req *core.Request, res *core.Result, dec *pipeline.Decision) bool {
-	tl := c.tlbs[req.Core]
-	huge := c.hugeTLBs[req.Core]
-	if e, ok := huge.Probe(req.Proc.ASID, req.VA.HugePage()); ok {
-		if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-			return false
-		}
-		c.Acc.Access(energy.L1TLB, 1)
-		huge.Touch(e)
-		c.HugeTLBHits.Inc()
-		off := uint64(req.VA) & (addr.HugePageSize - 1)
-		*dec = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(off), e.Perm)
-		return true
-	}
-	vpn := req.VA.Page()
-	if e, ok := tl.L1.Probe(req.Proc.ASID, vpn); ok {
-		if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-			return false
-		}
-		c.Acc.Access(energy.L1TLB, 1)
-		huge.RecordMiss()
-		tl.L1.Touch(e)
-		// L1 TLB lookup overlaps L1 cache indexing: no added latency.
-		*dec = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-		return true
-	}
-	if e, ok := tl.L2.Probe(req.Proc.ASID, vpn); ok {
-		if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-			return false
-		}
-		c.Acc.Access(energy.L1TLB, 1)
-		c.Acc.Access(energy.L2TLB, 1)
-		huge.RecordMiss()
-		tl.L1.RecordMiss()
-		tl.L2.Touch(e)
-		cp := *e
-		tl.L1.Insert(cp)
-		res.Latency += tl.L2.Config().Latency
-		*dec = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-		return true
-	}
-	// TLB miss: the scalar path walks. Leave a memo so its translate does
-	// not rescan the sets this pass just probed.
-	c.missMemoValid, c.missMemoCore = true, req.Core
-	c.missMemoASID, c.missMemoVPN = req.Proc.ASID, vpn
-	return false
-}
-
 // --- osmodel.ShootdownSink ---
 
 // TLBShootdown invalidates the page in every core's TLBs.
 func (c *Conventional) TLBShootdown(asid addr.ASID, vpn uint64) {
 	c.TLBShoots.Inc()
-	c.missMemoValid = false
 	for i, tl := range c.tlbs {
 		tl.Shootdown(asid, vpn)
 		c.hugeTLBs[i].Shootdown(asid, vpn>>(addr.HugePageBits-addr.PageBits))
@@ -289,7 +192,6 @@ func (c *Conventional) FilterUpdate(addr.ASID) {}
 // FlushASID drops the address space's TLB entries (physical cache lines
 // stay; the frames are recycled by the OS).
 func (c *Conventional) FlushASID(asid addr.ASID) {
-	c.missMemoValid = false
 	for i, tl := range c.tlbs {
 		tl.FlushASID(asid)
 		c.hugeTLBs[i].FlushASID(asid)
@@ -327,21 +229,6 @@ func (i *Ideal) Route(req *core.Request, res *core.Result) pipeline.Decision {
 		pa, _ = req.Proc.PT.Translate(req.VA)
 	}
 	return pipeline.GoPhysical(pa, addr.PermRW)
-}
-
-// RouteBatch implements pipeline.BatchFrontEnd: translation is free and
-// stateless, so every mapped address decodes purely; only unmapped pages
-// (demand-paging faults) stop the run.
-func (i *Ideal) RouteBatch(reqs []core.Request, res []core.Result, dec []pipeline.Decision) int {
-	n := 0
-	for ; n < len(reqs); n++ {
-		pa, ok := reqs[n].Proc.PT.Translate(reqs[n].VA)
-		if !ok {
-			break
-		}
-		dec[n] = pipeline.GoPhysical(pa, addr.PermRW)
-	}
-	return n
 }
 
 // TLBShootdown implements osmodel.ShootdownSink.
@@ -395,34 +282,6 @@ func (r *RangeTLB) Lookup(asid addr.ASID, va addr.VA) (*segment.Segment, bool) {
 	return nil, false
 }
 
-// Probe finds a covering range without touching LRU or statistics,
-// returning its index so the batched route path can commit the hit with
-// Touch instead of rescanning the table.
-func (r *RangeTLB) Probe(asid addr.ASID, va addr.VA) (*segment.Segment, int, bool) {
-	for i, s := range r.entries {
-		if s.Contains(asid, va) {
-			return s, i, true
-		}
-	}
-	return nil, -1, false
-}
-
-// Touch commits a quiet Probe hit at index i: it advances the clock,
-// promotes the entry to MRU, and records the hit — exactly the bookkeeping
-// Lookup would have done, without rescanning the table.
-func (r *RangeTLB) Touch(i int) {
-	r.tick++
-	r.lru[i] = r.tick
-	r.Stats.Hit()
-}
-
-// RecordMiss commits a quiet probe miss: it advances the clock and records
-// the miss Lookup would have recorded.
-func (r *RangeTLB) RecordMiss() {
-	r.tick++
-	r.Stats.Miss()
-}
-
 // Insert caches a range, evicting the LRU entry when full.
 func (r *RangeTLB) Insert(s *segment.Segment) {
 	r.tick++
@@ -468,17 +327,6 @@ type RMM struct {
 
 	// RangeWalks counts range-table fills after range TLB misses.
 	RangeWalks stats.Counter
-
-	// missMemo records that RouteBatch just probed the L1 TLB and the
-	// range TLB for (core, asid, vpn) and both missed. The engine scalar-
-	// processes that stopper immediately, so the very next Route consumes
-	// the memo and commits both misses directly instead of rescanning the
-	// TLB set and the 32-entry range table. One-shot: cleared
-	// unconditionally at Route entry and on any shootdown.
-	missMemoValid bool
-	missMemoCore  int
-	missMemoASID  addr.ASID
-	missMemoVPN   uint64
 }
 
 // RMMRangeEntries is RMM's per-core range TLB capacity.
@@ -509,20 +357,8 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	var pa addr.PA
 	var perm addr.Perm
 
-	memoMiss := r.missMemoValid && r.missMemoCore == req.Core &&
-		r.missMemoASID == req.Proc.ASID && r.missMemoVPN == req.VA.Page()
-	r.missMemoValid = false
 	r.Acc.Access(energy.L1TLB, 1)
-	var e *tlb.Entry
-	var ok bool
-	if memoMiss {
-		// RouteBatch already scanned the L1 TLB set and the range table and
-		// missed both; commit the clock ticks and statistics those lookups
-		// would have recorded and fall through to the range walk.
-		r.l1tlbs[req.Core].RecordMiss()
-	} else {
-		e, ok = r.l1tlbs[req.Core].Lookup(req.Proc.ASID, req.VA.Page())
-	}
+	e, ok := r.l1tlbs[req.Core].Lookup(req.Proc.ASID, req.VA.Page())
 	if ok {
 		if p := r.Probe(); p != nil {
 			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: true})
@@ -536,17 +372,11 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 		// Range TLB at the L2 TLB position: 7 cycles on the critical path.
 		r.Acc.Access(energy.SegmentTable, 1)
 		res.Latency += 7
-		var rseg *segment.Segment
-		var rok bool
-		if memoMiss {
-			r.ranges[req.Core].RecordMiss()
-		} else {
-			rseg, rok = r.ranges[req.Core].Lookup(req.Proc.ASID, req.VA)
-		}
+		seg, rok := r.ranges[req.Core].Lookup(req.Proc.ASID, req.VA)
 		if p := r.Probe(); p != nil {
 			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBRange, Hit: rok})
 		}
-		if seg, ok := rseg, rok; ok {
+		if rok {
 			pa = seg.Translate(req.VA)
 			perm = seg.Perm
 		} else {
@@ -587,56 +417,8 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	return pipeline.GoPhysical(pa, perm)
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd: L1 TLB hits and range TLB
-// hits decode purely — probed quietly, then committed with tlb.Touch /
-// RecordMiss and the L1 refill the scalar range path performs, without
-// rescanning either structure. Range walks and write faults stop the run,
-// leaving the all-levels-missed memo for the scalar redo.
-func (r *RMM) RouteBatch(reqs []core.Request, res []core.Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		req := &reqs[i]
-		l1 := r.l1tlbs[req.Core]
-		var pa addr.PA
-		var perm addr.Perm
-		if e, ok := l1.Probe(req.Proc.ASID, req.VA.Page()); ok {
-			pa = addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
-			perm = e.Perm
-			if req.Kind == cache.Write && !perm.AllowsWrite() {
-				break
-			}
-			r.Acc.Access(energy.L1TLB, 1)
-			l1.Touch(e)
-		} else if seg, si, ok := r.ranges[req.Core].Probe(req.Proc.ASID, req.VA); ok {
-			pa = seg.Translate(req.VA)
-			perm = seg.Perm
-			if req.Kind == cache.Write && !perm.AllowsWrite() {
-				break
-			}
-			r.Acc.Access(energy.L1TLB, 1)
-			l1.RecordMiss()
-			r.Acc.Access(energy.SegmentTable, 1)
-			res[i].Latency += 7
-			r.ranges[req.Core].Touch(si)
-			l1.Insert(tlb.Entry{
-				ASID: req.Proc.ASID, VPN: req.VA.Page(), PFN: pa.Frame(), Perm: perm,
-			})
-		} else {
-			// Range walk: the scalar path fills. Leave a memo so its Route
-			// does not rescan the TLB set and range table this pass just
-			// probed.
-			r.missMemoValid, r.missMemoCore = true, req.Core
-			r.missMemoASID, r.missMemoVPN = req.Proc.ASID, req.VA.Page()
-			break
-		}
-		dec[i] = pipeline.GoPhysical(pa, perm)
-	}
-	return i
-}
-
 // TLBShootdown implements osmodel.ShootdownSink.
 func (r *RMM) TLBShootdown(asid addr.ASID, vpn uint64) {
-	r.missMemoValid = false
 	for _, t := range r.l1tlbs {
 		t.Shootdown(asid, vpn)
 	}
@@ -661,7 +443,6 @@ func (r *RMM) FilterUpdate(addr.ASID) {}
 
 // FlushASID implements osmodel.ShootdownSink.
 func (r *RMM) FlushASID(asid addr.ASID) {
-	r.missMemoValid = false
 	for _, t := range r.l1tlbs {
 		t.FlushASID(asid)
 	}
@@ -737,26 +518,4 @@ func (d *DirectSegment) Route(req *core.Request, res *core.Result) pipeline.Deci
 		return pipeline.GoPhysical(s.Translate(req.VA), s.Perm)
 	}
 	return d.Conventional.Route(req, res)
-}
-
-// RouteBatch implements pipeline.BatchFrontEnd. It must be defined here —
-// not inherited — because the promoted Conventional.RouteBatch would
-// silently skip the direct-segment check. In-segment accesses decode for
-// free (exactly like the scalar path, which performs no permission check
-// inside the segment); out-of-segment accesses run through the
-// conventional decoder's single-pass probe-and-commit element-wise.
-func (d *DirectSegment) RouteBatch(reqs []core.Request, res []core.Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		req := &reqs[i]
-		if s := d.segFor(req.Proc.ASID); s != nil && s.Contains(req.Proc.ASID, req.VA) {
-			d.InSegment.Inc()
-			dec[i] = pipeline.GoPhysical(s.Translate(req.VA), s.Perm)
-			continue
-		}
-		if !d.Conventional.routeBatchOne(req, &res[i], &dec[i]) {
-			break
-		}
-	}
-	return i
 }

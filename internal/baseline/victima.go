@@ -38,17 +38,6 @@ type Victima struct {
 	// data (or flushed by shootdowns) — the capacity-competition metric.
 	XlatEvictions stats.Counter
 	TLBShoots     stats.Counter
-
-	// missMemo records that RouteBatch just probed both TLB levels for
-	// (core, asid, vpn) and found them missing. The engine scalar-processes
-	// that stopper immediately, so the very next translate call consumes
-	// the memo and commits the misses directly instead of rescanning two
-	// sets it already knows are empty. One-shot: cleared unconditionally at
-	// translate entry and on any shootdown.
-	missMemoValid bool
-	missMemoCore  int
-	missMemoASID  addr.ASID
-	missMemoVPN   uint64
 }
 
 // NewVictima builds the organization and registers as the kernel's sink
@@ -99,20 +88,8 @@ func xlatName(asid addr.ASID, vpn uint64) addr.Name {
 func (v *Victima) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool) {
 	tl := v.tlbs[req.Core]
 	vpn := req.VA.Page()
-	memoMiss := v.missMemoValid && v.missMemoCore == req.Core &&
-		v.missMemoASID == req.Proc.ASID && v.missMemoVPN == vpn
-	v.missMemoValid = false
 	v.Acc.Access(energy.L1TLB, 1)
-	var tres tlb.Result
-	if memoMiss {
-		// RouteBatch already scanned both levels and missed; commit the
-		// clock ticks and statistics those lookups would have recorded and
-		// fall through to the cached-translation probe with tres.Level == 0.
-		tl.L1.RecordMiss()
-		tl.L2.RecordMiss()
-	} else {
-		tres = tl.Lookup(req.Proc.ASID, vpn)
-	}
+	tres := tl.Lookup(req.Proc.ASID, vpn)
 	if p := v.Probe(); p != nil {
 		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
 		if tres.Level != 1 {
@@ -191,60 +168,6 @@ func (v *Victima) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	return pipeline.GoPhysical(pa, perm)
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd: an element is pure when
-// one of the two TLB levels already translates it and the access does not
-// write-fault. The cached-translation probe and the walk both touch the
-// hierarchy, so a both-levels miss stops the run with the miss memo set
-// for the scalar redo.
-func (v *Victima) RouteBatch(reqs []core.Request, res []core.Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		if !v.routeBatchOne(&reqs[i], &res[i], &dec[i]) {
-			break
-		}
-	}
-	return i
-}
-
-// routeBatchOne decodes one batch element when a TLB level already
-// translates it, committing the hit in the same pass; it reports false —
-// leaving the element untouched apart from the both-levels-missed memo —
-// when the element is impure (cached-translation probe, walk, or fault).
-func (v *Victima) routeBatchOne(req *core.Request, res *core.Result, dec *pipeline.Decision) bool {
-	tl := v.tlbs[req.Core]
-	vpn := req.VA.Page()
-	if e, ok := tl.L1.Probe(req.Proc.ASID, vpn); ok {
-		if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-			return false
-		}
-		v.Acc.Access(energy.L1TLB, 1)
-		tl.L1.Touch(e)
-		// L1 TLB lookup overlaps L1 cache indexing: no added latency.
-		*dec = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-		return true
-	}
-	if e, ok := tl.L2.Probe(req.Proc.ASID, vpn); ok {
-		if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-			return false
-		}
-		v.Acc.Access(energy.L1TLB, 1)
-		v.Acc.Access(energy.L2TLB, 1)
-		tl.L1.RecordMiss()
-		tl.L2.Touch(e)
-		cp := *e
-		tl.L1.Insert(cp)
-		res.Latency += tl.L2.Config().Latency
-		*dec = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-		return true
-	}
-	// Both levels missed: the scalar path probes the cached translation
-	// blocks and, if need be, walks. Leave a memo so its translate does not
-	// rescan the sets this pass just probed.
-	v.missMemoValid, v.missMemoCore = true, req.Core
-	v.missMemoASID, v.missMemoVPN = req.Proc.ASID, vpn
-	return false
-}
-
 // PayloadEvicted implements cache.PayloadListener: a translation block
 // left the LLC (data pushed it out, or a flush below removed it).
 func (v *Victima) PayloadEvicted(addr.Name, uint64) { v.XlatEvictions.Inc() }
@@ -287,7 +210,6 @@ func (v *Victima) PayloadCoherence(n addr.Name, payload uint64) error {
 // table exactly like a TLB entry.
 func (v *Victima) TLBShootdown(asid addr.ASID, vpn uint64) {
 	v.TLBShoots.Inc()
-	v.missMemoValid = false
 	for _, tl := range v.tlbs {
 		tl.Shootdown(asid, vpn)
 	}
@@ -316,7 +238,6 @@ func (v *Victima) FilterUpdate(addr.ASID) {}
 // FlushASID drops the address space's TLB entries and cached translation
 // blocks (physical data lines stay; the frames are recycled by the OS).
 func (v *Victima) FlushASID(asid addr.ASID) {
-	v.missMemoValid = false
 	for _, tl := range v.tlbs {
 		tl.FlushASID(asid)
 	}

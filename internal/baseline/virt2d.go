@@ -27,15 +27,6 @@ type Virt2D struct {
 
 	// Walks2D counts full nested walks.
 	Walks2D stats.Counter
-
-	// missMemo records that RouteBatch probed both TLB levels for
-	// (core, asid, vpn) and missed; the immediately-following scalar Route
-	// for that stopper commits the misses without rescanning. One-shot:
-	// cleared unconditionally at Route entry and on any shootdown.
-	missMemoValid bool
-	missMemoCore  int
-	missMemoASID  addr.ASID
-	missMemoVPN   uint64
 }
 
 // NewVirt2D builds the virtualized baseline over vm; AddVM consolidates
@@ -82,20 +73,8 @@ func (v *Virt2D) timed2DWalk(coreID int, proc *osmodel.Process, gva addr.VA) (vi
 // Route implements pipeline.FrontEnd.
 func (v *Virt2D) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	tl := v.tlbs[req.Core]
-	memoMiss := v.missMemoValid && v.missMemoCore == req.Core &&
-		v.missMemoASID == req.Proc.ASID && v.missMemoVPN == req.VA.Page()
-	v.missMemoValid = false
 	v.Acc.Access(energy.L1TLB, 1)
-	var tres tlb.Result
-	if memoMiss {
-		// RouteBatch already scanned both levels and missed; commit the
-		// ticks and statistics those lookups would have recorded and fall
-		// through to the nested walk with tres.Level == 0.
-		tl.L1.RecordMiss()
-		tl.L2.RecordMiss()
-	} else {
-		tres = tl.Lookup(req.Proc.ASID, req.VA.Page())
-	}
+	tres := tl.Lookup(req.Proc.ASID, req.VA.Page())
 	if p := v.Probe(); p != nil {
 		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
 		if tres.Level != 1 {
@@ -150,56 +129,10 @@ func (v *Virt2D) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	return pipeline.GoPhysical(ma, perm)
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd: TLB hits (either level,
-// probed quietly in L1-then-L2 order) decode purely and commit in the
-// same pass — the hitting level's probe is promoted with tlb.Touch, an L1
-// miss records its statistics, and an L2 hit refills L1, exactly the
-// bookkeeping the scalar Lookup performs, without rescanning any set.
-// Nested 2D walks and write faults stop the run so the scalar path
-// handles them.
-func (v *Virt2D) RouteBatch(reqs []core.Request, res []core.Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		req := &reqs[i]
-		tl := v.tlbs[req.Core]
-		vpn := req.VA.Page()
-		if e, ok := tl.L1.Probe(req.Proc.ASID, vpn); ok {
-			if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-				break
-			}
-			v.Acc.Access(energy.L1TLB, 1)
-			tl.L1.Touch(e)
-			dec[i] = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-			continue
-		}
-		if e, ok := tl.L2.Probe(req.Proc.ASID, vpn); ok {
-			if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-				break
-			}
-			v.Acc.Access(energy.L1TLB, 1)
-			v.Acc.Access(energy.L2TLB, 1)
-			tl.L1.RecordMiss()
-			tl.L2.Touch(e)
-			cp := *e
-			tl.L1.Insert(cp)
-			res[i].Latency += tl.L2.Config().Latency
-			dec[i] = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-			continue
-		}
-		// Nested 2D walk: the scalar path handles it. Leave a memo so its
-		// Route does not rescan the sets this pass just probed.
-		v.missMemoValid, v.missMemoCore = true, req.Core
-		v.missMemoASID, v.missMemoVPN = req.Proc.ASID, vpn
-		break
-	}
-	return i
-}
-
 // --- osmodel.ShootdownSink ---
 
 // TLBShootdown implements the sink.
 func (v *Virt2D) TLBShootdown(asid addr.ASID, vpn uint64) {
-	v.missMemoValid = false
 	for _, tl := range v.tlbs {
 		tl.Shootdown(asid, vpn)
 	}
@@ -224,7 +157,6 @@ func (v *Virt2D) FilterUpdate(addr.ASID) {}
 
 // FlushASID implements the sink.
 func (v *Virt2D) FlushASID(asid addr.ASID) {
-	v.missMemoValid = false
 	for _, tl := range v.tlbs {
 		tl.FlushASID(asid)
 	}

@@ -286,23 +286,6 @@ func (c *Cache) AccessFill(n addr.Name, st State, perm addr.Perm) (l *Line, v Vi
 	return nil, v, evicted
 }
 
-// TouchSet reads every way of n's set and returns a checksum of the cached
-// tag keys. It mutates nothing — no LRU, no statistics, no state — so it is
-// semantically invisible to the simulation; the batched engine uses it to
-// pull the tag arrays an upcoming run of accesses will scan into the host
-// CPU's caches ahead of the serial dispatch loop. The checksum exists only
-// so the reads cannot be optimized away.
-func (c *Cache) TouchSet(n addr.Name) uint64 {
-	base := (n.Line() & c.setMask) * c.ways
-	keys := c.keys[base : base+c.ways]
-	lrus := c.lrus[base : base+c.ways]
-	var sum uint64
-	for i := range keys {
-		sum += keys[i] + lrus[i]
-	}
-	return sum
-}
-
 // Invalidate removes n if present, returning whether it was dirty.
 func (c *Cache) Invalidate(n addr.Name) (wasDirty, wasPresent bool) {
 	si, w, ok := c.find(n)

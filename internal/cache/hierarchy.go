@@ -77,8 +77,8 @@ type Hierarchy struct {
 	// MemWritebacks counts dirty lines written back to memory.
 	MemWritebacks stats.Counter
 
-	// wbScratch backs AccessScratch results so the batched hot path does
-	// not allocate a Writebacks slice per reference.
+	// wbScratch backs AccessScratch results so the access engine does not
+	// allocate a Writebacks slice per reference.
 	wbScratch []addr.Name
 
 	// payloads maps metadata block names (Kind != PayloadData) resident
@@ -136,25 +136,11 @@ func (h *Hierarchy) Access(core int, kind AccessKind, n addr.Name, perm addr.Per
 // AccessScratch is Access with the Writebacks slice backed by a
 // hierarchy-owned buffer, so steady-state accesses allocate nothing. The
 // returned Writebacks alias that buffer: the caller must consume them
-// before the next AccessScratch (or PhysAccess in scratch mode) call.
+// before the next AccessScratch call.
 func (h *Hierarchy) AccessScratch(core int, kind AccessKind, n addr.Name, perm addr.Perm) AccessResult {
 	res := h.access(core, kind, n, perm, h.wbScratch[:0])
 	h.wbScratch = res.Writebacks
 	return res
-}
-
-// TouchSets reads the tag ways of the sets a (core, kind, n) access will
-// scan — the proper L1, the private L2, and the LLC — without changing any
-// simulated state (no LRU, no statistics). The batched engine calls it for
-// a block of decoded lanes before dispatching them serially, overlapping
-// the host-memory latency of the tag fetches; results are byte-identical
-// with or without the touches. The returned checksum keeps the loads live.
-func (h *Hierarchy) TouchSets(core int, kind AccessKind, n addr.Name) uint64 {
-	l1 := h.l1d[core]
-	if kind == Fetch {
-		l1 = h.l1i[core]
-	}
-	return l1.TouchSet(n) + h.l2[core].TouchSet(n) + h.llc.TouchSet(n)
 }
 
 // access is the shared body; wb seeds res.Writebacks (nil to allocate).

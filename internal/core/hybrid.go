@@ -255,84 +255,6 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	return m.routeVirtual(req, res)
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd: it decodes the maximal
-// prefix of reqs whose routing is pure — non-synonym accesses (and filter
-// false positives) with a mapped, permission-satisfying page, and true
-// synonym accesses that hit the synonym TLB. Each element is probed
-// quietly first; only elements that prove pure commit their bookkeeping
-// (filter and TLB statistics, LRU, energy), so the stopping element is
-// left for the engine's scalar path to redo exactly once. Elements that
-// need a timed page walk or an OS fault stop the run.
-func (m *HybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
-	if m.cfg.FPRebuildThreshold > 0 {
-		// The adaptive rebuild policy may reconstruct the filter between
-		// any two accesses, invalidating quiet probes: stay scalar.
-		return 0
-	}
-	i := 0
-	for ; i < len(reqs); i++ {
-		req := &reqs[i]
-		isWrite := req.Kind == cache.Write
-		if m.cfg.FilterBypass {
-			perm := fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if !req.Proc.Filter.ProbeQuiet(req.VA) {
-			perm := fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 1)
-			req.Proc.Filter.CountNonCandidates(1)
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		// Synonym candidate: pure only when the synonym TLB already holds
-		// the page (a miss needs a timed walk).
-		st := m.synTLB[req.Core]
-		e, hit := st.Probe(req.Proc.ASID, req.VA.Page())
-		if !hit {
-			break
-		}
-		if e.NonSynonym {
-			// Filter false positive corrected by the TLB entry: the access
-			// proceeds virtually like a non-synonym.
-			perm := fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 1)
-			req.Proc.Filter.IsCandidate(req.VA)
-			m.SynonymCandidates.Inc()
-			m.Acc.Access(energy.SynonymTLB, 1)
-			res[i].Latency += st.Config().Latency
-			st.Lookup(req.Proc.ASID, req.VA.Page())
-			m.FalsePositives.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if isWrite && !e.Perm.AllowsWrite() {
-			break
-		}
-		m.Acc.Access(energy.SynonymFilter, 1)
-		req.Proc.Filter.IsCandidate(req.VA)
-		m.SynonymCandidates.Inc()
-		m.Acc.Access(energy.SynonymTLB, 1)
-		res[i].Latency += st.Config().Latency
-		st.Lookup(req.Proc.ASID, req.VA.Page())
-		m.TrueSynonymAccesses.Inc()
-		pa := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
-		dec[i] = pipeline.GoPhysical(pa, e.Perm)
-	}
-	return i
-}
-
 // routeSynonym handles synonym candidates: TLB before L1 (Section III-A).
 func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 	st := m.synTLB[req.Core]
@@ -509,12 +431,7 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 		if m.cfg.WithSegmentCache {
 			m.Acc.Access(energy.SegmentCache, 1)
 		}
-		var tres segment.TranslateResult
-		if m.ScratchMode() {
-			tres = m.translator.TranslateReuse(proc.ASID, va)
-		} else {
-			tres = m.translator.Translate(proc.ASID, va)
-		}
+		tres := m.translator.Translate(proc.ASID, va)
 		if !tres.SCHit {
 			m.Acc.Access(energy.IndexCache, uint64(tres.ICProbes))
 			m.Acc.Access(energy.SegmentTable, 1)

@@ -210,44 +210,6 @@ func (m *RLTVC) insertNonSynonym(core int, proc *osmodel.Process, vpn uint64) {
 	})
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd: record-cache hits decode
-// purely (virtual for non-synonyms, physical for synonyms); record-cache
-// misses touch the hierarchy (record probe or rebuild) and stop the run.
-func (m *RLTVC) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		req := &reqs[i]
-		isWrite := req.Kind == cache.Write
-		rc := m.rlt[req.Core]
-		e, hit := rc.Probe(req.Proc.ASID, req.VA.Page())
-		if !hit {
-			break
-		}
-		if e.NonSynonym {
-			perm := fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 1)
-			rc.Touch(e)
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if isWrite && !e.Perm.AllowsWrite() {
-			break
-		}
-		m.Acc.Access(energy.SynonymFilter, 1)
-		rc.Touch(e)
-		m.SynonymCandidates.Inc()
-		m.TrueSynonymAccesses.Inc()
-		m.Acc.Access(energy.SynonymTLB, 1)
-		res[i].Latency += rc.Config().Latency
-		dec[i] = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-	}
-	return i
-}
-
 // PayloadEvicted implements cache.PayloadListener: a record block left the
 // LLC (data pushed it out, or a flush below removed it).
 func (m *RLTVC) PayloadEvicted(addr.Name, uint64) { m.RecordEvictions.Inc() }

@@ -268,64 +268,6 @@ func (m *VirtHybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	return m.routeVirtual(req, res)
 }
 
-// RouteBatch implements pipeline.BatchFrontEnd with the same quiet-probe /
-// commit discipline as the native hybrid MMU: non-synonym accesses (and
-// filter false positives) with a mapped, permission-satisfying guest page
-// decode purely, as do true synonyms hitting the synonym TLB; 2D walks and
-// OS faults stop the run for the scalar path.
-func (m *VirtHybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		req := &reqs[i]
-		isWrite := req.Kind == cache.Write
-		pr := m.pair(req.Proc)
-		if !pr.ProbeQuiet(req.VA) {
-			perm := fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 2)
-			pr.CountNonCandidates(1)
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		st := m.synTLB[req.Core]
-		e, hit := st.Probe(req.Proc.ASID, req.VA.Page())
-		if !hit {
-			break // 2D nested walk: impure
-		}
-		if e.NonSynonym {
-			perm := fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 2)
-			pr.IsCandidate(req.VA)
-			m.SynonymCandidates.Inc()
-			m.Acc.Access(energy.SynonymTLB, 1)
-			res[i].Latency += st.Config().Latency
-			st.Lookup(req.Proc.ASID, req.VA.Page())
-			m.FalsePositives.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if isWrite && !e.Perm.AllowsWrite() {
-			break
-		}
-		m.Acc.Access(energy.SynonymFilter, 2)
-		pr.IsCandidate(req.VA)
-		m.SynonymCandidates.Inc()
-		m.Acc.Access(energy.SynonymTLB, 1)
-		res[i].Latency += st.Config().Latency
-		st.Lookup(req.Proc.ASID, req.VA.Page())
-		m.TrueSynonymAccesses.Inc()
-		ma := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
-		dec[i] = pipeline.GoPhysical(ma, e.Perm)
-	}
-	return i
-}
-
 // routeSynonym: TLB (gVA->MA) before L1, filled by 2D walks.
 func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 	st := m.synTLB[req.Core]
@@ -451,7 +393,7 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 	}
 	m.TwoStepXlations.Inc()
 	// Guest step: gVA -> gPA.
-	g := m.xlate(m.guestXlate[proc.ASID.VMID()], proc.ASID, gva)
+	g := m.guestXlate[proc.ASID.VMID()].Translate(proc.ASID, gva)
 	m.Acc.Access(energy.IndexCache, uint64(g.ICProbes))
 	m.Acc.Access(energy.SegmentTable, 1)
 	lat += g.Latency
@@ -464,7 +406,7 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 	}
 	gpa := addr.GPA(g.PA)
 	// Host step: gPA -> MA.
-	h := m.xlate(m.hostXlate, hostASIDOf(proc.ASID.VMID()), addr.VA(gpa))
+	h := m.hostXlate.Translate(hostASIDOf(proc.ASID.VMID()), addr.VA(gpa))
 	m.Acc.Access(energy.IndexCache, uint64(h.ICProbes))
 	m.Acc.Access(energy.SegmentTable, 1)
 	lat += h.Latency
@@ -503,15 +445,6 @@ func (m *VirtHybridMMU) fillSC(proc *osmodel.Process, gva addr.VA, gseg, hseg *s
 		return // non-contiguous composition; stay conservative
 	}
 	m.sc.Fill(asid, gva, maBase, fillPerm(proc, gva))
-}
-
-// xlate runs one segment translation step, on the translator's scratch
-// path buffer when the engine is in batched (allocation-free) mode.
-func (m *VirtHybridMMU) xlate(tr *segment.Translator, asid addr.ASID, va addr.VA) segment.TranslateResult {
-	if m.ScratchMode() {
-		return tr.TranslateReuse(asid, va)
-	}
-	return tr.Translate(asid, va)
 }
 
 // hostASIDOf mirrors virt's host pseudo-ASID convention.

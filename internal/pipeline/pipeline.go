@@ -13,8 +13,10 @@
 //
 // The paper's organizations are all compositions of these stages; each one
 // supplies its Route/Finish hooks and inherits the shared fault, energy
-// and statistics plumbing plus the scalar Access and batched AccessBatch
-// entry points from the Engine.
+// and statistics plumbing from the Engine. Every reference takes one entry
+// path, Route -> cache stage -> Finish, in two forms: Access runs it for
+// one reference, and AccessBatch runs it for each element of a
+// caller-provided slice without allocating.
 package pipeline
 
 import (
@@ -98,11 +100,6 @@ type Base struct {
 	walkFaulter WalkFaulter
 	// WalkRetries counts transient walk failures that were retried.
 	WalkRetries stats.Counter
-
-	// scratchMode routes hierarchy accesses through the allocation-free
-	// scratch variants. The Engine sets it for the duration of an
-	// AccessBatch; results are identical either way.
-	scratchMode bool
 }
 
 // NewBase builds the shared substrate.
@@ -119,11 +116,6 @@ func NewBase(hcfg cache.HierarchyConfig, dcfg mem.DRAMConfig, model energy.Model
 // (the parity experiment, benchmarks) reach the shared counters without a
 // per-organization type switch.
 func (b *Base) BaseState() *Base { return b }
-
-// ScratchMode reports whether the engine is inside a batched access, so
-// stages can pick allocation-free variants of their structures (e.g. the
-// segment translator's reusable walk path).
-func (b *Base) ScratchMode() bool { return b.scratchMode }
 
 // Probe returns the attached probe, or nil when observability is off.
 // Stages guard every emission with this nil-check, which is the entire
@@ -142,21 +134,11 @@ func (b *Base) SetProbe(p Probe) { b.probe = p }
 // walks) simply never consult it.
 func (b *Base) SetWalkFaulter(f WalkFaulter) { b.walkFaulter = f }
 
-// hierAccess routes one hierarchy access through the plain or scratch
-// variant by mode. Scratch results alias a hierarchy-owned writeback
-// buffer that the next access overwrites.
-func (b *Base) hierAccess(core int, kind cache.AccessKind, n addr.Name, perm addr.Perm) cache.AccessResult {
-	if b.scratchMode {
-		return b.Hier.AccessScratch(core, kind, n, perm)
-	}
-	return b.Hier.Access(core, kind, n, perm)
-}
-
 // PhysAccess performs a physically addressed access (synonym data, PTE
 // fetches, baseline data) through the hierarchy and DRAM, returning the
 // latency and whether the LLC missed.
 func (b *Base) PhysAccess(core int, kind cache.AccessKind, pa addr.PA, perm addr.Perm) (uint64, cache.AccessResult) {
-	res := b.hierAccess(core, kind, addr.PhysName(pa), perm)
+	res := b.Hier.AccessScratch(core, kind, addr.PhysName(pa), perm)
 	lat := res.Latency
 	if res.LLCMiss {
 		lat += b.DRAM.Access(pa)

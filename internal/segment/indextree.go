@@ -206,8 +206,8 @@ func (t *IndexTree) Lookup(asid addr.ASID, va addr.VA) (ID, []addr.PA) {
 }
 
 // LookupInto is Lookup appending the visited node addresses into path
-// (reusing its backing array) instead of allocating per walk; callers on
-// the batched hot path pass a scratch slice they own.
+// (reusing its backing array) instead of allocating per walk; the
+// translator passes a scratch slice it owns.
 func (t *IndexTree) LookupInto(asid addr.ASID, va addr.VA, path []addr.PA) (ID, []addr.PA) {
 	if t.root == nil {
 		return NoID, path

@@ -215,8 +215,9 @@ type Translator struct {
 	// WalkDepth records nodes visited per walk.
 	WalkDepth *stats.Histogram
 
-	// pathScratch backs TranslateReuse walks so the batched hot path does
-	// not allocate a node-path slice per index tree walk.
+	// pathScratch backs index tree walks so a translation does not
+	// allocate a node-path slice. A translator serves one memory system,
+	// so the buffer is not contended.
 	pathScratch []addr.PA
 }
 
@@ -233,18 +234,6 @@ func NewTranslator(cfg TranslatorConfig, sc *SegCache, ic *IndexCache, mgr *Mana
 
 // Translate resolves (asid, va) to a physical address after an LLC miss.
 func (tr *Translator) Translate(asid addr.ASID, va addr.VA) TranslateResult {
-	return tr.translate(asid, va, false)
-}
-
-// TranslateReuse is Translate with the index walk path on a
-// translator-owned scratch buffer — the allocation-free variant the
-// batched hot path uses. A translator serves one memory system, so the
-// buffer is not contended.
-func (tr *Translator) TranslateReuse(asid addr.ASID, va addr.VA) TranslateResult {
-	return tr.translate(asid, va, true)
-}
-
-func (tr *Translator) translate(asid addr.ASID, va addr.VA, reuse bool) TranslateResult {
 	var res TranslateResult
 	if tr.SC != nil {
 		res.Latency += tr.cfg.SCLatency
@@ -257,14 +246,8 @@ func (tr *Translator) translate(asid addr.ASID, va addr.VA, reuse bool) Translat
 		}
 	}
 	tr.Walks.Inc()
-	var id ID
-	var path []addr.PA
-	if reuse {
-		id, path = tr.Mgr.Tree.LookupInto(asid, va, tr.pathScratch[:0])
-		tr.pathScratch = path
-	} else {
-		id, path = tr.Mgr.Tree.Lookup(asid, va)
-	}
+	id, path := tr.Mgr.Tree.LookupInto(asid, va, tr.pathScratch[:0])
+	tr.pathScratch = path
 	tr.WalkDepth.Observe(uint64(len(path)))
 	for _, nodePA := range path {
 		res.ICProbes++

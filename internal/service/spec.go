@@ -20,9 +20,6 @@ import (
 
 	"hybridvc"
 	"hybridvc/experiments"
-	"hybridvc/internal/cache"
-	"hybridvc/internal/core"
-	"hybridvc/internal/segment"
 	"hybridvc/internal/workload"
 )
 
@@ -145,19 +142,13 @@ func (s *JobSpec) checkLimits() error {
 		return fmt.Errorf("instructions %d exceeds the limit of %d", s.Instructions, MaxInstructions)
 	}
 	for _, f := range []struct {
-		name     string
-		v, max   int
-		geometry func(int) error
+		name   string
+		v, max int
+		size   hybridvc.Size
 	}{
-		{"llc_bytes", s.LLCBytes, MaxLLCBytes, func(n int) error {
-			cfg := cache.DefaultHierarchyConfig(1).LLC
-			cfg.SizeBytes = n
-			return cfg.Validate()
-		}},
-		{"delayed_tlb_entries", s.DelayedTLBEntries, MaxDelayedTLBEntries,
-			func(n int) error { return core.DelayedTLBConfig(n).Validate() }},
-		{"index_cache_bytes", s.IndexCacheBytes, MaxIndexCacheBytes,
-			func(n int) error { return segment.IndexCacheConfig(n).Validate() }},
+		{"llc_bytes", s.LLCBytes, MaxLLCBytes, hybridvc.LLCSize},
+		{"delayed_tlb_entries", s.DelayedTLBEntries, MaxDelayedTLBEntries, hybridvc.DelayedTLBSize},
+		{"index_cache_bytes", s.IndexCacheBytes, MaxIndexCacheBytes, hybridvc.IndexCacheSize},
 	} {
 		if f.v == 0 {
 			continue
@@ -165,7 +156,7 @@ func (s *JobSpec) checkLimits() error {
 		if f.v < 0 || f.v > f.max {
 			return fmt.Errorf("%s %d is outside the limit of 1..%d (0 takes the default)", f.name, f.v, f.max)
 		}
-		if err := f.geometry(f.v); err != nil {
+		if err := hybridvc.CheckSize(f.size, f.v); err != nil {
 			return fmt.Errorf("%s %d: %v", f.name, f.v, err)
 		}
 	}

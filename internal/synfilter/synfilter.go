@@ -93,18 +93,10 @@ func (f *Filter) IsCandidate(va addr.VA) bool {
 }
 
 // ProbeQuiet classifies without statistics (used by assertions in tests
-// and by the batched route path, which probes quietly first and commits
-// statistics afterwards via CountNonCandidates).
+// and by the fault checker).
 func (f *Filter) ProbeQuiet(va addr.VA) bool {
 	return f.fine.Contains(uint64(va)>>FineBits) &&
 		f.coarse.Contains(uint64(va)>>CoarseBits)
-}
-
-// CountNonCandidates commits the statistics of n quietly probed queries
-// that all reported non-candidate, exactly as n IsCandidate calls would
-// have: n lookups, no candidates.
-func (f *Filter) CountNonCandidates(n uint64) {
-	f.Lookups.Add(n)
 }
 
 // Clear empties both filters. Removing a synonym page does not clear bits
@@ -182,19 +174,4 @@ func (p *Pair) IsCandidate(va addr.VA) bool {
 		p.Candidates.Inc()
 	}
 	return hit
-}
-
-// ProbeQuiet classifies against the pair without statistics.
-func (p *Pair) ProbeQuiet(va addr.VA) bool {
-	return p.Guest.ProbeQuiet(va) || p.Host.ProbeQuiet(va)
-}
-
-// CountNonCandidates commits the statistics of n quietly probed queries
-// that all reported non-candidate, exactly as n IsCandidate calls would
-// have: the short-circuit OR probes the guest and then the host filter for
-// every non-candidate, so both members count n lookups, as does the pair.
-func (p *Pair) CountNonCandidates(n uint64) {
-	p.Lookups.Add(n)
-	p.Guest.CountNonCandidates(n)
-	p.Host.CountNonCandidates(n)
 }

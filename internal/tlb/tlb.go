@@ -112,23 +112,6 @@ func (t *TLB) Probe(asid addr.ASID, vpn uint64) (*Entry, bool) {
 	return nil, false
 }
 
-// Touch promotes a Probe hit to a full Lookup hit: it advances the clock,
-// stamps the entry's LRU, and records the hit, exactly as Lookup would —
-// without rescanning the set. Batched front ends probe quietly to decide
-// purity and then commit the hit through Touch in one pass.
-func (t *TLB) Touch(e *Entry) {
-	t.tick++
-	e.lru = t.tick
-	t.Stats.Hit()
-}
-
-// RecordMiss commits the clock tick and statistics of a Lookup miss whose
-// scan a batched front end already performed via Probe.
-func (t *TLB) RecordMiss() {
-	t.tick++
-	t.Stats.Miss()
-}
-
 // Insert installs an entry, evicting the set's LRU victim if needed.
 // The returned victim is valid only when evicted is true.
 func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
