@@ -119,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLeafRunsMatchWords -fuzztime=10s ./internal/pagetable
 	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s ./internal/service/store
 	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/service
+	$(GO) test -run=NONE -fuzz=FuzzSubmitHandler -fuzztime=10s ./internal/service
 
 # bench runs the repository benchmark (bench/, see bench/README.md) once
 # on every workload BENCHMARK.json declares, with tracing off: each run

@@ -16,11 +16,18 @@
 //	GET    /healthz, /readyz      liveness; readiness (503 draining/overloaded)
 //	GET    /metrics               Prometheus text exposition
 //
+// Sweep jobs run concurrently, each under its own context and checkpoint
+// journal, and share one pool of GOMAXPROCS cell slots. A job that fails
+// — an error, a panic, or its -job-timeout — is reported as failed and
+// never retried: the simulator is deterministic, so a rerun would fail
+// the same way.
+//
 // SIGTERM/SIGINT drains gracefully: submissions are refused, running
-// simulations quiesce at a chunk boundary, running sweeps checkpoint
-// completed cells into the spool dir (resubmitting the same spec after a
-// restart resumes), and the process exits once the workers finish or the
-// drain timeout expires.
+// simulations and sweep cells quiesce at a chunk boundary, running sweeps
+// keep their completed cells journaled in the spool dir (resubmitting the
+// same spec after a restart resumes), and the process exits once the
+// workers finish or the drain timeout expires. A default spool dir (no
+// -spool) is removed on drain, since no later process could find it.
 //
 // With -store DIR, results are also kept on disk and survive restarts.
 // Several daemons given the same -store directory serve each other's
@@ -54,10 +61,7 @@ func main() {
 	cacheEntries := flag.Int("cache", 1024, "content-addressed result cache entries")
 	rate := flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
 	burst := flag.Int("burst", 10, "per-client submission burst")
-	cellTimeout := flag.Duration("cell-timeout", 0, "abandon a job cell attempt after this long (0 = unbounded)")
-	retries := flag.Int("retries", 0, "re-run transiently failed cells up to this many times")
-	backoff := flag.Duration("retry-backoff", 0, "base pause between retry attempts (default 100ms)")
-	spool := flag.String("spool", "", "sweep checkpoint spool directory (default: per-process temp dir)")
+	spool := flag.String("spool", "", "sweep checkpoint spool directory (default: per-process temp dir, removed on drain)")
 	storeDir := flag.String("store", "", "durable result store directory (empty = memory-only cache)")
 	storeTTL := flag.Duration("store-ttl", 24*time.Hour, "expire store records this long after write (< 0 = never)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "store size budget, oldest records evicted first (< 0 = unbounded)")
@@ -83,9 +87,6 @@ func main() {
 		CacheEntries: *cacheEntries,
 		RatePerSec:   *rate,
 		RateBurst:    *burst,
-		CellTimeout:  *cellTimeout,
-		Retries:      *retries,
-		RetryBackoff: *backoff,
 		SpoolDir:     *spool,
 		Logger:       logger,
 

@@ -9,9 +9,16 @@
 // (-jobs, default GOMAXPROCS); results are deterministic regardless of
 // the worker count.
 //
+// Ctrl-C or SIGTERM cancels the sweep: running cells stop at their next
+// chunk boundary and the command exits once they have returned. With
+// -checkpoint every completed cell is journaled, so running the same
+// command again resumes where the sweep stopped. A failing cell is
+// reported and fails the run; nothing is retried, since the simulator is
+// deterministic.
+//
 // Usage:
 //
-//	tablegen [-exp <name>|all] [-full] [-jobs N] [-out dir] [-list]
+//	tablegen [-exp <name>|all] [-full] [-jobs N] [-out dir] [-checkpoint file] [-list] [-v]
 package main
 
 import (
@@ -37,9 +44,6 @@ func main() {
 	list := flag.Bool("list", false, "list the registered experiments and exit")
 	verbose := flag.Bool("v", false, "report per-cell sweep progress on stderr")
 	ckpt := flag.String("checkpoint", "", "journal completed cells to this NDJSON file and resume from it")
-	cellTimeout := flag.Duration("cell-timeout", 0, "abandon a sweep cell attempt after this long (0 = unbounded)")
-	retries := flag.Int("retries", 0, "re-run a cell after a transient failure up to this many times")
-	backoff := flag.Duration("retry-backoff", 0, "base pause between retry attempts (default 100ms)")
 	version := buildinfo.Flag()
 	flag.Parse()
 	buildinfo.HandleFlag(version, "tablegen")
@@ -57,22 +61,18 @@ func main() {
 		}
 	}
 
-	// Ctrl-C (or SIGTERM) cancels the sweep context: workers stop
-	// promptly, and with -checkpoint the completed cells are already
-	// journaled, so re-running the same command resumes where it stopped.
+	// Ctrl-C (or SIGTERM) cancels the sweep context: running cells stop
+	// at a chunk boundary, and with -checkpoint the completed cells are
+	// already journaled, so re-running the same command resumes where it
+	// stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	experiments.SetContext(ctx)
-	experiments.SetCheckpoint(*ckpt)
-	experiments.SetCellTimeout(*cellTimeout)
-	experiments.SetRetry(*retries, *backoff)
-
-	experiments.SetJobs(*jobs)
+	opts := experiments.RunOptions{Ctx: ctx, Checkpoint: *ckpt, Pool: experiments.NewPool(*jobs)}
 	if *verbose {
-		experiments.SetProgress(func(done, total int, label string, elapsed time.Duration) {
+		opts.Progress = func(done, total int, label string, elapsed time.Duration) {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-40s %8v\n", done, total, label,
 				elapsed.Round(time.Millisecond))
-		})
+		}
 	}
 
 	scale := experiments.Quick
@@ -95,7 +95,7 @@ func main() {
 	sweepStart := time.Now()
 	for _, e := range selected {
 		start := time.Now()
-		tables, err := e.Run(scale)
+		tables, err := e.Run(scale, opts)
 		if err != nil {
 			fail(fmt.Errorf("experiment %s: %w", e.Name, err))
 		}
@@ -112,7 +112,7 @@ func main() {
 	}
 	if len(selected) > 1 {
 		fmt.Printf("[sweep of %d experiments completed in %v with %d workers]\n",
-			len(selected), time.Since(sweepStart).Round(time.Millisecond), experiments.Jobs())
+			len(selected), time.Since(sweepStart).Round(time.Millisecond), cap(opts.Pool))
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -78,7 +79,7 @@ func a1Designs() []FilterDesign {
 // design against simpler filters: a single fine filter, a single coarse
 // filter, and a one-hash variant. It marks realistic shared ranges (8-page
 // regions) and measures false positives over a disjoint probe stream.
-func AblationFilterDesign(scale Scale) (*stats.Table, error) {
+func AblationFilterDesign(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(200_000, 2_000_000)
 	labels := make([]string, len(a1Designs()))
 	var cells []Cell
@@ -87,7 +88,7 @@ func AblationFilterDesign(scale Scale) (*stats.Table, error) {
 		labels[di] = label
 		cells = append(cells, Cell{
 			Label: "ablation-a1/" + label,
-			Fn: func() (any, error) {
+			Fn: func(context.Context) (any, error) {
 				// Rebuild the filters inside the cell: probes are
 				// read-only, but self-contained cells need no sharing.
 				d := a1Designs()[di]
@@ -106,7 +107,7 @@ func AblationFilterDesign(scale Scale) (*stats.Table, error) {
 			},
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +134,7 @@ func containsOne(f *bloom.Filter, granule uint64) bool {
 // AblationSegmentCache quantifies the segment cache's contribution (the
 // Figure 9 with/without-SC pair) on a friendly and an adversarial
 // workload.
-func AblationSegmentCache(scale Scale) (*stats.Table, error) {
+func AblationSegmentCache(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(40_000, 500_000)
 	workloads := []string{"stream", "gups"}
 	orgs := []hybridvc.Organization{hybridvc.HybridManySeg, hybridvc.HybridManySegSC}
@@ -148,7 +149,7 @@ func AblationSegmentCache(scale Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +175,7 @@ type walkStats struct {
 // SegmentWalkLatency reports the delayed many-segment translation latency
 // distribution, validating the paper's ~20-cycle estimate (<=4 index cache
 // probes at 3 cycles plus a 7-cycle segment table access).
-func SegmentWalkLatency(scale Scale) (*stats.Table, error) {
+func SegmentWalkLatency(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(60_000, 500_000)
 	cells := []Cell{{
 		Label:        "latency/xalancbmk/many-segment",
@@ -190,7 +191,7 @@ func SegmentWalkLatency(scale Scale) (*stats.Table, error) {
 			}, nil
 		},
 	}}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/baseline"
@@ -15,7 +16,7 @@ import (
 
 // consolidationCell runs the two-VM dual-core consolidation scenario with
 // either the 2D-walk baseline or the virtualized hybrid memory system.
-func consolidationCell(hybrid bool, n uint64) (uint64, error) {
+func consolidationCell(ctx context.Context, hybrid bool, n uint64) (uint64, error) {
 	wls := [2]string{"mcf", "omnetpp"}
 	hv := virt.NewHypervisor(32 << 30)
 	vmA, err := hv.NewVM(4<<30, 2)
@@ -49,7 +50,11 @@ func consolidationCell(hybrid bool, n uint64) (uint64, error) {
 		gens = append(gens, g...)
 	}
 	s := sim.New(sim.Config{CPU: cpu.DefaultConfig(), FetchEvery: 8, Timeslice: 50_000, Interleave: 128}, ms, gens)
-	return s.Run(n).Cycles, nil
+	rep, err := s.RunContext(ctx, n)
+	if err != nil {
+		return 0, err
+	}
+	return rep.Cycles, nil
 }
 
 // Consolidation runs two virtual machines on one dual-core processor —
@@ -57,13 +62,13 @@ func consolidationCell(hybrid bool, n uint64) (uint64, error) {
 // 2D-walk baseline against the virtualized hybrid design. VMID-extended
 // ASIDs keep the VMs' virtually named lines apart while they share the
 // LLC and the delayed translation hardware.
-func Consolidation(scale Scale) (*stats.Table, error) {
+func Consolidation(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(25_000, 400_000)
 	cells := []Cell{
-		{Label: "consolidation/2d-baseline", Fn: func() (any, error) { return consolidationCell(false, n) }},
-		{Label: "consolidation/virt-hybrid", Fn: func() (any, error) { return consolidationCell(true, n) }},
+		{Label: "consolidation/2d-baseline", Fn: func(ctx context.Context) (any, error) { return consolidationCell(ctx, false, n) }},
+		{Label: "consolidation/virt-hybrid", Fn: func(ctx context.Context) (any, error) { return consolidationCell(ctx, true, n) }},
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,8 @@
 package experiments
 
 import (
+	"context"
+
 	"hybridvc/internal/cache"
 	"hybridvc/internal/core"
 	"hybridvc/internal/workload"
@@ -36,8 +38,9 @@ func (s Scale) pick(quick, full uint64) uint64 {
 // driveMem replays n instructions per generator through the memory system
 // without the timing cores — the paper's Pin-style trace model (used for
 // Tables I-III and the structure-sensitivity figures, where only access
-// counts matter). Generators round-robin over the system's cores.
-func driveMem(ms core.MemSystem, gens []*workload.Generator, n uint64) {
+// counts matter). Generators round-robin over the system's cores. It
+// checks ctx once per chunk and returns its cause once it is cancelled.
+func driveMem(ctx context.Context, ms core.MemSystem, gens []*workload.Generator, n uint64) error {
 	cores := ms.Hierarchy().NumCores()
 	const chunk = 256
 	done := make([]uint64, len(gens))
@@ -48,6 +51,9 @@ func driveMem(ms core.MemSystem, gens []*workload.Generator, n uint64) {
 				continue
 			}
 			remaining = true
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
+			}
 			c := gi % cores
 			for i := 0; i < chunk && done[gi] < n; i++ {
 				in := g.Next()
@@ -63,4 +69,5 @@ func driveMem(ms core.MemSystem, gens []*workload.Generator, n uint64) {
 			}
 		}
 	}
+	return nil
 }

@@ -21,7 +21,7 @@ func skipIfRace(t *testing.T) {
 
 func TestTableIShape(t *testing.T) {
 	skipIfRace(t)
-	rows, table, err := TableI(Quick)
+	rows, table, err := TableI(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTableIShape(t *testing.T) {
 
 func TestTableIIShape(t *testing.T) {
 	skipIfRace(t)
-	rows, _, err := TableII(Quick)
+	rows, _, err := TableII(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTableIIShape(t *testing.T) {
 
 func TestTableIIIShape(t *testing.T) {
 	skipIfRace(t)
-	rows, _, err := TableIII(Quick)
+	rows, _, err := TableIII(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTableIIIShape(t *testing.T) {
 
 func TestFigure4Shape(t *testing.T) {
 	skipIfRace(t)
-	series, _, err := Figure4(Quick)
+	series, _, err := Figure4(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure7Shape(t *testing.T) {
 	skipIfRace(t)
-	a, _, err := Figure7a(Quick)
+	a, _, err := Figure7a(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFigure7Shape(t *testing.T) {
 		}
 	}
 
-	b, _, err := Figure7b(Quick)
+	b, _, err := Figure7b(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestFigure9Shape(t *testing.T) {
 	skipIfRace(t)
-	results, _, err := Figure9(Quick)
+	results, _, err := Figure9(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestFigure9Shape(t *testing.T) {
 
 func TestFigure10Shape(t *testing.T) {
 	skipIfRace(t)
-	results, _, err := Figure10(Quick)
+	results, _, err := Figure10(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFigure11Shape(t *testing.T) {
 	skipIfRace(t)
-	results, _, err := Figure11(Quick)
+	results, _, err := Figure11(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,28 +346,28 @@ func TestFigure11Shape(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	skipIfRace(t)
-	a1, err := AblationFilterDesign(Quick)
+	a1, err := AblationFilterDesign(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1.NumRows() != 4 {
 		t.Errorf("A1 rows = %d", a1.NumRows())
 	}
-	a2, err := AblationSegmentCache(Quick)
+	a2, err := AblationSegmentCache(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a2.NumRows() != 2 {
 		t.Errorf("A2 rows = %d", a2.NumRows())
 	}
-	a3, err := AblationHugePages(Quick)
+	a3, err := AblationHugePages(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a3.NumRows() != 2 {
 		t.Errorf("A3 rows = %d", a3.NumRows())
 	}
-	lat, err := SegmentWalkLatency(Quick)
+	lat, err := SegmentWalkLatency(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestAblationsRun(t *testing.T) {
 
 func TestMulticoreShape(t *testing.T) {
 	skipIfRace(t)
-	results, _, err := Multicore(Quick)
+	results, _, err := Multicore(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestScalePick(t *testing.T) {
 
 func TestAblationSerialParallel(t *testing.T) {
 	skipIfRace(t)
-	a4, err := AblationSerialParallel(Quick)
+	a4, err := AblationSerialParallel(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

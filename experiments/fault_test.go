@@ -16,9 +16,7 @@ func TestGoldenFaultSweep(t *testing.T) {
 	golden := filepath.Join("testdata", "faults_quick.golden")
 
 	for _, jobs := range []int{1, 8} {
-		prev := SetJobs(jobs)
-		tbl, err := FaultSweep(Quick)
-		SetJobs(prev)
+		tbl, err := FaultSweep(Quick, RunOptions{Pool: NewPool(jobs)})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

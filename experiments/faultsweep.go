@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -24,7 +25,7 @@ const faultWorkload = "postgres"
 // byte-stable — the golden test pins that injected faults are fully
 // deterministic (same seed, same schedule, same perturbed timings) for
 // any worker count.
-func FaultSweep(s Scale) (*stats.Table, error) {
+func FaultSweep(s Scale, opts RunOptions) (*stats.Table, error) {
 	insns := s.pick(20_000, 100_000)
 	simCfg := sim.DefaultConfig()
 	simCfg.Timeslice = 10_000
@@ -44,7 +45,7 @@ func FaultSweep(s Scale) (*stats.Table, error) {
 		addCell(hybridvc.HybridManySegSC, k.String(), []fault.Kind{k})
 	}
 
-	results, err := runCells(cells)
+	results, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -58,8 +59,8 @@ func FaultSweep(s Scale) (*stats.Table, error) {
 }
 
 // faultCell builds, perturbs and audits one organization.
-func faultCell(org hybridvc.Organization, label string, kinds []fault.Kind, simCfg sim.Config, insns uint64) func() (any, error) {
-	return func() (any, error) {
+func faultCell(org hybridvc.Organization, label string, kinds []fault.Kind, simCfg sim.Config, insns uint64) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
 		sys, err := hybridvc.New(hybridvc.Config{Org: org, Cores: 1, Sim: simCfg})
 		if err != nil {
 			return nil, err
@@ -71,7 +72,7 @@ func faultCell(org hybridvc.Organization, label string, kinds []fault.Kind, simC
 		if err := sys.LoadWorkload(faultWorkload); err != nil {
 			return nil, err
 		}
-		rep, err := sys.Run(insns)
+		rep, err := sys.RunContext(ctx, insns)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ type Figure10Result struct {
 // Figure10 reproduces the virtualized performance comparison of Section
 // VI: the hybrid design hides the two-dimensional translation cost behind
 // the LLC (the paper reports +31.7% on memory-intensive workloads).
-func Figure10(scale Scale) ([]Figure10Result, *stats.Table, error) {
+func Figure10(scale Scale, opts RunOptions) ([]Figure10Result, *stats.Table, error) {
 	n := scale.pick(40_000, 1_000_000)
 	orgs := []hybridvc.Organization{hybridvc.Virt2D, hybridvc.VirtHybrid}
 	var cells []Cell
@@ -41,7 +41,7 @@ func Figure10(scale Scale) ([]Figure10Result, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

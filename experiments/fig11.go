@@ -24,7 +24,7 @@ type Figure11Result struct {
 // baseline pays a TLB lookup on every reference while the hybrid design
 // pays a Bloom-filter probe and touches large structures only after LLC
 // misses.
-func Figure11(scale Scale) ([]Figure11Result, *stats.Table, error) {
+func Figure11(scale Scale, opts RunOptions) ([]Figure11Result, *stats.Table, error) {
 	n := scale.pick(60_000, 1_000_000)
 	orgs := []hybridvc.Organization{hybridvc.Baseline, hybridvc.HybridManySegSC}
 	var cells []Cell
@@ -38,7 +38,7 @@ func Figure11(scale Scale) ([]Figure11Result, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/core"
@@ -28,7 +29,7 @@ type Figure4Series struct {
 // workloads (gups, milc, mcf) even a 32K-entry delayed TLB barely reduces
 // misses — fixed-granularity delayed translation does not scale. Each
 // (workload × size) point is one trace-model cell on the sweep runner.
-func Figure4(scale Scale) ([]Figure4Series, *stats.Table, error) {
+func Figure4(scale Scale, opts RunOptions) ([]Figure4Series, *stats.Table, error) {
 	n := scale.pick(150_000, 2_000_000)
 	var cells []Cell
 	for _, name := range Figure4Workloads {
@@ -36,7 +37,7 @@ func Figure4(scale Scale) ([]Figure4Series, *stats.Table, error) {
 			name, size := name, size
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("fig4/%s/%d", name, size),
-				Fn: func() (any, error) {
+				Fn: func(ctx context.Context) (any, error) {
 					k := osmodel.NewKernel(osmodel.Config{PhysBytes: 16 << 30})
 					cfg := core.DefaultHybridConfig(1)
 					cfg.Delayed = core.DelayedPageTLB
@@ -46,7 +47,9 @@ func Figure4(scale Scale) ([]Figure4Series, *stats.Table, error) {
 					if err != nil {
 						return nil, fmt.Errorf("fig4 %s: %w", name, err)
 					}
-					driveMem(ms, gens, n)
+					if err := driveMem(ctx, ms, gens, n); err != nil {
+						return nil, err
+					}
 					var insns uint64
 					for _, g := range gens {
 						insns += g.Emitted()
@@ -56,7 +59,7 @@ func Figure4(scale Scale) ([]Figure4Series, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -31,7 +32,7 @@ var figure7SingleWorkloads = []string{"mcf", "xalancbmk", "tigr", "omnetpp", "me
 
 // fig7aCell measures one (workload set × index cache size) point: hybrid
 // MMU with the segment cache disabled, x10 external fragmentation.
-func fig7aCell(names []string, cores, size int, n uint64) (float64, error) {
+func fig7aCell(ctx context.Context, names []string, cores, size int, n uint64) (float64, error) {
 	k := osmodel.NewKernel(osmodel.Config{PhysBytes: 32 << 30})
 	cfg := core.DefaultHybridConfig(cores)
 	cfg.Delayed = core.DelayedSegments
@@ -55,14 +56,16 @@ func fig7aCell(names []string, cores, size int, n uint64) (float64, error) {
 			}
 		}
 	}
-	driveMem(ms, gens, n)
+	if err := driveMem(ctx, ms, gens, n); err != nil {
+		return 0, err
+	}
 	return ms.Translator().IC.Stats().HitRate(), nil
 }
 
 // Figure7a measures index cache hit rates for real workloads (single
 // applications and a quad-core multiprogrammed mix), with each segment
 // artificially broken into 10 to add external fragmentation.
-func Figure7a(scale Scale) ([]Figure7Series, *stats.Table, error) {
+func Figure7a(scale Scale, opts RunOptions) ([]Figure7Series, *stats.Table, error) {
 	n := scale.pick(60_000, 1_000_000)
 	sizes := Figure7Sizes
 	if scale == Quick {
@@ -89,13 +92,13 @@ func Figure7a(scale Scale) ([]Figure7Series, *stats.Table, error) {
 			cv, size := cv, size
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("fig7a/%s/%d", cv.label, size),
-				Fn: func() (any, error) {
-					return fig7aCell(cv.names, cv.cores, size, n)
+				Fn: func(ctx context.Context) (any, error) {
+					return fig7aCell(ctx, cv.names, cv.cores, size, n)
 				},
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,7 +164,7 @@ func fig7bCell(segs int, incremental bool, size int, n uint64) (float64, error) 
 // perfectly packed tree (≈25 KiB — it fits a 32 KiB index cache entirely)
 // and an incrementally maintained tree at its natural ~2/3 fill factor,
 // which reproduces the paper's 75.5%-at-32 KiB figure.
-func Figure7b(scale Scale) ([]Figure7Series, *stats.Table, error) {
+func Figure7b(scale Scale, opts RunOptions) ([]Figure7Series, *stats.Table, error) {
 	n := scale.pick(200_000, 1_000_000)
 	curves := []struct {
 		label       string
@@ -178,13 +181,13 @@ func Figure7b(scale Scale) ([]Figure7Series, *stats.Table, error) {
 			cv, size := cv, size
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("fig7b/%s/%d", cv.label, size),
-				Fn: func() (any, error) {
+				Fn: func(context.Context) (any, error) {
 					return fig7bCell(cv.segs, cv.incremental, size, n)
 				},
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -46,7 +46,7 @@ type Figure9Result struct {
 // cores and reports speedup over the physically addressed baseline. The
 // (workload × configuration) grid runs as independent cells on the
 // parallel sweep runner.
-func Figure9(scale Scale) ([]Figure9Result, *stats.Table, error) {
+func Figure9(scale Scale, opts RunOptions) ([]Figure9Result, *stats.Table, error) {
 	n := scale.pick(40_000, 1_000_000)
 	workloads := Figure9Workloads
 	if scale == Quick {
@@ -68,7 +68,7 @@ func Figure9(scale Scale) ([]Figure9Result, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

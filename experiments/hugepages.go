@@ -13,7 +13,7 @@ import (
 // Huge pages multiply TLB reach 512x but still cap it (32 entries x 2 MiB
 // = 64 MiB here), while segments cover arbitrarily large contiguous
 // regions; the paper's Section IV argument in one table.
-func AblationHugePages(scale Scale) (*stats.Table, error) {
+func AblationHugePages(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(40_000, 500_000)
 	workloads := []string{"gups", "mcf"}
 	points := []struct {
@@ -39,7 +39,7 @@ func AblationHugePages(scale Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

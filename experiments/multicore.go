@@ -29,7 +29,7 @@ type MulticoreResult struct {
 // hybrid design. The shared LLC and the single shared index cache /
 // segment table are the contended resources (the paper notes one index
 // cache and segment table serve all cores).
-func Multicore(scale Scale) ([]MulticoreResult, *stats.Table, error) {
+func Multicore(scale Scale, opts RunOptions) ([]MulticoreResult, *stats.Table, error) {
 	n := scale.pick(25_000, 500_000)
 	orgs := []hybridvc.Organization{hybridvc.Baseline, hybridvc.HybridManySegSC}
 	var cells []Cell
@@ -43,7 +43,7 @@ func Multicore(scale Scale) ([]MulticoreResult, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

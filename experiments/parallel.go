@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/core"
@@ -23,7 +24,7 @@ type a4Result struct {
 // latency) or serially after the miss (saving the energy of translations
 // that an LLC hit would have made unnecessary). The paper chooses serial;
 // this table shows the latency/energy trade both ways.
-func AblationSerialParallel(scale Scale) (*stats.Table, error) {
+func AblationSerialParallel(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(40_000, 500_000)
 	workloads := []string{"omnetpp", "gups"}
 	modes := []bool{false, true}
@@ -37,7 +38,7 @@ func AblationSerialParallel(scale Scale) (*stats.Table, error) {
 			}
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("ablation-a4/%s/%s", wl, mode),
-				Fn: func() (any, error) {
+				Fn: func(ctx context.Context) (any, error) {
 					k := osmodel.NewKernel(osmodel.Config{PhysBytes: 16 << 30})
 					cfg := core.DefaultHybridConfig(1)
 					cfg.ParallelDelayed = parallel
@@ -47,7 +48,10 @@ func AblationSerialParallel(scale Scale) (*stats.Table, error) {
 						return nil, fmt.Errorf("a4 %s: %w", wl, err)
 					}
 					s := sim.New(sim.Config{CPU: cpu.DefaultConfig(), FetchEvery: 8, Timeslice: 50_000, Interleave: 128}, ms, gens)
-					rep := s.Run(n)
+					rep, err := s.RunContext(ctx, n)
+					if err != nil {
+						return nil, err
+					}
 					return a4Result{
 						cycles:    rep.Cycles,
 						delayed:   ms.DelayedTranslations.Value(),
@@ -57,7 +61,7 @@ func AblationSerialParallel(scale Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ var parityWorkloads = []string{"gups", "postgres"}
 // and byte-stable — the golden test in parity_test.go diffs it against a
 // checked-in rendering to prove that refactors of the access path leave
 // every organization's simulated behavior bit-identical.
-func Parity(s Scale) (*stats.Table, error) {
+func Parity(s Scale, opts RunOptions) (*stats.Table, error) {
 	insns := s.pick(30_000, 200_000)
 	simCfg := sim.DefaultConfig()
 	// A timeslice shorter than the window makes the multi-process cells
@@ -49,7 +49,7 @@ func Parity(s Scale) (*stats.Table, error) {
 			add(org, "postgres", 4)
 		}
 	}
-	results, err := runCells(cells)
+	results, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

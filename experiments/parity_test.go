@@ -19,9 +19,7 @@ func TestGoldenParity(t *testing.T) {
 	golden := filepath.Join("testdata", "parity_quick.golden")
 
 	for _, jobs := range []int{1, 8} {
-		prev := SetJobs(jobs)
-		tbl, err := Parity(Quick)
-		SetJobs(prev)
+		tbl, err := Parity(Quick, RunOptions{Pool: NewPool(jobs)})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

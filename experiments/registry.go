@@ -16,10 +16,10 @@ type Experiment struct {
 	Name string
 	// Description is a one-line summary shown by `tablegen -list`.
 	Description string
-	// Run regenerates the experiment's tables at the given scale. It
-	// returns an error instead of panicking; partial sweeps report every
-	// failed cell.
-	Run func(Scale) ([]*stats.Table, error)
+	// Run regenerates the experiment's tables at the given scale, running
+	// its cells under opts. It returns an error instead of panicking;
+	// partial sweeps report every failed cell.
+	Run func(Scale, RunOptions) ([]*stats.Table, error)
 }
 
 var (
@@ -82,9 +82,9 @@ func Usage() string {
 }
 
 // one adapts an experiment function returning a single table.
-func one(fn func(Scale) (*stats.Table, error)) func(Scale) ([]*stats.Table, error) {
-	return func(s Scale) ([]*stats.Table, error) {
-		t, err := fn(s)
+func one(fn func(Scale, RunOptions) (*stats.Table, error)) func(Scale, RunOptions) ([]*stats.Table, error) {
+	return func(s Scale, opts RunOptions) ([]*stats.Table, error) {
+		t, err := fn(s, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -93,9 +93,9 @@ func one(fn func(Scale) (*stats.Table, error)) func(Scale) ([]*stats.Table, erro
 }
 
 // drop adapts an experiment function returning (typed results, table).
-func drop[T any](fn func(Scale) (T, *stats.Table, error)) func(Scale) ([]*stats.Table, error) {
-	return func(s Scale) ([]*stats.Table, error) {
-		_, t, err := fn(s)
+func drop[T any](fn func(Scale, RunOptions) (T, *stats.Table, error)) func(Scale, RunOptions) ([]*stats.Table, error) {
+	return func(s Scale, opts RunOptions) ([]*stats.Table, error) {
+		_, t, err := fn(s, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -119,12 +119,12 @@ func init() {
 	Register(Experiment{"multicore", "Quad-core multiprogrammed mixes", drop(Multicore)})
 	Register(Experiment{"consolidation", "VM consolidation: two VMs on a dual-core processor", one(Consolidation)})
 	Register(Experiment{"latency", "Delayed many-segment translation walk statistics", one(SegmentWalkLatency)})
-	Register(Experiment{"ablations", "Ablations A1-A4: filter design, segment cache, huge pages, serial/parallel", func(s Scale) ([]*stats.Table, error) {
+	Register(Experiment{"ablations", "Ablations A1-A4: filter design, segment cache, huge pages, serial/parallel", func(s Scale, opts RunOptions) ([]*stats.Table, error) {
 		var tables []*stats.Table
-		for _, fn := range []func(Scale) (*stats.Table, error){
+		for _, fn := range []func(Scale, RunOptions) (*stats.Table, error){
 			AblationFilterDesign, AblationSegmentCache, AblationHugePages, AblationSerialParallel,
 		} {
-			t, err := fn(s)
+			t, err := fn(s, opts)
 			if err != nil {
 				return nil, err
 			}

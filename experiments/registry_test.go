@@ -7,7 +7,7 @@ import (
 	"hybridvc/internal/stats"
 )
 
-func noopRun(Scale) ([]*stats.Table, error) { return nil, nil }
+func noopRun(Scale, RunOptions) ([]*stats.Table, error) { return nil, nil }
 
 // removeExperiment undoes a test registration so registry-mutating tests
 // leave the canonical registry exactly as init built it.

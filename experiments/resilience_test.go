@@ -7,51 +7,33 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hybridvc"
+	"hybridvc/internal/stats"
 )
 
-// withKnobs resets every resilience knob after the test so the package-
-// level configuration cannot leak between tests.
-func withKnobs(t *testing.T) {
-	t.Helper()
-	prevCtx := SetContext(nil)
-	prevTimeout := SetCellTimeout(0)
-	prevRetries, prevBackoff := SetRetry(0, 0)
-	prevCkpt := SetCheckpoint("")
-	t.Cleanup(func() {
-		SetContext(prevCtx)
-		SetCellTimeout(prevTimeout)
-		SetRetry(prevRetries, prevBackoff)
-		SetCheckpoint(prevCkpt)
-	})
-}
-
 // fnCell builds a trivial Fn cell returning its own index.
-func fnCell(i int, fn func() (any, error)) Cell {
+func fnCell(i int, fn func(context.Context) (any, error)) Cell {
 	return Cell{Label: fmt.Sprintf("cell-%d", i), Fn: fn, DecodeValue: decodeStringRow}
 }
 
 // TestContextCancelStopsSweep proves cancellation is prompt: once the
-// context fires, pending cells never start and runCells reports the
-// interruption.
+// context fires, pending cells never start, running cells see it and
+// return before RunCells does, and RunCells reports the interruption.
 func TestContextCancelStopsSweep(t *testing.T) {
-	withKnobs(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	SetContext(ctx)
-	prev := SetJobs(2)
-	defer SetJobs(prev)
-
-	var started atomic.Int64
-	release := make(chan struct{})
+	var started, returned atomic.Int64
 	cells := make([]Cell, 16)
 	for i := range cells {
-		i := i
-		cells[i] = fnCell(i, func() (any, error) {
+		cells[i] = fnCell(i, func(ctx context.Context) (any, error) {
+			defer returned.Add(1)
 			started.Add(1)
-			<-release
-			return []string{fmt.Sprint(i)}, nil
+			<-ctx.Done()
+			return nil, ctx.Err()
 		})
 	}
 	go func() {
@@ -59,86 +41,150 @@ func TestContextCancelStopsSweep(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
-		close(release)
 	}()
-	_, err := runCells(cells)
+	_, err := RunCells(cells, RunOptions{Ctx: ctx, Pool: NewPool(2)})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
-	if n := started.Load(); n > 4 {
-		t.Errorf("%d cells started after prompt cancellation (2 workers)", n)
+	if n := started.Load(); n > 3 {
+		t.Errorf("%d cells started after prompt cancellation (2 slots)", n)
+	}
+	if s, r := started.Load(), returned.Load(); r != s {
+		t.Errorf("RunCells returned with %d of %d started cells still running", s-r, s)
 	}
 }
 
-// TestRetryRecoversTransientFailures proves the retry path: cells that
-// fail transiently (explicitly marked, or via panic) succeed within the
-// attempt budget, and non-transient failures are not retried.
-func TestRetryRecoversTransientFailures(t *testing.T) {
-	withKnobs(t)
-	SetRetry(3, time.Millisecond)
-
-	var transientTries, panicTries, fatalTries atomic.Int64
-	cells := []Cell{
-		fnCell(0, func() (any, error) {
-			if transientTries.Add(1) < 3 {
-				return nil, Transient(errors.New("injected hiccup"))
-			}
-			return []string{"ok"}, nil
-		}),
-		fnCell(1, func() (any, error) {
-			if panicTries.Add(1) < 2 {
-				panic("injected panic")
-			}
-			return []string{"ok"}, nil
-		}),
-		fnCell(2, func() (any, error) {
-			fatalTries.Add(1)
-			return nil, errors.New("permanent failure")
-		}),
-	}
-	results, err := runCells(cells)
-	if err == nil {
-		t.Fatal("permanent failure not reported")
-	}
-	if got := results[0].Value; !reflect.DeepEqual(got, any([]string{"ok"})) {
-		t.Errorf("transient cell result %v after %d tries", got, transientTries.Load())
-	}
-	if got := results[1].Value; !reflect.DeepEqual(got, any([]string{"ok"})) {
-		t.Errorf("panicking cell result %v after %d tries", got, panicTries.Load())
-	}
-	if n := fatalTries.Load(); n != 1 {
-		t.Errorf("non-transient cell ran %d times, want 1", n)
+// TestPoolWaitWatchesContext: a sweep waiting for a slot of a full,
+// shared pool gives up when its deadline passes, without running a cell.
+func TestPoolWaitWatchesContext(t *testing.T) {
+	pool := NewPool(1)
+	pool <- struct{}{} // another sweep holds the only slot
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	cell := fnCell(0, func(context.Context) (any, error) {
+		t.Error("cell ran without a slot")
+		return nil, nil
+	})
+	if _, err := RunCells([]Cell{cell}, RunOptions{Ctx: ctx, Pool: pool}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("sweep waiting for a slot returned %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestCellTimeoutIsTransient proves a hung cell is abandoned at the
-// timeout and the failure classifies as transient (so retries apply).
-func TestCellTimeoutIsTransient(t *testing.T) {
-	withKnobs(t)
-	SetCellTimeout(10 * time.Millisecond)
+// longCell runs the baseline on gups for n instructions through
+// System.RunContext. It closes started just before the simulation runs
+// and sets returned when it comes back.
+func longCell(n uint64, started chan<- struct{}, returned *atomic.Bool) Cell {
+	return Cell{
+		Label: "long/baseline/gups",
+		Fn: func(ctx context.Context) (any, error) {
+			defer returned.Store(true)
+			sys, err := hybridvc.New(hybridvc.Config{Org: hybridvc.Baseline})
+			if err != nil {
+				return nil, err
+			}
+			if err := sys.LoadWorkload("gups"); err != nil {
+				return nil, err
+			}
+			close(started)
+			rep, err := sys.RunContext(ctx, n)
+			if err != nil {
+				return nil, err
+			}
+			return []string{fmt.Sprint(rep.Instructions), fmt.Sprint(rep.Cycles)}, nil
+		},
+		DecodeValue: decodeStringRow,
+	}
+}
 
-	var tries atomic.Int64
-	hang := make(chan struct{})
-	defer close(hang)
-	cells := []Cell{fnCell(0, func() (any, error) {
-		if tries.Add(1) == 1 {
-			<-hang
+// cancelAfterStart cancels the sweep delay after started closes.
+func cancelAfterStart(started <-chan struct{}, delay time.Duration) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		time.Sleep(delay)
+		cancel()
+	}()
+	return ctx
+}
+
+// TestCancelStopsRunningCell cancels a sweep 50 ms into a cell of 2×10^7
+// instructions: the simulation stops at a chunk boundary instead of
+// running on, its error wraps context.Canceled, and the cell has returned
+// before RunCells does.
+func TestCancelStopsRunningCell(t *testing.T) {
+	started := make(chan struct{})
+	var returned atomic.Bool
+	ctx := cancelAfterStart(started, 50*time.Millisecond)
+	_, err := RunCells([]Cell{longCell(20_000_000, started, &returned)}, RunOptions{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "simulation interrupted after") {
+		t.Errorf("cell was not stopped mid-run: %v", err)
+	}
+	if !returned.Load() {
+		t.Error("RunCells returned while its cell was still running")
+	}
+}
+
+// TestCancelledCellResumesFromCheckpoint is the checkpointed form of the
+// test above: the interrupted cell leaves no journal record, and resuming
+// the sweep yields the table of an uninterrupted run while restoring the
+// cells that had completed.
+func TestCancelledCellResumesFromCheckpoint(t *testing.T) {
+	skipIfRace(t) // runs the long cell to completion twice
+	const n = 1_000_000
+	var quickRuns atomic.Int64
+	sweep := func(started chan<- struct{}, returned *atomic.Bool) []Cell {
+		cells := make([]Cell, 3)
+		for i := range cells {
+			cells[i] = fnCell(i, func(context.Context) (any, error) {
+				quickRuns.Add(1)
+				return []string{fmt.Sprint(i)}, nil
+			})
 		}
-		return []string{"ok"}, nil
-	})}
-	_, err := runCells(cells)
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("timeout error %v is not transient", err)
+		return append(cells, longCell(n, started, returned))
+	}
+	render := func(res []CellResult) string {
+		t := stats.NewTable("resume", "cell", "value")
+		for i, r := range res {
+			t.AddRow(fmt.Sprint(i), fmt.Sprint(r.Value))
+		}
+		return t.String()
+	}
+	var returned atomic.Bool
+	res, err := RunCells(sweep(make(chan struct{}), &returned), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(res)
+
+	// One slot runs the three quick cells before the long one starts.
+	ckpt := filepath.Join(t.TempDir(), "sweep.ndjson")
+	started := make(chan struct{})
+	opts := RunOptions{Ctx: cancelAfterStart(started, 10*time.Millisecond), Checkpoint: ckpt, Pool: NewPool(1)}
+	quickRuns.Store(0)
+	if _, err := RunCells(sweep(started, &returned), opts); !errors.Is(err, context.Canceled) ||
+		!strings.Contains(err.Error(), "simulation interrupted after") {
+		t.Fatalf("interrupted sweep returned %v", err)
+	}
+	journal, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(journal), "\n"); lines != 3 || strings.Contains(string(journal), "long/") {
+		t.Fatalf("journal holds %d records (want the 3 quick cells only):\n%s", lines, journal)
 	}
 
-	SetRetry(1, time.Millisecond)
-	tries.Store(0)
-	results, err := runCells(cells)
+	res, err = RunCells(sweep(make(chan struct{}), &returned), RunOptions{Checkpoint: ckpt})
 	if err != nil {
-		t.Fatalf("retry after timeout failed: %v", err)
+		t.Fatalf("resumed sweep: %v", err)
 	}
-	if got := results[0].Value; !reflect.DeepEqual(got, any([]string{"ok"})) {
-		t.Errorf("result %v after timeout retry", got)
+	if got := render(res); got != want {
+		t.Errorf("resumed table differs from an uninterrupted run:\n%s\nwant:\n%s", got, want)
+	}
+	if q := quickRuns.Load(); q != 3 {
+		t.Errorf("quick cells ran %d times over both passes, want 3 (resume restores them)", q)
 	}
 }
 
@@ -146,11 +192,8 @@ func TestCellTimeoutIsTransient(t *testing.T) {
 // partway, then re-run against the same checkpoint, reaches results
 // identical to an uninterrupted sweep — restored cells do not re-run.
 func TestCheckpointResume(t *testing.T) {
-	withKnobs(t)
 	ckpt := filepath.Join(t.TempDir(), "sweep.ndjson")
-	SetCheckpoint(ckpt)
-	prev := SetJobs(1)
-	defer SetJobs(prev)
+	opts := RunOptions{Checkpoint: ckpt, Pool: NewPool(1)}
 
 	var runs atomic.Int64
 	fail := atomic.Bool{}
@@ -159,7 +202,7 @@ func TestCheckpointResume(t *testing.T) {
 		cells := make([]Cell, 6)
 		for i := range cells {
 			i := i
-			cells[i] = fnCell(i, func() (any, error) {
+			cells[i] = fnCell(i, func(context.Context) (any, error) {
 				if i >= 3 && fail.Load() {
 					return nil, fmt.Errorf("interrupted before cell %d", i)
 				}
@@ -170,7 +213,7 @@ func TestCheckpointResume(t *testing.T) {
 		return cells
 	}
 
-	if _, err := runCells(mk()); err == nil {
+	if _, err := RunCells(mk(), opts); err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
 	if n := runs.Load(); n != 3 {
@@ -178,7 +221,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	fail.Store(false)
-	results, err := runCells(mk())
+	results, err := RunCells(mk(), opts)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -201,7 +244,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := runCells(mk()); err != nil {
+	if _, err := RunCells(mk(), opts); err != nil {
 		t.Fatalf("resume with torn trailing record: %v", err)
 	}
 	if n := runs.Load(); n != 6 {
@@ -214,20 +257,18 @@ func TestCheckpointResume(t *testing.T) {
 // restored yields the same table as running fresh.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	skipIfRace(t)
-	withKnobs(t)
 
-	fresh, err := FaultSweep(Quick)
+	fresh, err := FaultSweep(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "faults.ndjson")
-	SetCheckpoint(ckpt)
-	first, err := FaultSweep(Quick)
+	opts := RunOptions{Checkpoint: filepath.Join(t.TempDir(), "faults.ndjson")}
+	first, err := FaultSweep(Quick, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := FaultSweep(Quick) // every cell restored from the journal
+	resumed, err := FaultSweep(Quick, opts) // every cell restored from the journal
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,34 +280,45 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestRunnerRaceSafety exercises the worker pool's panic recovery,
-// retry, and checkpoint paths concurrently; run with -race it proves the
-// new machinery is goroutine-safe.
+// TestRunnerRaceSafety exercises the pool's panic recovery and the
+// checkpoint journal concurrently; run with -race it proves both are
+// goroutine-safe. The second pass restores every healthy cell from the
+// journal and re-runs only the panicking ones, which still fail.
 func TestRunnerRaceSafety(t *testing.T) {
-	withKnobs(t)
-	SetRetry(2, time.Millisecond)
-	SetCheckpoint(filepath.Join(t.TempDir(), "race.ndjson"))
-	prev := SetJobs(8)
-	defer SetJobs(prev)
-
-	var flaky [32]atomic.Int64
-	cells := make([]Cell, len(flaky))
+	opts := RunOptions{Checkpoint: filepath.Join(t.TempDir(), "race.ndjson"), Pool: NewPool(8)}
+	var runs [32]atomic.Int64
+	cells := make([]Cell, len(runs))
 	for i := range cells {
-		i := i
-		cells[i] = fnCell(i, func() (any, error) {
-			if i%3 == 0 && flaky[i].Add(1) == 1 {
-				panic(fmt.Sprintf("first-attempt panic in cell %d", i))
+		cells[i] = fnCell(i, func(context.Context) (any, error) {
+			runs[i].Add(1)
+			if i%3 == 0 {
+				panic(fmt.Sprintf("panic in cell %d", i))
 			}
 			return []string{fmt.Sprint(i)}, nil
 		})
 	}
-	results, err := runCells(cells)
-	if err != nil {
-		t.Fatalf("runCells: %v", err)
+	for pass := 1; pass <= 2; pass++ {
+		results, err := RunCells(cells, opts)
+		if err == nil || !strings.Contains(err.Error(), "panic in cell 30") {
+			t.Fatalf("pass %d: panicking cells not reported: %v", pass, err)
+		}
+		for i, r := range results {
+			var want any
+			if i%3 != 0 {
+				want = []string{fmt.Sprint(i)}
+			}
+			if !reflect.DeepEqual(r.Value, want) {
+				t.Errorf("pass %d, cell %d: %v, want %v", pass, i, r.Value, want)
+			}
+		}
 	}
-	for i, r := range results {
-		if !reflect.DeepEqual(r.Value, any([]string{fmt.Sprint(i)})) {
-			t.Errorf("cell %d: %v", i, r.Value)
+	for i := range runs {
+		want := int64(1)
+		if i%3 == 0 {
+			want = 2
+		}
+		if n := runs[i].Load(); n != want {
+			t.Errorf("cell %d ran %d times, want %d", i, n, want)
 		}
 	}
 }

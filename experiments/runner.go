@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridvc"
@@ -44,12 +43,14 @@ type Cell struct {
 	// Value. Without it the Value is nil and the Report carries the data.
 	Extract func(sys *hybridvc.System, rep sim.Report) (any, error)
 
-	// Fn, when set, replaces the system path: the cell runs Fn and stores
-	// its result as the Value (Report stays zero).
-	Fn func() (any, error)
+	// Fn, when set, replaces the system path: the cell runs Fn with the
+	// sweep's context and stores its result as the Value (Report stays
+	// zero). A long-running Fn should stop and return the context's error
+	// once ctx ends.
+	Fn func(ctx context.Context) (any, error)
 
 	// DecodeValue, when set, reconstructs a checkpointed Value from its
-	// JSON encoding so checkpoint resume (SetCheckpoint) can restore
+	// JSON encoding so checkpoint resume (RunOptions.Checkpoint) can restore
 	// Extract/Fn results without re-running the cell. A cell whose
 	// checkpoint record carries a Value but has no decoder is re-run.
 	DecodeValue func(data []byte) (any, error)
@@ -63,344 +64,141 @@ type CellResult struct {
 	Value any
 }
 
-// defaultJobs is the worker-pool width used by every experiment; it
-// defaults to GOMAXPROCS so full sweeps scale with the host. Results are
-// index-slotted, so tables are identical regardless of the value.
-var defaultJobs atomic.Int64
+// Pool bounds how many cells run at once: a semaphore of slots, one
+// held by each running cell. Sweeps that share a Pool share its slots, so
+// a long-running service caps its concurrent cells across every sweep it
+// runs. Results are index-slotted, so tables are identical for any size.
+type Pool chan struct{}
 
-func init() { defaultJobs.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetJobs sets the worker count used by subsequent experiment runs.
-// Values below 1 reset to GOMAXPROCS. It returns the previous setting.
-func SetJobs(n int) int {
+// NewPool returns a pool of n slots; n < 1 means GOMAXPROCS.
+func NewPool(n int) Pool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return int(defaultJobs.Swap(int64(n)))
+	return make(Pool, n)
 }
 
-// Jobs returns the current worker count.
-func Jobs() int { return int(defaultJobs.Load()) }
-
-// progressFn, when set, observes cell completions (done so far, total,
-// finished cell's label and elapsed time). Used by tablegen for live
-// sweep progress; nil by default.
-var progressMu sync.Mutex
-var progressFn func(done, total int, label string, elapsed time.Duration)
-
-// SetProgress installs a completion observer for subsequent runs (nil
-// disables). The callback may fire from multiple worker goroutines but
-// never concurrently.
-func SetProgress(fn func(done, total int, label string, elapsed time.Duration)) {
-	progressMu.Lock()
-	progressFn = fn
-	progressMu.Unlock()
-}
-
-// Resilience knobs (SetContext, SetRetry, SetCellTimeout, SetCheckpoint),
-// guarded by one mutex in the style of the progress observer. runCells
-// snapshots them once per sweep, so changing a knob mid-sweep affects
-// only subsequent runs.
-var knobMu sync.Mutex
-var runCtx context.Context
-var retryMax int
-var retryBackoff = 100 * time.Millisecond
-var cellTimeout time.Duration
-var checkpointPath string
-
-// SetContext installs a cancellation context for subsequent sweeps: when
-// it is cancelled, pending cells are not started, in-flight cells are
-// abandoned promptly, and runCells returns the partial results together
-// with the context's error. nil restores the default (never cancelled).
-// It returns the previous context.
-func SetContext(ctx context.Context) context.Context {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prev := runCtx
-	runCtx = ctx
-	return prev
-}
-
-// SetRetry configures transient-failure handling for subsequent sweeps: a
-// cell whose failure is transient — a recovered panic, a cell timeout, or
-// any error wrapping ErrTransient — is re-run up to retries times, with a
-// linearly growing backoff pause between attempts (attempt n waits
-// n×backoff). retries <= 0 disables retrying; backoff <= 0 keeps the
-// previous backoff. It returns the previous settings.
-func SetRetry(retries int, backoff time.Duration) (int, time.Duration) {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prevN, prevB := retryMax, retryBackoff
-	retryMax = retries
-	if backoff > 0 {
-		retryBackoff = backoff
+// acquire takes a slot, giving up when ctx ends first.
+func (p Pool) acquire(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return false
 	}
-	return prevN, prevB
-}
-
-// SetCellTimeout bounds each cell attempt for subsequent sweeps: an
-// attempt that produces no result within d fails with a transient
-// timeout error (and is therefore retried when retries are configured).
-// d <= 0 disables the bound. It returns the previous setting.
-func SetCellTimeout(d time.Duration) time.Duration {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prev := cellTimeout
-	cellTimeout = d
-	return prev
-}
-
-// SetCheckpoint directs subsequent sweeps to journal every completed cell
-// to the NDJSON file at path, and to resume from it: cells whose records
-// are already present (matched by index and label) are restored instead
-// of re-run, so an interrupted sweep continued with the same
-// configuration reaches the same final results. An empty path disables
-// checkpointing. It returns the previous setting.
-func SetCheckpoint(path string) string {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prev := checkpointPath
-	checkpointPath = path
-	return prev
-}
-
-// ErrTransient marks failures worth retrying. Wrap cell errors with
-// Transient (or %w this sentinel) to opt into the retry path; recovered
-// panics and cell timeouts are transient automatically.
-var ErrTransient = errors.New("transient failure")
-
-// transientErr tags an error as transient without changing its message.
-type transientErr struct{ err error }
-
-func (e *transientErr) Error() string { return e.err.Error() }
-func (e *transientErr) Unwrap() error { return e.err }
-func (e *transientErr) Is(target error) bool {
-	return target == ErrTransient
-}
-
-// Transient wraps err so IsTransient reports true (nil stays nil).
-func Transient(err error) error {
-	if err == nil {
-		return nil
+	select {
+	case p <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	return &transientErr{err}
 }
 
-// IsTransient reports whether err is worth retrying.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+func (p Pool) release() { <-p }
 
-// snapshotKnobs captures the per-sweep resilience configuration.
-func snapshotKnobs() (ctx context.Context, timeout time.Duration, retries int, backoff time.Duration, ckpt string) {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	ctx = runCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return ctx, cellTimeout, retryMax, retryBackoff, checkpointPath
-}
-
-// RunOptions carries the per-sweep resilience configuration for RunCells
-// callers that cannot use the package-level knobs (long-running services
-// executing many independent sweeps concurrently: the globals are
-// process-wide, so two concurrent jobs would trample each other's
-// context). The zero value means: never cancelled, unbounded cells, no
-// retries, no checkpoint.
+// RunOptions configures one sweep. The zero value runs on a fresh pool of
+// GOMAXPROCS slots, is never cancelled, reports no progress and keeps no
+// checkpoint.
 type RunOptions struct {
-	// Ctx cancels the sweep (nil = background).
+	// Ctx cancels the sweep (nil = never): cells not yet started are
+	// skipped, and running cells receive it and stop early.
 	Ctx context.Context
-	// CellTimeout bounds each cell attempt (<= 0 = unbounded).
-	CellTimeout time.Duration
-	// Retries re-runs transiently failed cells up to this many times,
-	// with linear Backoff between attempts (Backoff <= 0 = 100ms).
-	Retries int
-	Backoff time.Duration
-	// Checkpoint journals completed cells to this NDJSON path and
-	// resumes from it ("" = disabled), exactly like SetCheckpoint.
+	// Checkpoint journals every completed cell to this NDJSON path and
+	// resumes from it (empty = off): cells whose records are already
+	// present, matched by index and label, are restored instead of re-run,
+	// so an interrupted sweep continued with the same cells reaches the
+	// same final results.
 	Checkpoint string
+	// Progress, when set, observes cell completions (done so far, total,
+	// the finished cell's label and its elapsed time). Calls for one
+	// sweep never overlap.
+	Progress func(done, total int, label string, elapsed time.Duration)
+	// Pool bounds the sweep's concurrent cells (nil = a fresh pool of
+	// GOMAXPROCS slots).
+	Pool Pool
 }
 
-// RunCellsWith executes the cells on a pool of Jobs() workers with
-// explicit per-call options and returns their results in input order —
-// the reentrant form of the sweep runner used by the service daemon,
-// where every job needs its own cancellation context and checkpoint
-// journal. Failure semantics match the package-level path: panics become
-// transient errors, failed slots keep a nil Value, and all failures are
-// joined into the returned error.
-func RunCellsWith(cells []Cell, opts RunOptions) ([]CellResult, error) {
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	return runCellsOpts(cells, opts)
-}
-
-// RunCells executes the cells under the package-level resilience knobs
-// (SetContext, SetRetry, SetCellTimeout, SetCheckpoint) — the same path
-// every built-in experiment sweeps through. Experiments registered
-// dynamically with Add should run their cells through this so tablegen
-// flags and the service daemon's per-sweep knob window apply to them
-// too.
-func RunCells(cells []Cell) ([]CellResult, error) { return runCells(cells) }
-
-// runCells is the package-level entry: it snapshots the Set* knobs into
-// options once per sweep, so changing a knob mid-sweep affects only
-// subsequent runs.
-func runCells(cells []Cell) ([]CellResult, error) {
-	ctx, timeout, retries, backoff, ckpt := snapshotKnobs()
-	return runCellsOpts(cells, RunOptions{
-		Ctx: ctx, CellTimeout: timeout, Retries: retries,
-		Backoff: backoff, Checkpoint: ckpt,
-	})
-}
-
-// runCellsOpts executes the cells on a pool of Jobs() workers and returns
-// their results in input order. A cell that fails — via returned error or
-// recovered panic — leaves its slot's Value nil; all failures are joined
-// into the returned error. Because results are index-slotted and cells
-// are isolated, the output is identical for any worker count, and a
-// checkpointed sweep resumed after an interruption reaches the same
-// final results as an uninterrupted one.
-func runCellsOpts(cells []Cell, opts RunOptions) ([]CellResult, error) {
+// RunCells executes the cells, each holding a pool slot while it runs,
+// and returns their results in input order. A cell that fails — by
+// returned error or recovered panic — leaves its slot's Value nil; all
+// failures are joined into the returned error, together with the
+// context's cause when the sweep is cancelled. RunCells returns only
+// after every cell it started has returned, and it journals only cells
+// that succeeded, so an interrupted cell re-runs on resume. Because
+// results are index-slotted and cells are isolated, the output is
+// identical for any pool size.
+func RunCells(cells []Cell, opts RunOptions) ([]CellResult, error) {
 	results := make([]CellResult, len(cells))
-	cellErrs := make([]error, len(cells))
+	errs := make([]error, len(cells))
 	if len(cells) == 0 {
 		return results, nil
 	}
-	ctx, timeout, retries, backoff, ckptPath :=
-		opts.Ctx, opts.CellTimeout, opts.Retries, opts.Backoff, opts.Checkpoint
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewPool(0)
+	}
 
 	restored := make([]bool, len(cells))
 	var ckpt *checkpoint
-	if ckptPath != "" {
+	if opts.Checkpoint != "" {
 		var err error
-		ckpt, err = openCheckpoint(ckptPath, cells, results, restored)
+		ckpt, err = openCheckpoint(opts.Checkpoint, cells, results, restored)
 		if err != nil {
 			return results, err
 		}
 		defer ckpt.close()
 	}
-	pending := 0
-	for i := range cells {
-		if !restored[i] {
-			pending++
+	done := 0
+	for _, r := range restored {
+		if r {
+			done++
 		}
 	}
 
-	jobs := Jobs()
-	if jobs > pending {
-		jobs = pending
-	}
-
-	done := atomic.Int64{}
-	done.Store(int64(len(cells) - pending))
-	idx := make(chan int)
+	var progressMu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					// Cancelled: leave the slot unrun; the sweep-level
-					// context error covers every abandoned cell.
-					continue
-				}
-				start := time.Now()
-				results[i], cellErrs[i] = runCellResilient(ctx, cells[i], timeout, retries, backoff)
-				if cellErrs[i] == nil && ckpt != nil {
-					cellErrs[i] = ckpt.append(i, cells[i], results[i])
-				}
-				n := int(done.Add(1))
-				progressMu.Lock()
-				if progressFn != nil {
-					progressFn(n, len(cells), cells[i].Label, time.Since(start))
-				}
-				progressMu.Unlock()
-			}
-		}()
-	}
-dispatch:
 	for i := range cells {
 		if restored[i] {
 			continue
 		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break dispatch
+		if !pool.acquire(ctx) {
+			break
 		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer pool.release()
+			start := time.Now()
+			results[i], errs[i] = runCell(ctx, cells[i])
+			if errs[i] == nil && ckpt != nil {
+				errs[i] = ckpt.append(i, cells[i], results[i])
+			}
+			if opts.Progress != nil {
+				progressMu.Lock()
+				done++
+				opts.Progress(done, len(cells), cells[i].Label, time.Since(start))
+				progressMu.Unlock()
+			}
+		}(i)
 	}
-	close(idx)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		cellErrs = append(cellErrs, fmt.Errorf("sweep interrupted: %w", context.Cause(ctx)))
+	if ctx.Err() != nil {
+		errs = append(errs, fmt.Errorf("sweep interrupted: %w", context.Cause(ctx)))
 	}
-	return results, errors.Join(cellErrs...)
+	return results, errors.Join(errs...)
 }
 
-// runCellResilient runs one cell, retrying transient failures with
-// linear backoff up to the configured attempt budget.
-func runCellResilient(ctx context.Context, c Cell, timeout time.Duration, retries int, backoff time.Duration) (CellResult, error) {
-	for attempt := 0; ; attempt++ {
-		res, err := runCellOnce(ctx, c, timeout)
-		if err == nil || attempt >= retries || !IsTransient(err) || ctx.Err() != nil {
-			return res, err
-		}
-		select {
-		case <-ctx.Done():
-			return res, err
-		case <-time.After(time.Duration(attempt+1) * backoff):
-		}
-	}
-}
-
-// runCellOnce runs one cell attempt, bounding it by the cell timeout and
-// the sweep context. A timed-out or abandoned attempt's goroutine cannot
-// be killed — it is left to finish in the background and its result is
-// discarded; cells are self-contained, so it cannot corrupt the sweep.
-func runCellOnce(ctx context.Context, c Cell, timeout time.Duration) (CellResult, error) {
-	if timeout <= 0 && ctx.Done() == nil {
-		return runOneCell(c)
-	}
-	type outcome struct {
-		res CellResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, e := runOneCell(c)
-		ch <- outcome{r, e}
-	}()
-	var expired <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expired = t.C
-	}
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-expired:
-		return CellResult{}, Transient(fmt.Errorf("cell %q: no result within %v", c.Label, timeout))
-	case <-ctx.Done():
-		return CellResult{}, fmt.Errorf("cell %q: %w", c.Label, context.Cause(ctx))
-	}
-}
-
-// runOneCell executes a single cell, converting any panic into a
-// transient error so one bad design point cannot abort a whole sweep and
-// sporadic (e.g. injected) panics are retried when retries are enabled.
-func runOneCell(c Cell) (res CellResult, err error) {
+// runCell executes a single cell, converting any panic into an error so
+// one bad design point cannot abort a whole sweep.
+func runCell(ctx context.Context, c Cell) (res CellResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = Transient(fmt.Errorf("cell %q: panic: %v\n%s", c.Label, r, debug.Stack()))
+			err = fmt.Errorf("cell %q: panic: %v\n%s", c.Label, r, debug.Stack())
 		}
 	}()
 	if c.Fn != nil {
-		v, ferr := c.Fn()
+		v, ferr := c.Fn(ctx)
 		if ferr != nil {
 			return CellResult{}, fmt.Errorf("cell %q: %w", c.Label, ferr)
 		}
@@ -420,7 +218,7 @@ func runOneCell(c Cell) (res CellResult, err error) {
 			return CellResult{}, fmt.Errorf("cell %q: %w", c.Label, err)
 		}
 	}
-	rep, err := sys.Run(c.Instructions)
+	rep, err := sys.RunContext(ctx, c.Instructions)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("cell %q: %w", c.Label, err)
 	}

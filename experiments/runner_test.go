@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,11 +18,10 @@ func TestRunnerOrderingAndValues(t *testing.T) {
 		i := i
 		cells[i] = Cell{
 			Label: fmt.Sprintf("cell-%d", i),
-			Fn:    func() (any, error) { return i * i, nil },
+			Fn:    func(context.Context) (any, error) { return i * i, nil },
 		}
 	}
-	defer SetJobs(SetJobs(7))
-	res, err := runCells(cells)
+	res, err := RunCells(cells, RunOptions{Pool: NewPool(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +34,12 @@ func TestRunnerOrderingAndValues(t *testing.T) {
 
 func TestRunnerPanicBecomesError(t *testing.T) {
 	cells := []Cell{
-		{Label: "good", Fn: func() (any, error) { return 1, nil }},
-		{Label: "boom", Fn: func() (any, error) { panic("exploded") }},
-		{Label: "also-good", Fn: func() (any, error) { return 3, nil }},
-		{Label: "bad", Fn: func() (any, error) { return nil, errors.New("bad cell") }},
+		{Label: "good", Fn: func(context.Context) (any, error) { return 1, nil }},
+		{Label: "boom", Fn: func(context.Context) (any, error) { panic("exploded") }},
+		{Label: "also-good", Fn: func(context.Context) (any, error) { return 3, nil }},
+		{Label: "bad", Fn: func(context.Context) (any, error) { return nil, errors.New("bad cell") }},
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, RunOptions{})
 	if err == nil {
 		t.Fatal("panicking cell produced no error")
 	}
@@ -60,27 +60,27 @@ func TestRunnerPanicBecomesError(t *testing.T) {
 }
 
 func TestRunnerSystemCellErrors(t *testing.T) {
-	_, err := runCells([]Cell{{
+	_, err := RunCells([]Cell{{
 		Label:        "bad-org",
 		Config:       hybridvc.Config{Org: "bogus"},
 		Workloads:    []string{"stream"},
 		Instructions: 100,
-	}})
+	}}, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "bad-org") {
 		t.Errorf("bad organization not reported: %v", err)
 	}
-	_, err = runCells([]Cell{{
+	_, err = RunCells([]Cell{{
 		Label:        "bad-workload",
 		Workloads:    []string{"no-such-workload"},
 		Instructions: 100,
-	}})
+	}}, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "bad-workload") {
 		t.Errorf("bad workload not reported: %v", err)
 	}
 }
 
 func TestRunnerExtract(t *testing.T) {
-	res, err := runCells([]Cell{{
+	res, err := RunCells([]Cell{{
 		Label:        "extract",
 		Config:       hybridvc.Config{Org: hybridvc.Baseline, LLCBytes: 256 << 10},
 		Workloads:    []string{"stream"},
@@ -88,7 +88,7 @@ func TestRunnerExtract(t *testing.T) {
 		Extract: func(sys *hybridvc.System, rep sim.Report) (any, error) {
 			return rep.Instructions, nil
 		},
-	}})
+	}}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +98,6 @@ func TestRunnerExtract(t *testing.T) {
 	if res[0].Report.Cycles == 0 {
 		t.Error("report missing")
 	}
-}
-
-func TestSetJobsClamps(t *testing.T) {
-	prev := SetJobs(3)
-	if Jobs() != 3 {
-		t.Errorf("Jobs() = %d, want 3", Jobs())
-	}
-	SetJobs(0) // resets to GOMAXPROCS
-	if Jobs() < 1 {
-		t.Errorf("Jobs() = %d after reset", Jobs())
-	}
-	SetJobs(prev)
 }
 
 // TestRunnerDeterminism asserts the acceptance criterion: the parallel
@@ -122,8 +110,7 @@ func TestRunnerDeterminism(t *testing.T) {
 	}
 	skipIfRace(t) // TestRunnerSmallDeterminism keeps -race coverage
 	render := func(jobs int) string {
-		defer SetJobs(SetJobs(jobs))
-		_, table, err := Figure9(Quick)
+		_, table, err := Figure9(Quick, RunOptions{Pool: NewPool(jobs)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +144,7 @@ func TestRunnerSmallDeterminism(t *testing.T) {
 		return cells
 	}
 	run := func(jobs int) []uint64 {
-		defer SetJobs(SetJobs(jobs))
-		res, err := runCells(grid())
+		res, err := RunCells(grid(), RunOptions{Pool: NewPool(jobs)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +197,7 @@ func TestRegistryRunsQuickExperiment(t *testing.T) {
 	if !ok {
 		t.Fatal("latency experiment missing")
 	}
-	tables, err := e.Run(Quick)
+	tables, err := e.Run(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

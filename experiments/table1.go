@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/osmodel"
@@ -33,14 +34,14 @@ var tableIWorkloads = []struct {
 
 // TableI reproduces Table I by instantiating each workload's processes
 // and sampling its access stream; one runner cell per workload.
-func TableI(scale Scale) ([]TableIRow, *stats.Table, error) {
+func TableI(scale Scale, opts RunOptions) ([]TableIRow, *stats.Table, error) {
 	n := scale.pick(100_000, 2_000_000)
 	var cells []Cell
 	for _, w := range tableIWorkloads {
 		w := w
 		cells = append(cells, Cell{
 			Label: "table1/" + w.row,
-			Fn: func() (any, error) {
+			Fn: func(context.Context) (any, error) {
 				k := osmodel.NewKernel(osmodel.Config{PhysBytes: 16 << 30})
 				gens, err := workload.NewGroup(workload.Specs[w.spec], k, 1)
 				if err != nil {
@@ -62,7 +63,7 @@ func TableI(scale Scale) ([]TableIRow, *stats.Table, error) {
 			},
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/baseline"
@@ -24,7 +25,7 @@ var tableIIWorkloads = []string{"ferret", "postgres", "specjbb", "firefox", "apa
 
 // tableIICell runs one workload through both the proposed hybrid and the
 // conventional baseline trace models and compares their TLB behavior.
-func tableIICell(name string, n uint64) (TableIIRow, error) {
+func tableIICell(ctx context.Context, name string, n uint64) (TableIIRow, error) {
 	const llc = 8 << 20
 	spec := workload.Specs[name]
 
@@ -39,7 +40,9 @@ func tableIICell(name string, n uint64) (TableIIRow, error) {
 	if err != nil {
 		return TableIIRow{}, fmt.Errorf("table2 %s: %w", name, err)
 	}
-	driveMem(hybrid, hgens, n)
+	if err := driveMem(ctx, hybrid, hgens, n); err != nil {
+		return TableIIRow{}, err
+	}
 
 	// Baseline: conventional two-level TLB.
 	kb := osmodel.NewKernel(osmodel.Config{PhysBytes: 16 << 30})
@@ -50,7 +53,9 @@ func tableIICell(name string, n uint64) (TableIIRow, error) {
 	if err != nil {
 		return TableIIRow{}, fmt.Errorf("table2 %s: %w", name, err)
 	}
-	driveMem(base, bgens, n)
+	if err := driveMem(ctx, base, bgens, n); err != nil {
+		return TableIIRow{}, err
+	}
 
 	totalRefs := hybrid.SynonymCandidates.Value() + hybrid.NonSynonymAccesses.Value()
 	var synTLBAccesses, synTLBMisses uint64
@@ -77,17 +82,17 @@ func tableIICell(name string, n uint64) (TableIIRow, error) {
 // filters translation requests; the proposed system uses a 64-entry
 // synonym TLB plus a 1024-entry delayed TLB (equal total TLB area to the
 // baseline's 64-entry L1 + 1024-entry L2). One runner cell per workload.
-func TableII(scale Scale) ([]TableIIRow, *stats.Table, error) {
+func TableII(scale Scale, opts RunOptions) ([]TableIIRow, *stats.Table, error) {
 	n := scale.pick(150_000, 3_000_000)
 	var cells []Cell
 	for _, name := range tableIIWorkloads {
 		name := name
 		cells = append(cells, Cell{
 			Label: "table2/" + name,
-			Fn:    func() (any, error) { return tableIICell(name, n) },
+			Fn:    func(ctx context.Context) (any, error) { return tableIICell(ctx, name, n) },
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/baseline"
@@ -28,21 +29,23 @@ var tableIIIWorkloads = []string{
 // eager allocation; RMM MPKI from replaying the access stream against a
 // 32-entry range TLB; utilization from full-run touch accounting. One
 // runner cell per workload.
-func TableIII(scale Scale) ([]TableIIIRow, *stats.Table, error) {
+func TableIII(scale Scale, opts RunOptions) ([]TableIIIRow, *stats.Table, error) {
 	n := scale.pick(120_000, 2_000_000)
 	var cells []Cell
 	for _, name := range tableIIIWorkloads {
 		name := name
 		cells = append(cells, Cell{
 			Label: "table3/" + name,
-			Fn: func() (any, error) {
+			Fn: func(ctx context.Context) (any, error) {
 				k := osmodel.NewKernel(osmodel.Config{PhysBytes: 32 << 30})
 				rmm := baseline.NewRMM(baseline.DefaultConfig(1), k)
 				gens, err := workload.NewGroup(workload.Specs[name], k, 1)
 				if err != nil {
 					return nil, fmt.Errorf("table3 %s: %w", name, err)
 				}
-				driveMem(rmm, gens, n)
+				if err := driveMem(ctx, rmm, gens, n); err != nil {
+					return nil, err
+				}
 				var insns uint64
 				for _, g := range gens {
 					insns += g.Emitted()
@@ -62,7 +65,7 @@ func TableIII(scale Scale) ([]TableIIIRow, *stats.Table, error) {
 			},
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,7 +27,7 @@ var xarchOrgs = []hybridvc.Organization{
 // competition), and synonym-filter false positives (zero by construction
 // for the exact reverse-lookup table, the fig4/table2-style comparison
 // point against the Bloom filter).
-func XArch(s Scale) (*stats.Table, error) {
+func XArch(s Scale, opts RunOptions) (*stats.Table, error) {
 	insns := s.pick(30_000, 200_000)
 	simCfg := sim.DefaultConfig()
 	simCfg.Timeslice = 10_000
@@ -44,7 +44,7 @@ func XArch(s Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := runCells(cells)
+	results, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@
 package hybridvc
 
 import (
+	"context"
 	"fmt"
 
 	"hybridvc/internal/baseline"
@@ -434,9 +435,16 @@ func (s *System) Generators() []*workload.Generator { return s.gens }
 // measurements build a new System per run (the experiment registry's
 // sweep cells do exactly that).
 func (s *System) Run(n uint64) (sim.Report, error) {
+	return s.RunContext(context.Background(), n)
+}
+
+// RunContext is Run under a context: cancelling ctx stops the simulation
+// at its next chunk boundary, and the partial report comes back with an
+// error wrapping context.Cause(ctx) (see sim.Simulator.RunContext).
+func (s *System) RunContext(ctx context.Context, n uint64) (sim.Report, error) {
 	if len(s.gens) == 0 {
 		return sim.Report{}, fmt.Errorf("hybridvc: no workload loaded")
 	}
 	s.LastSim = sim.New(s.cfg.Sim, s.Mem, s.gens)
-	return s.LastSim.Run(n), nil
+	return s.LastSim.RunContext(ctx, n)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -39,16 +40,9 @@ type Config struct {
 	RatePerSec float64
 	RateBurst  int
 
-	// Resilience knobs applied to every job, reusing the experiments
-	// runner machinery: per-cell timeout, transient retries with linear
-	// backoff.
-	CellTimeout  time.Duration
-	Retries      int
-	RetryBackoff time.Duration
-
 	// SpoolDir holds sweep checkpoint journals, keyed by cache key, so
-	// a drained sweep resumes when the same spec is resubmitted
-	// (default: a per-process temp dir).
+	// a drained sweep resumes when the same spec is resubmitted. The
+	// default is a per-process temp dir, which Drain removes.
 	SpoolDir string
 
 	// StoreDir enables the durable result store: completed results are
@@ -203,12 +197,13 @@ type Server struct {
 	nextID   atomic.Uint64
 	started  time.Time
 
-	// sweepMu serializes sweep jobs: the experiments package's
-	// resilience knobs are process-wide, so concurrent sweeps would
-	// trample each other's cancellation context and checkpoint journal.
-	// A sweep is internally parallel across its cells (experiments.Jobs()
-	// workers), so one at a time keeps the machine busy regardless.
-	sweepMu sync.Mutex
+	// cells is the one pool of GOMAXPROCS slots every sweep job's cells
+	// share, so concurrent sweeps never run more cells at once than one
+	// sweep alone would.
+	cells experiments.Pool
+	// tempSpool is the spool dir New created because none was configured;
+	// Drain removes it.
+	tempSpool string
 
 	wg sync.WaitGroup
 }
@@ -216,15 +211,6 @@ type Server struct {
 // New builds a server. Call Start to launch the worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if cfg.SpoolDir == "" {
-		dir, err := os.MkdirTemp("", "hvcd-spool-")
-		if err != nil {
-			return nil, fmt.Errorf("service: spool dir: %w", err)
-		}
-		cfg.SpoolDir = dir
-	} else if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: spool dir: %w", err)
-	}
 	var disk *store.Store
 	if cfg.StoreDir != "" {
 		var err error
@@ -237,6 +223,16 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
+	}
+	var tempSpool string
+	if cfg.SpoolDir == "" {
+		dir, err := os.MkdirTemp("", "hvcd-spool-")
+		if err != nil {
+			return nil, fmt.Errorf("service: spool dir: %w", err)
+		}
+		cfg.SpoolDir, tempSpool = dir, dir
+	} else if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: spool dir: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -253,6 +249,9 @@ func New(cfg Config) (*Server, error) {
 		byKey:    make(map[string]*Job),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		started:  time.Now(),
+
+		cells:     experiments.NewPool(0),
+		tempSpool: tempSpool,
 	}, nil
 }
 
@@ -526,11 +525,12 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 
 // Drain gracefully stops the server: new submissions are refused with
 // ErrDraining, the queue is closed, every non-terminal job's context is
-// cancelled — a running simulation quiesces at its next chunk boundary,
-// a running sweep stops dispatching cells while its checkpoint journal
+// cancelled — a running simulation, and every running cell of a sweep,
+// quiesces at its next chunk boundary, while a sweep's checkpoint journal
 // (keyed by cache key in the spool dir) retains every completed cell, so
 // resubmitting the same spec after a restart resumes rather than
-// restarts — and the workers are awaited until ctx expires.
+// restarts — and the workers are awaited until ctx expires. A spool dir
+// that New created is removed: no later process could find it.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -572,6 +572,9 @@ func (s *Server) Drain(ctx context.Context) error {
 			s.met.canceled.Add(1)
 			s.logJob(j, "", "canceled", "error", "server drained")
 		}
+	}
+	if s.tempSpool != "" {
+		os.RemoveAll(s.tempSpool)
 	}
 	return err
 }
@@ -676,86 +679,51 @@ func (s *Server) unbindKey(job *Job) {
 	s.mu.Unlock()
 }
 
-// runOptions assembles the per-job resilience options for the
-// experiments runner.
-func (s *Server) runOptions(job *Job) experiments.RunOptions {
-	return experiments.RunOptions{
-		Ctx:         job.ctx,
-		CellTimeout: s.cfg.CellTimeout,
-		Retries:     s.cfg.Retries,
-		Backoff:     s.cfg.RetryBackoff,
-	}
-}
-
-// runSim executes a sim job as one experiments.Cell through RunCells, so
-// it inherits the sweep runner's panic containment, per-cell timeout and
-// transient-retry machinery with a per-job cancellation context. The
-// simulator is driven directly (not through System.Run) so cancellation
-// can quiesce it at a chunk boundary and the timeline is streamable
-// while the run is in flight.
-func (s *Server) runSim(job *Job) ([]byte, error) {
+// runSim executes a sim job. The simulator is driven directly rather
+// than through System.Run so the timeline is streamable while the run is
+// in flight; cancelling the job's context quiesces it at a chunk
+// boundary. A panic fails the job instead of the daemon.
+func (s *Server) runSim(job *Job) (report []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("simulation panic: %v\n%s", r, debug.Stack())
+		}
+	}()
 	spec := job.Spec
-	cell := experiments.Cell{
-		Label: "service/" + job.ID + "/" + spec.Org,
-		Fn: func() (any, error) {
-			sys, err := hybridvc.New(hybridvc.Config{
-				Org:               hybridvc.Organization(spec.Org),
-				Cores:             spec.Cores,
-				LLCBytes:          spec.LLCBytes,
-				DelayedTLBEntries: spec.DelayedTLBEntries,
-				IndexCacheBytes:   spec.IndexCacheBytes,
-				Seed:              spec.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, name := range spec.Workloads {
-				if err := sys.LoadWorkload(name); err != nil {
-					return nil, err
-				}
-			}
-			simCfg := sim.DefaultConfig()
-			simCfg.Interval = spec.Interval
-			simulator := sim.New(simCfg, sys.Mem, sys.Generators())
-			job.setTimeline(simulator.Timeline())
-
-			// Quiesce at a chunk boundary on cancellation; the watcher
-			// exits when the run finishes.
-			ranDone := make(chan struct{})
-			defer close(ranDone)
-			go func() {
-				select {
-				case <-job.ctx.Done():
-					simulator.Stop()
-				case <-ranDone:
-				}
-			}()
-
-			s.met.simulated.Add(1)
-			rep := simulator.Run(spec.Instructions)
-			if simulator.Interrupted() {
-				return nil, fmt.Errorf("simulation interrupted after %d instructions: %w",
-					rep.Instructions, context.Cause(job.ctx))
-			}
-			return rep.JSON(), nil
-		},
-	}
-	results, err := experiments.RunCellsWith([]experiments.Cell{cell}, s.runOptions(job))
+	sys, err := hybridvc.New(hybridvc.Config{
+		Org:               hybridvc.Organization(spec.Org),
+		Cores:             spec.Cores,
+		LLCBytes:          spec.LLCBytes,
+		DelayedTLBEntries: spec.DelayedTLBEntries,
+		IndexCacheBytes:   spec.IndexCacheBytes,
+		Seed:              spec.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	text, ok := results[0].Value.(string)
-	if !ok {
-		return nil, fmt.Errorf("service: sim cell returned %T, want string", results[0].Value)
+	for _, name := range spec.Workloads {
+		if err := sys.LoadWorkload(name); err != nil {
+			return nil, err
+		}
 	}
-	return []byte(text), nil
+	simCfg := sim.DefaultConfig()
+	simCfg.Interval = spec.Interval
+	simulator := sim.New(simCfg, sys.Mem, sys.Generators())
+	job.setTimeline(simulator.Timeline())
+
+	s.met.simulated.Add(1)
+	rep, err := simulator.RunContext(job.ctx, spec.Instructions)
+	if err != nil {
+		return nil, err
+	}
+	return []byte(rep.JSON()), nil
 }
 
-// runSweep executes a sweep job through the experiment registry with the
-// package-level resilience knobs pointed at this job for the duration
-// (serialized by sweepMu — see the field comment). The checkpoint
-// journal is content-addressed in the spool dir, so a sweep cancelled by
-// drain resumes its completed cells when the same spec is resubmitted.
+// runSweep executes a sweep job through the experiment registry under the
+// job's own context and checkpoint journal, on the cell pool every sweep
+// shares. The journal is content-addressed in the spool dir, so a sweep
+// cancelled by drain resumes its completed cells when the same spec is
+// resubmitted.
 func (s *Server) runSweep(job *Job) ([]string, error) {
 	e, ok := experiments.Lookup(job.Spec.Experiment)
 	if !ok {
@@ -764,20 +732,10 @@ func (s *Server) runSweep(job *Job) ([]string, error) {
 
 	ckpt := filepath.Join(s.cfg.SpoolDir, job.Key+".ndjson")
 	job.setCheckpoint(ckpt)
-
-	s.sweepMu.Lock()
-	prevCtx := experiments.SetContext(job.ctx)
-	prevCkpt := experiments.SetCheckpoint(ckpt)
-	prevTimeout := experiments.SetCellTimeout(s.cfg.CellTimeout)
-	prevRetries, prevBackoff := experiments.SetRetry(s.cfg.Retries, s.cfg.RetryBackoff)
 	s.met.sweeps.Add(1)
-	tables, err := e.Run(job.Spec.ExperimentScale())
-	experiments.SetContext(prevCtx)
-	experiments.SetCheckpoint(prevCkpt)
-	experiments.SetCellTimeout(prevTimeout)
-	experiments.SetRetry(prevRetries, prevBackoff)
-	s.sweepMu.Unlock()
-
+	tables, err := e.Run(job.Spec.ExperimentScale(), experiments.RunOptions{
+		Ctx: job.ctx, Checkpoint: ckpt, Pool: s.cells,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
 	"time"
 )
@@ -63,5 +64,30 @@ func TestColdKeyCacheHit(t *testing.T) {
 	}
 	if n := srv.met.simulated.Load(); n != 1 {
 		t.Errorf("simulated = %d, want 1", n)
+	}
+}
+
+// TestDefaultSpoolRemovedOnDrain: without a SpoolDir, New creates a spool
+// dir under TMPDIR and Drain removes it, since no later process could
+// resume from it. An explicit SpoolDir survives the drain.
+func TestDefaultSpoolRemovedOnDrain(t *testing.T) {
+	explicit := t.TempDir()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, dir := range []string{"", explicit} {
+		srv, err := New(Config{Workers: 1, SpoolDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("TMPDIR after drain holds %v (%v), want nothing", left, err)
+	}
+	if _, err := os.Stat(explicit); err != nil {
+		t.Errorf("explicit spool dir removed by drain: %v", err)
 	}
 }

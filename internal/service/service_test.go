@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -442,9 +444,17 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// decodeString restores a checkpointed string cell value.
+func decodeString(b []byte) (any, error) {
+	var s string
+	err := json.Unmarshal(b, &s)
+	return s, err
+}
+
 // The sweep drain/resume test registers one synthetic experiment: three
 // cells return instantly, the last blocks on sweepGate until the test
-// releases it. Run counts prove which cells re-executed after resume.
+// releases it or its sweep is cancelled. Run counts prove which cells
+// re-executed after resume.
 // Each run of the test installs a fresh gate and zeroes the counts, so it
 // repeats under -count.
 var (
@@ -458,26 +468,26 @@ func sweepExpName() string {
 		err := experiments.Add(experiments.Experiment{
 			Name:        "svc-test-exp",
 			Description: "service drain/resume fixture",
-			Run: func(experiments.Scale) ([]*stats.Table, error) {
+			Run: func(_ experiments.Scale, opts experiments.RunOptions) ([]*stats.Table, error) {
 				cells := make([]experiments.Cell, len(sweepCellRuns))
 				for i := range cells {
 					cells[i] = experiments.Cell{
 						Label: fmt.Sprintf("svc-test/cell%d", i),
-						Fn: func() (any, error) {
+						Fn: func(ctx context.Context) (any, error) {
 							sweepCellRuns[i].Add(1)
 							if i == len(cells)-1 {
-								<-sweepGate.Load().(chan struct{})
+								select {
+								case <-sweepGate.Load().(chan struct{}):
+								case <-ctx.Done():
+									return nil, ctx.Err()
+								}
 							}
 							return fmt.Sprintf("v%d", i), nil
 						},
-						DecodeValue: func(b []byte) (any, error) {
-							var s string
-							err := json.Unmarshal(b, &s)
-							return s, err
-						},
+						DecodeValue: decodeString,
 					}
 				}
-				res, err := experiments.RunCells(cells)
+				res, err := experiments.RunCells(cells, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -573,10 +583,181 @@ func TestSweepDrainCheckpointResume(t *testing.T) {
 		}
 	}
 	if n := sweepCellRuns[len(sweepCellRuns)-1].Load(); n != 2 {
-		t.Errorf("gated cell ran %d times, want 2 (abandoned attempt + resume)", n)
+		t.Errorf("gated cell ran %d times, want 2 (cancelled attempt + resume)", n)
 	}
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Errorf("journal not removed after successful resume: %v", err)
+	}
+}
+
+// The concurrent-sweep test registers two synthetic experiments, one per
+// sweep job. Every cell waits until both sweeps have started (pairBoth),
+// and each sweep's last cell also waits for pairHold, so the test can
+// inspect both journals while both sweeps are mid-flight.
+var (
+	registerPair sync.Once
+	pairStarts   atomic.Int32
+	pairBoth     atomic.Value // chan struct{}, closed by the second sweep to start
+	pairHold     atomic.Value // chan struct{}
+)
+
+// pairWait blocks until ch closes or the sweep is cancelled. The timeout
+// turns sweeps that can never overlap into a failure instead of a hang.
+func pairWait(ctx context.Context, ch chan struct{}) error {
+	select {
+	case <-ch:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("the two sweeps never ran at the same time")
+	}
+}
+
+func pairExperiment(name string) experiments.Experiment {
+	return experiments.Experiment{
+		Name:        name,
+		Description: "service concurrent-sweep fixture",
+		Run: func(_ experiments.Scale, opts experiments.RunOptions) ([]*stats.Table, error) {
+			if pairStarts.Add(1) == 2 {
+				close(pairBoth.Load().(chan struct{}))
+			}
+			cells := make([]experiments.Cell, 3)
+			for i := range cells {
+				cells[i] = experiments.Cell{
+					Label: fmt.Sprintf("%s/cell%d", name, i),
+					Fn: func(ctx context.Context) (any, error) {
+						if err := pairWait(ctx, pairBoth.Load().(chan struct{})); err != nil {
+							return nil, err
+						}
+						if i == len(cells)-1 {
+							if err := pairWait(ctx, pairHold.Load().(chan struct{})); err != nil {
+								return nil, err
+							}
+						}
+						return fmt.Sprintf("%s-v%d", name, i), nil
+					},
+					DecodeValue: decodeString,
+				}
+			}
+			res, err := experiments.RunCells(cells, opts)
+			if err != nil {
+				return nil, err
+			}
+			tbl := stats.NewTable(name, "cell", "value")
+			for i, r := range res {
+				tbl.AddRow(fmt.Sprintf("cell%d", i), fmt.Sprint(r.Value))
+			}
+			return []*stats.Table{tbl}, nil
+		},
+	}
+}
+
+// resetPair arms the fixture: both=false makes the cells wait for two
+// sweeps, hold=false holds each sweep's last cell.
+func resetPair(both, hold bool) {
+	registerPair.Do(func() {
+		for _, name := range []string{"svc-test-pair-a", "svc-test-pair-b"} {
+			if err := experiments.Add(pairExperiment(name)); err != nil {
+				panic(err)
+			}
+		}
+	})
+	pairStarts.Store(0)
+	pairBoth.Store(newGate(both))
+	pairHold.Store(newGate(hold))
+}
+
+func newGate(open bool) chan struct{} {
+	ch := make(chan struct{})
+	if open {
+		close(ch)
+	}
+	return ch
+}
+
+// journalLines waits until the journal at path holds n records and
+// returns them.
+func journalLines(t *testing.T, path string, n int) []string {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		data, _ := os.ReadFile(path)
+		if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(data) > 0 && len(lines) >= n {
+			return lines
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal %s never reached %d records", path, n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestConcurrentSweepsRunIndependently runs two different sweep jobs at
+// the same time on two workers. Each runs under its own context and
+// journal: cancelling one leaves the other done, with the tables of the
+// same sweep run alone, and each journal holds only its own cells.
+func TestConcurrentSweepsRunIndependently(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// The shared cell pool has GOMAXPROCS slots; each held cell
+		// keeps one, so the two sweeps need two.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	resetPair(false, false)
+	ctx := context.Background()
+	spool := t.TempDir()
+	_, c := startServer(t, service.Config{Workers: 2, SpoolDir: spool})
+	specA := service.JobSpec{Kind: service.KindSweep, Experiment: "svc-test-pair-a"}
+	specB := service.JobSpec{Kind: service.KindSweep, Experiment: "svc-test-pair-b"}
+	a, err := c.Submit(ctx, specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Submit(ctx, specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Both sweeps are mid-flight: two cells journaled, the last one held.
+	for _, sw := range []struct{ key, exp string }{{a.Key, specA.Experiment}, {b.Key, specB.Experiment}} {
+		for _, line := range journalLines(t, filepath.Join(spool, sw.key+".ndjson"), 2) {
+			if !strings.Contains(line, `"label":"`+sw.exp+`/`) {
+				t.Errorf("journal of %s holds a foreign record: %s", sw.exp, line)
+			}
+		}
+	}
+
+	if err := c.Cancel(ctx, a.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, c, a.ID, service.StateCanceled); st.State != service.StateCanceled {
+		t.Fatalf("cancelled sweep ended %s (%s)", st.State, st.Error)
+	}
+	close(pairHold.Load().(chan struct{}))
+	stB, err := c.Watch(ctx, b.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.State != service.StateDone {
+		t.Fatalf("sweep beside a cancelled one ended %s (%s)", stB.State, stB.Error)
+	}
+	if lines := journalLines(t, filepath.Join(spool, a.Key+".ndjson"), 2); len(lines) != 2 {
+		t.Errorf("cancelled sweep journaled %d cells, want its 2 completed ones", len(lines))
+	}
+
+	resetPair(true, true)
+	_, alone := startServer(t, service.Config{Workers: 1})
+	resp, err := alone.Submit(ctx, specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stAlone, err := alone.Watch(ctx, resp.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stAlone.State != service.StateDone || !reflect.DeepEqual(stB.Tables, stAlone.Tables) {
+		t.Errorf("sweep run beside another differs from it run alone:\n%q\nvs\n%q (%s)",
+			stB.Tables, stAlone.Tables, stAlone.State)
 	}
 }
 

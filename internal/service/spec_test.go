@@ -1,7 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,10 +143,8 @@ func TestNormalizeAcceptsLimits(t *testing.T) {
 	}
 }
 
-// FuzzJobSpec decodes arbitrary bytes as a job spec. Nothing may panic,
-// and a spec Normalize accepts is canonical: normalizing it again changes
-// no field, and its cache key is the same both times.
-func FuzzJobSpec(f *testing.F) {
+// addSpecSeeds seeds f with the JSON of every spec case in this file.
+func addSpecSeeds(f *testing.F) {
 	seeds := []JobSpec{{}, {Kind: KindSweep, Experiment: "latency"}}
 	for _, tc := range rejections {
 		seeds = append(seeds, tc.spec)
@@ -156,6 +159,13 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		f.Add(b)
 	}
+}
+
+// FuzzJobSpec decodes arbitrary bytes as a job spec. Nothing may panic,
+// and a spec Normalize accepts is canonical: normalizing it again changes
+// no field, and its cache key is the same both times.
+func FuzzJobSpec(f *testing.F) {
+	addSpecSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
 		if json.Unmarshal(data, &spec) != nil || spec.Normalize() != nil {
@@ -172,6 +182,92 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if k := again.CacheKey(); k != key {
 			t.Fatalf("cache key moved from %s to %s", key, k)
+		}
+	})
+}
+
+// submitBodies are raw POST /v1/jobs bodies and the status each must get,
+// in order, from one server whose workers are not started. A body must
+// hold exactly one spec: trailing data is refused, not dropped.
+var submitBodies = []struct {
+	name string
+	body string
+	code int
+}{
+	{"spec", `{"instructions":1000}`, http.StatusAccepted},
+	{"same spec again", `{"instructions":1000}`, http.StatusOK},
+	{"spec and white space", "{\"instructions\":1001}\n\t ", http.StatusAccepted},
+	{"trailing garbage", `{"instructions":1000}garbage`, http.StatusBadRequest},
+	{"second object", `{"instructions":1000}{"org":"rmm"}`, http.StatusBadRequest},
+	{"trailing brace", `{"instructions":1000}}`, http.StatusBadRequest},
+	{"unknown field", `{"instructions":1000,"speed":9}`, http.StatusBadRequest},
+	{"empty body", ``, http.StatusBadRequest},
+}
+
+// idleServer builds a server with a small queue whose workers never
+// start, so every accepted job stays queued.
+func idleServer(tb testing.TB) *Server {
+	srv, err := New(Config{QueueDepth: 4, SpoolDir: tb.TempDir()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Drain(context.Background()) })
+	return srv
+}
+
+// postSpec sends body to POST /v1/jobs through the server's handler.
+func postSpec(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	return rec
+}
+
+func TestSubmitBodies(t *testing.T) {
+	h := idleServer(t).Handler()
+	for _, tc := range submitBodies {
+		if rec := postSpec(h, []byte(tc.body)); rec.Code != tc.code {
+			t.Errorf("%s: %q answered %d (%s), want %d", tc.name, tc.body, rec.Code, rec.Body, tc.code)
+		}
+	}
+}
+
+// FuzzSubmitHandler sends arbitrary bodies through Server.Handler(). Nothing
+// may panic and the status is 200, 202, 400 or 429. A body that strict
+// decoding (one spec, no unknown fields, nothing after it) or Normalize
+// rejects gets 400, and a 2xx answer carries the cache key of the strictly
+// decoded, normalized spec.
+func FuzzSubmitHandler(f *testing.F) {
+	addSpecSeeds(f)
+	for _, tc := range submitBodies {
+		f.Add([]byte(tc.body))
+	}
+	h := idleServer(f).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		valid := dec.Decode(&spec) == nil && dec.Decode(&struct{}{}) == io.EOF && spec.Normalize() == nil
+
+		rec := postSpec(h, body)
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted:
+			var resp SubmitResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%q: undecodable answer %q: %v", body, rec.Body, err)
+			}
+			if !valid || resp.Key != spec.CacheKey() {
+				t.Fatalf("%q accepted (valid %v) with key %s, want %s", body, valid, resp.Key, spec.CacheKey())
+			}
+		case http.StatusTooManyRequests:
+			if !valid {
+				t.Fatalf("%q: invalid body answered 429", body)
+			}
+		case http.StatusBadRequest:
+			if valid {
+				t.Fatalf("%q: valid body answered 400: %s", body, rec.Body)
+			}
+		default:
+			t.Fatalf("%q: status %d (%s)", body, rec.Code, rec.Body)
 		}
 	})
 }

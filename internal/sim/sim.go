@@ -6,7 +6,9 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -599,6 +601,29 @@ func (r Report) JSON() string {
 // goroutine (typically a signal handler) at any time, including before
 // Run starts or after it returned.
 func (s *Simulator) Stop() { s.stop.Store(true) }
+
+// errStopped is the interruption cause of a run cut short by Stop while
+// its context was still live.
+var errStopped = errors.New("simulator stopped")
+
+// RunContext is Run under a context: cancelling ctx calls Stop, so the
+// run quiesces at the next chunk boundary. An interrupted run returns its
+// partial report together with an error wrapping context.Cause(ctx); a
+// run that completes returns a nil error even if ctx ends afterwards.
+func (s *Simulator) RunContext(ctx context.Context, n uint64) (Report, error) {
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, s.Stop)()
+	}
+	rep := s.Run(n)
+	if !s.interrupted {
+		return rep, nil
+	}
+	cause := context.Cause(ctx)
+	if cause == nil {
+		cause = errStopped
+	}
+	return rep, fmt.Errorf("simulation interrupted after %d instructions: %w", rep.Instructions, cause)
+}
 
 // Interrupted reports whether the last Run was cut short by Stop.
 func (s *Simulator) Interrupted() bool { return s.interrupted }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -187,6 +189,25 @@ func TestStopFlushesPartialReport(t *testing.T) {
 	}
 	if !strings.Contains(r.JSON(), `"interrupted": true`) {
 		t.Error("JSON report does not carry the interrupted flag")
+	}
+}
+
+// TestRunContextStopsOnCancel: a cancelled context stops the run at a
+// chunk boundary, and the error wraps the context's cause; a live
+// context leaves a completed run error-free.
+func TestRunContextStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r, err := newHybridSim(t, "stream", 1).RunContext(ctx, 1_000_000)
+	if !errors.Is(err, context.Canceled) || !r.Interrupted {
+		t.Fatalf("cancelled run: err %v, interrupted %v", err, r.Interrupted)
+	}
+	if r.Instructions == 0 || r.Instructions >= 1_000_000 {
+		t.Errorf("cancelled run retired %d instructions, want (0, 1000000)", r.Instructions)
+	}
+	r, err = newHybridSim(t, "stream", 1).RunContext(context.Background(), 5000)
+	if err != nil || r.Interrupted || r.Instructions != 5000 {
+		t.Errorf("live run: err %v, report %+v", err, r)
 	}
 }
 
