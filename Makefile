@@ -2,7 +2,7 @@
 # suite under the race detector (the sweep runner is concurrent).
 GO ?= go
 
-.PHONY: all build test race vet fmt ci parity determinism invariants fuzz-smoke service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-test bench-all sweep sweep-full clean
+.PHONY: all build test race vet fmt ci parity determinism invariants fuzz-smoke mutants service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-test bench-all sweep sweep-full clean
 
 all: build
 
@@ -120,6 +120,17 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s ./internal/service/store
 	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/service
 	$(GO) test -run=NONE -fuzz=FuzzSubmitHandler -fuzztime=10s ./internal/service
+	$(GO) test -run=NONE -fuzz=FuzzCacheMatchesLRUModel -fuzztime=10s ./internal/cache
+
+# mutants is the mutation check: each mutants/*.patch breaks one behaviour
+# and names, in its header, the package and the test that must catch it.
+# mutants/run.sh applies every patch to a temporary copy of the repository
+# and fails unless each mutant builds and its test fails. It compiles the
+# module once per mutant, so it is not part of ci; run it on any change
+# that claims byte-identical behaviour. A surviving mutant calls for a new
+# test, never for dropping the patch.
+mutants:
+	bash mutants/run.sh
 
 # bench runs the repository benchmark (bench/, see bench/README.md) once
 # on every workload BENCHMARK.json declares, with tracing off: each run

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hybridvc/internal/addr"
 	"hybridvc/internal/stats"
@@ -56,10 +57,9 @@ type Config struct {
 
 // Line is one cache way's coherence bookkeeping: the MESI state and the
 // cached permission bits of the extended tag of Figure 2. Everything else
-// a way carries lives in the Cache's packed structure-of-arrays — the tag
-// key it is matched by (which encodes the full block name, reconstructed
-// on demand via addr.NameFromKey) and its LRU stamp — so the hot set scans
-// and fills touch one densely packed word per way plus these two bytes.
+// a way carries lives in the Cache's packed arrays — the tag key it is
+// matched by (which encodes the full block name, reconstructed on demand
+// via addr.NameFromKey) and its place in its set's recency word.
 type Line struct {
 	State State
 	Perm  addr.Perm
@@ -72,35 +72,44 @@ func (l *Line) Dirty() bool { return l.State == Modified }
 type Cache struct {
 	cfg     Config
 	setMask uint64
-	// keys holds each way's one-word tag key packed contiguously, so the
-	// hot set scans compare one contiguous word per way instead of
-	// striding through per-way structs. A valid way stores Name.Key()
-	// with keyValidBit set (bit 1 is always clear in a key: addresses are
+	// keys holds each way's one-word tag key, set si at
+	// keys[si*ways : (si+1)*ways]. A valid way stores Name.Key() with
+	// keyValidBit set (bit 1 is always clear in a key: addresses are
 	// line-aligned, bit 0 is the synonym bit, and bits 2..3 carry the
-	// payload kind); invalid ways store 0,
-	// so a single compare per way resolves both tag match and validity,
-	// and the full block name is recovered with addr.NameFromKey.
+	// payload kind); invalid ways store 0, so one compare confirms both
+	// tag match and validity, and the full block name is recovered with
+	// addr.NameFromKey.
 	keys []uint64
-	// lrus holds each way's LRU stamp packed the same way; zero means the
-	// way is invalid (ticks start at 1), which lets find and the Fill
-	// victim scan run entirely over the packed arrays.
-	lrus []uint64
+	// recency holds one word per set: the set's way numbers as 4-bit
+	// nibbles, most recently used in the low nibble, least recently used
+	// at bit offset top; nibbles above the set's ways stay zero. Every
+	// invalid way sits behind every valid one, so the last nibble is
+	// always the fill victim: a free way while the set has one, the least
+	// recently used line otherwise.
+	recency []uint64
 	// meta holds each way's two-byte coherence state and permission; set
-	// si occupies meta[si*ways : (si+1)*ways], like keys and lrus.
+	// si occupies meta[si*ways : (si+1)*ways], like keys.
 	meta     []Line
 	ways     uint64
-	tick     uint64
+	top      uint   // bit offset of the least recently used nibble
+	used     uint64 // mask of the recency word's nibbles that hold ways
 	Stats    stats.HitMiss
 	Evicted  stats.Counter // lines evicted for capacity/conflict
 	WriteBks stats.Counter // dirty evictions
 }
 
+// maxWays bounds the associativity: a recency word holds 16 nibbles.
+const maxWays = 16
+
 // Validate reports why the geometry cannot be built, or nil: the size
-// must hold at least one line, the ways must divide the line count, and
-// the set count must be a power of two.
+// must hold at least one line, the ways must divide the line count and
+// be at most 16, and the set count must be a power of two.
 func (cfg Config) Validate() error {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 {
 		return fmt.Errorf("cache %s: invalid size/ways %d/%d", cfg.Name, cfg.SizeBytes, cfg.Ways)
+	}
+	if cfg.Ways > maxWays {
+		return fmt.Errorf("cache %s: %d ways exceed the maximum of %d", cfg.Name, cfg.Ways, maxWays)
 	}
 	lines := cfg.SizeBytes / addr.LineSize
 	if lines == 0 {
@@ -122,20 +131,32 @@ func New(cfg Config) *Cache {
 		panic(err.Error())
 	}
 	nsets := cfg.SizeBytes / addr.LineSize / cfg.Ways
-	return &Cache{
+	ways := uint64(cfg.Ways)
+	c := &Cache{
 		cfg: cfg, setMask: uint64(nsets - 1),
-		keys: make([]uint64, nsets*cfg.Ways),
-		lrus: make([]uint64, nsets*cfg.Ways),
-		meta: make([]Line, nsets*cfg.Ways),
-		ways: uint64(cfg.Ways),
+		keys:    make([]uint64, nsets*cfg.Ways),
+		recency: make([]uint64, nsets),
+		meta:    make([]Line, nsets*cfg.Ways),
+		ways:    ways,
+		top:     uint(4 * (ways - 1)),
+		used:    ^uint64(0) >> (64 - 4*ways),
 	}
+	// Way 0 starts least recent, so a cold set fills its ways in order.
+	var r uint64
+	for w := uint64(0); w < ways; w++ {
+		r = r<<4 | w
+	}
+	for si := range c.recency {
+		c.recency[si] = r
+	}
+	return c
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.keys) / int(c.ways) }
+func (c *Cache) NumSets() int { return len(c.recency) }
 
 // nameAt rebuilds the block name stored in way i from its packed key.
 func (c *Cache) nameAt(i uint64) addr.Name {
@@ -148,16 +169,41 @@ func (c *Cache) nameAt(i uint64) addr.Name {
 // collides with no other name.
 const keyValidBit = 1 << 1
 
-// find locates n's way, scanning the packed key mirror: it returns the set
-// index, the way, and whether a valid match exists.
-func (c *Cache) find(n addr.Name) (si uint64, w int, ok bool) {
+// nibbleOnes has a one in every nibble; it broadcasts a way number across a
+// recency word.
+const nibbleOnes = 0x1111111111111111
+
+// offset returns the bit offset of way w's nibble in recency word r. The
+// nibble-wise subtraction flags the lowest nibble equal to w exactly
+// (a borrow only starts at a match), and w occurs once among the used
+// nibbles, which lie below the zero padding.
+func offset(r, w uint64) uint {
+	x := r ^ w*nibbleOnes
+	return uint(bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3))) &^ 3
+}
+
+// promote moves way w to the most recent end of recency word r.
+func promote(r, w uint64) uint64 {
+	keep := ^(uint64(1)<<(offset(r, w)+4) - 1)
+	return r&keep | (r<<4)&^keep | w
+}
+
+// demote moves way w to the least recent end of r, at bit offset top.
+func demote(r, w uint64, top uint) uint64 {
+	low := uint64(1)<<offset(r, w) - 1
+	return r&low | (r>>4)&^low | w<<top
+}
+
+// find locates n's way, comparing the set's keys in way order: it returns
+// the set index, the way, and whether a valid match exists.
+func (c *Cache) find(n addr.Name) (si, w uint64, ok bool) {
 	k := n.Key() | keyValidBit
 	si = n.Line() & c.setMask
 	base := si * c.ways
 	keys := c.keys[base : base+c.ways]
 	for i := range keys {
 		if keys[i] == k {
-			return si, i, true
+			return si, uint64(i), true
 		}
 	}
 	return si, 0, false
@@ -166,13 +212,13 @@ func (c *Cache) find(n addr.Name) (si uint64, w int, ok bool) {
 // lookup returns the way holding n, or nil.
 func (c *Cache) lookup(n addr.Name) *Line {
 	if si, w, ok := c.find(n); ok {
-		return &c.meta[si*c.ways+uint64(w)]
+		return &c.meta[si*c.ways+w]
 	}
 	return nil
 }
 
-// Probe reports whether n is present, without touching LRU or statistics.
-// Coherence snoops use Probe.
+// Probe reports whether n is present, without touching recency or
+// statistics. Coherence snoops use Probe.
 func (c *Cache) Probe(n addr.Name) *Line { return c.lookup(n) }
 
 // Victim describes a line displaced by a fill.
@@ -181,109 +227,85 @@ type Victim struct {
 	Dirty bool
 }
 
-// Access looks up n, recording hit/miss statistics and updating LRU.
-// On a hit it returns (line, nil-victim-ok). It does not allocate; callers
-// Fill after resolving the miss so fill ordering matches the hierarchy.
+// hit makes way w of set si the most recent and returns its line.
+func (c *Cache) hit(si, w uint64) *Line {
+	c.recency[si] = promote(c.recency[si], w)
+	return &c.meta[si*c.ways+w]
+}
+
+// Access looks up n, recording hit/miss statistics and updating recency.
+// On a hit it returns the line, on a miss nil. It does not allocate;
+// callers Fill after resolving the miss so fill ordering matches the
+// hierarchy.
 func (c *Cache) Access(n addr.Name) *Line {
-	c.tick++
 	si, w, ok := c.find(n)
 	c.Stats.Record(ok)
 	if !ok {
 		return nil
 	}
-	c.lrus[si*c.ways+uint64(w)] = c.tick
-	return &c.meta[si*c.ways+uint64(w)]
+	return c.hit(si, w)
 }
 
-// Fill allocates n with the given state and permission, returning any
-// displaced victim. Filling a name already present just updates it.
-func (c *Cache) Fill(n addr.Name, st State, perm addr.Perm) (Victim, bool) {
-	c.tick++
-	k := n.Key() | keyValidBit
-	base := (n.Line() & c.setMask) * c.ways
-	keys := c.keys[base : base+c.ways]
-	lrus := c.lrus[base : base+c.ways]
-	// One pass resolves both questions: an existing way for n (update in
-	// place) and, failing that, the victim — the first strict minimum
-	// over the packed LRU stamps, which is the first free way when one
-	// exists (invalid ways carry stamp 0) and the LRU way otherwise. The
-	// value-tracking minimum lets the compiler emit conditional moves
-	// instead of a data-dependent branch per way.
-	victim, minLru := 0, ^uint64(0)
-	hit := -1
-	for i := range keys {
-		if keys[i] == k {
-			hit = i
-			break
-		}
-		if lv := lrus[i]; lv < minLru {
-			victim, minLru = i, lv
-		}
-	}
-	if hit >= 0 {
-		c.meta[base+uint64(hit)] = Line{State: st, Perm: perm}
-		lrus[hit] = c.tick
-		return Victim{}, false
-	}
-	var out Victim
-	evicted := false
-	if vk := keys[victim]; vk != 0 {
-		out = Victim{Name: addr.NameFromKey(vk &^ keyValidBit), Dirty: c.meta[base+uint64(victim)].Dirty()}
+// install puts n, which the caller knows is absent from set si, in the
+// set's last way and makes it the most recent, returning the line that
+// way held if it was valid.
+func (c *Cache) install(si uint64, n addr.Name, st State, perm addr.Perm) (out Victim, evicted bool) {
+	r := c.recency[si]
+	w := r >> c.top & 0xF
+	c.recency[si] = r<<4&c.used | w
+	i := si*c.ways + w
+	if vk := c.keys[i]; vk != 0 {
+		out = Victim{Name: addr.NameFromKey(vk &^ keyValidBit), Dirty: c.meta[i].Dirty()}
 		evicted = true
 		c.Evicted.Inc()
 		if out.Dirty {
 			c.WriteBks.Inc()
 		}
 	}
-	c.meta[base+uint64(victim)] = Line{State: st, Perm: perm}
-	keys[victim] = k
-	lrus[victim] = c.tick
+	c.meta[i] = Line{State: st, Perm: perm}
+	c.keys[i] = n.Key() | keyValidBit
 	return out, evicted
 }
 
-// AccessFill is Access immediately followed, on a miss, by Fill — one set
-// scan resolves lookup, statistics, LRU, victim choice, and install. It is
-// byte-identical to the separate Access-then-Fill pair whenever nothing
-// touches the cache between the two calls (the LLC lookup path and the
-// index cache qualify; the private-cache fills do not, because a back-
-// invalidation may change the victim between their Access and Fill). On a
-// hit it returns the line and installs nothing.
+// Fill allocates n with the given state and permission, returning any
+// displaced victim. Filling a name already present just updates it.
+func (c *Cache) Fill(n addr.Name, st State, perm addr.Perm) (Victim, bool) {
+	si, w, ok := c.find(n)
+	if ok {
+		*c.hit(si, w) = Line{State: st, Perm: perm}
+		return Victim{}, false
+	}
+	return c.install(si, n, st, perm)
+}
+
+// fillAbsent is Fill for a name the caller knows is absent: it has just
+// missed in c, and nothing was filled into c since. It installs n without
+// looking for it again.
+func (c *Cache) fillAbsent(n addr.Name, st State, perm addr.Perm) (Victim, bool) {
+	return c.install(n.Line()&c.setMask, n, st, perm)
+}
+
+// AccessFill is Access immediately followed, on a miss, by Fill: one
+// lookup resolves the hit, the statistics and the recency update, and a
+// miss installs n in the set's last way without looking again. On a hit
+// it returns the line and installs nothing.
 func (c *Cache) AccessFill(n addr.Name, st State, perm addr.Perm) (l *Line, v Victim, evicted bool) {
-	c.tick++
-	k := n.Key() | keyValidBit
-	base := (n.Line() & c.setMask) * c.ways
-	keys := c.keys[base : base+c.ways]
-	lrus := c.lrus[base : base+c.ways]
-	victim, minLru := 0, ^uint64(0)
-	hit := -1
-	for i := range keys {
-		if keys[i] == k {
-			hit = i
-			break
-		}
-		if lv := lrus[i]; lv < minLru {
-			victim, minLru = i, lv
-		}
+	si, w, ok := c.find(n)
+	c.Stats.Record(ok)
+	if ok {
+		return c.hit(si, w), Victim{}, false
 	}
-	if hit >= 0 {
-		c.Stats.Record(true)
-		lrus[hit] = c.tick
-		return &c.meta[base+uint64(hit)], Victim{}, false
-	}
-	c.Stats.Record(false)
-	c.tick++ // the fill's own tick, matching the separate-call sequence
-	if vk := keys[victim]; vk != 0 {
-		v = Victim{Name: addr.NameFromKey(vk &^ keyValidBit), Dirty: c.meta[base+uint64(victim)].Dirty()}
-		evicted = true
-		c.Evicted.Inc()
-		if v.Dirty {
-			c.WriteBks.Inc()
-		}
-	}
-	c.meta[base+uint64(victim)] = Line{State: st, Perm: perm}
-	keys[victim] = k
-	lrus[victim] = c.tick
+	v, evicted = c.install(si, n, st, perm)
 	return nil, v, evicted
+}
+
+// invalidateWay empties way w of set si and moves it to the set's least
+// recent end, behind every valid way.
+func (c *Cache) invalidateWay(si, w uint64) {
+	i := si*c.ways + w
+	c.meta[i] = Line{}
+	c.keys[i] = 0
+	c.recency[si] = demote(c.recency[si], w, c.top)
 }
 
 // Invalidate removes n if present, returning whether it was dirty.
@@ -292,11 +314,8 @@ func (c *Cache) Invalidate(n addr.Name) (wasDirty, wasPresent bool) {
 	if !ok {
 		return false, false
 	}
-	i := si*c.ways + uint64(w)
-	wasDirty = c.meta[i].Dirty()
-	c.meta[i] = Line{}
-	c.keys[i] = 0
-	c.lrus[i] = 0
+	wasDirty = c.meta[si*c.ways+w].Dirty()
+	c.invalidateWay(si, w)
 	return wasDirty, true
 }
 
@@ -320,9 +339,7 @@ func (c *Cache) FlushMatching(match func(addr.Name) bool) (flushed, dirty int) {
 			if c.meta[i].Dirty() {
 				dirty++
 			}
-			c.meta[i] = Line{}
-			c.keys[i] = 0
-			c.lrus[i] = 0
+			c.invalidateWay(uint64(i)/c.ways, uint64(i)%c.ways)
 			flushed++
 		}
 	}
@@ -389,4 +406,30 @@ func (c *Cache) ForEachLine(fn func(addr.Name, *Line)) {
 			fn(c.nameAt(uint64(i)), &c.meta[i])
 		}
 	}
+}
+
+// checkSets verifies every set's recency word: it holds each of the
+// set's ways exactly once, with zero padding above them, and every
+// invalid way comes after every valid one.
+func (c *Cache) checkSets() error {
+	for si, r := range c.recency {
+		if r&^c.used != 0 {
+			return fmt.Errorf("cache %s: set %d: recency word %#x sets nibbles past its %d ways", c.cfg.Name, si, r, c.ways)
+		}
+		var seen uint32
+		free := false
+		for p := uint64(0); p < c.ways; p++ {
+			w := r >> (4 * p) & 0xF
+			if w >= c.ways || seen&(1<<w) != 0 {
+				return fmt.Errorf("cache %s: set %d: recency word %#x does not hold each of its %d ways once", c.cfg.Name, si, r, c.ways)
+			}
+			seen |= 1 << w
+			if c.keys[uint64(si)*c.ways+w] == 0 {
+				free = true
+			} else if free {
+				return fmt.Errorf("cache %s: set %d: recency word %#x puts valid way %d after an invalid way", c.cfg.Name, si, r, w)
+			}
+		}
+	}
+	return nil
 }

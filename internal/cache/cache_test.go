@@ -25,9 +25,10 @@ func TestCacheGeometry(t *testing.T) {
 	for _, bad := range []Config{
 		{SizeBytes: 0, Ways: 1},
 		{SizeBytes: 512, Ways: 0},
-		{SizeBytes: 512, Ways: 3}, // 8 lines not divisible by 3
-		{SizeBytes: 576, Ways: 3}, // 3 sets: not a power of two
-		{SizeBytes: 32, Ways: 1},  // smaller than one line
+		{SizeBytes: 512, Ways: 3},   // 8 lines not divisible by 3
+		{SizeBytes: 576, Ways: 3},   // 3 sets: not a power of two
+		{SizeBytes: 32, Ways: 1},    // smaller than one line
+		{SizeBytes: 2048, Ways: 32}, // one set, but a recency word holds 16 ways
 	} {
 		func() {
 			defer func() {

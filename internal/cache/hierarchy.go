@@ -144,6 +144,8 @@ func (h *Hierarchy) AccessScratch(core int, kind AccessKind, n addr.Name, perm a
 }
 
 // access is the shared body; wb seeds res.Writebacks (nil to allocate).
+// Each level is looked up once: a level that missed is filled through
+// fillAbsent, which installs the name without looking for it again.
 func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Perm, wb []addr.Name) AccessResult {
 	l1 := h.l1d[core]
 	if kind == Fetch {
@@ -177,7 +179,7 @@ func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Per
 			st = Modified
 			l.State = Modified
 		}
-		h.fillL1(core, kind, n, st, l.Perm, &res)
+		h.fillL1(core, kind, n, st, l.Perm)
 		return res
 	}
 
@@ -190,11 +192,12 @@ func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Per
 		llcState = Modified
 	}
 	// Nothing touches the LLC between its lookup and its fill-on-miss, so
-	// the fused AccessFill (one set scan) is byte-identical to the pair.
+	// the fused AccessFill (one lookup, then an install into the set's
+	// last way) is byte-identical to the pair.
 	if l, v, ok := h.llc.AccessFill(n, llcState, perm); l != nil {
 		res.HitLevel = 3
 		res.Perm = l.Perm
-		h.fillPrivate(core, kind, n, remoteState, l.Perm, &res)
+		h.fillPrivate(core, kind, n, remoteState, l.Perm)
 		return res
 	} else if ok {
 		h.backInvalidate(v.Name, &res)
@@ -208,7 +211,7 @@ func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Per
 	// block fills bottom-up. Record the fill now.
 	res.LLCMiss = true
 	res.Perm = perm
-	h.fillPrivate(core, kind, n, remoteState, perm, &res)
+	h.fillPrivate(core, kind, n, remoteState, perm)
 	return res
 }
 
@@ -224,7 +227,7 @@ func (h *Hierarchy) snoop(core int, n addr.Name, isWrite bool) State {
 	remote := Invalid
 	for c := 0; c < h.cfg.NumCores; c++ {
 		// Inclusion (L2 ⊇ L1d ∪ L1i) lets the L2 probe rule a core out, as
-		// in backInvalidate: most snoops then cost one set scan per remote
+		// in backInvalidate: most snoops then cost one lookup per remote
 		// core instead of three.
 		if c == core || h.l2[c].Probe(n) == nil {
 			continue
@@ -262,7 +265,7 @@ func (h *Hierarchy) llcAbsorbDirty(n addr.Name, perm addr.Perm) {
 		return
 	}
 	// Not in the LLC: fill it, preserving inclusion for the victim.
-	if v, ok := h.llc.Fill(n, Modified, perm); ok {
+	if v, ok := h.llc.fillAbsent(n, Modified, perm); ok {
 		h.backInvalidate(v.Name, nil)
 		if v.Dirty {
 			h.MemWritebacks.Inc()
@@ -271,7 +274,9 @@ func (h *Hierarchy) llcAbsorbDirty(n addr.Name, perm addr.Perm) {
 }
 
 // fillPrivate installs n into core's L2 and L1 after an LLC hit or fill.
-func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, remote State, perm addr.Perm, res *AccessResult) {
+// Both missed n at the start of the access and nothing has filled them
+// since, so neither looks for n again.
+func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, remote State, perm addr.Perm) {
 	st := Exclusive
 	if remote == Shared {
 		st = Shared
@@ -279,10 +284,10 @@ func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, remote S
 	if kind == Write {
 		st = Modified
 	}
-	if v, ok := h.l2[core].Fill(n, st, perm); ok {
+	if v, ok := h.l2[core].fillAbsent(n, st, perm); ok {
 		h.handleL2Victim(core, v)
 	}
-	h.fillL1(core, kind, n, st, perm, res)
+	h.fillL1(core, kind, n, st, perm)
 	if kind == Write {
 		// The LLC's copy is now stale relative to the private M copy; mark
 		// the LLC line dirty so the eventual eviction writes back.
@@ -292,18 +297,19 @@ func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, remote S
 	}
 }
 
-// fillL1 installs n into the proper L1.
-func (h *Hierarchy) fillL1(core int, kind AccessKind, n addr.Name, st State, perm addr.Perm, _ *AccessResult) {
+// fillL1 installs n, which missed in it at the start of the access, into
+// the proper L1.
+func (h *Hierarchy) fillL1(core int, kind AccessKind, n addr.Name, st State, perm addr.Perm) {
 	l1 := h.l1d[core]
 	if kind == Fetch {
 		l1 = h.l1i[core]
 		st = Shared // instruction lines are never written
 	}
-	if v, ok := l1.Fill(n, st, perm); ok && v.Dirty {
+	if v, ok := l1.fillAbsent(n, st, perm); ok && v.Dirty {
 		// Dirty L1 victim merges into L2 (and is dirty there).
 		if l := h.l2[core].Probe(v.Name); l != nil {
 			l.State = Modified
-		} else if lv, evicted := h.l2[core].Fill(v.Name, Modified, perm); evicted {
+		} else if lv, evicted := h.l2[core].fillAbsent(v.Name, Modified, perm); evicted {
 			h.handleL2Victim(core, lv)
 		}
 	}
@@ -340,7 +346,7 @@ func (h *Hierarchy) backInvalidate(n addr.Name, res *AccessResult) {
 		// Inclusion (L2 ⊇ L1d ∪ L1i, maintained by handleL2Victim) lets
 		// the L2 probe gate the L1 probes: a block absent from a core's
 		// L2 cannot be in either of its L1s, so most victims cost one
-		// set scan per core instead of three.
+		// lookup per core instead of three.
 		d2, present := h.l2[c].Invalidate(n)
 		if !present {
 			continue
@@ -435,11 +441,28 @@ func (h *Hierarchy) flushPayloadASID(asid addr.ASID) {
 	}
 }
 
+// CheckSets verifies every cache's per-set replacement state (its
+// recency words) and returns the first violation. It holds for any
+// hierarchy, including one whose L1s are not kept inclusive or coherent.
+func (h *Hierarchy) CheckSets() error {
+	for c := 0; c < h.cfg.NumCores; c++ {
+		for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
+			if err := pc.checkSets(); err != nil {
+				return err
+			}
+		}
+	}
+	return h.llc.checkSets()
+}
+
 // CheckInvariants verifies structural invariants and returns an error
 // describing the first violation: single-name uniqueness cannot be checked
-// here (it needs the OS mapping), but MESI exclusivity and L2⊇L1 inclusion
-// can.
+// here (it needs the OS mapping), but every cache's set state (CheckSets),
+// MESI exclusivity and L2⊇L1 inclusion can.
 func (h *Hierarchy) CheckInvariants() error {
+	if err := h.CheckSets(); err != nil {
+		return err
+	}
 	// A Modified or Exclusive line in one core's private caches must not
 	// coexist with any copy in another core's private caches.
 	type holder struct {

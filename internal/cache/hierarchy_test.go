@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hybridvc/internal/addr"
@@ -260,6 +261,37 @@ func TestHierarchyRandomizedInvariants(t *testing.T) {
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsCatchesCorruptSet corrupts one cache's set state at a
+// time and expects CheckInvariants to name it.
+func TestCheckInvariantsCatchesCorruptSet(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+		want    string
+	}{
+		// Set 0 holds ways 0, 3, 2, 1 from most to least recent; only way 0
+		// is valid.
+		{"duplicate way", func(c *Cache) { c.recency[0] &^= 0xF0 }, "once"},
+		{"free way first", func(c *Cache) { c.recency[0] = c.recency[0]&^0xFF | 0x03 }, "after an invalid way"},
+		{"padding", func(c *Cache) { c.recency[0] |= 1 << 60 }, "past its"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := testHierarchy(2)
+			h.Access(0, Read, vn(asid1, 0), addr.PermRW)
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			l2 := h.L2(1) // set 0 of core 1's L2 holds nothing yet
+			l2.Fill(vn(asid2, 0), Exclusive, addr.PermRW)
+			tc.corrupt(l2)
+			err := h.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "L2[1]") {
+				t.Fatalf("CheckInvariants = %v, want an L2[1] error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -29,18 +29,24 @@ func setPagePermScan(c *Cache, page addr.Name, perm addr.Perm) (updated int) {
 func cloneCache(c *Cache) *Cache {
 	d := *c
 	d.keys = append([]uint64(nil), c.keys...)
-	d.lrus = append([]uint64(nil), c.lrus...)
+	d.recency = append([]uint64(nil), c.recency...)
 	d.meta = append([]Line(nil), c.meta...)
 	return &d
 }
 
-// waysDiff names the first way whose key, LRU stamp, state or permission
-// differs between got and want; it returns "" when every way agrees.
+// waysDiff names the first set whose recency word, or way whose key,
+// state or permission, differs between got and want; it returns "" when
+// everything agrees.
 func waysDiff(got, want *Cache) string {
+	for si := range want.recency {
+		if got.recency[si] != want.recency[si] {
+			return fmt.Sprintf("set %d: recency word %#x, want %#x", si, got.recency[si], want.recency[si])
+		}
+	}
 	for i := range want.keys {
-		if got.keys[i] != want.keys[i] || got.lrus[i] != want.lrus[i] || got.meta[i] != want.meta[i] {
-			return fmt.Sprintf("way %d: key %#x lru %d %+v, want key %#x lru %d %+v", i,
-				got.keys[i], got.lrus[i], got.meta[i], want.keys[i], want.lrus[i], want.meta[i])
+		if got.keys[i] != want.keys[i] || got.meta[i] != want.meta[i] {
+			return fmt.Sprintf("way %d: key %#x %+v, want key %#x %+v", i,
+				got.keys[i], got.meta[i], want.keys[i], want.meta[i])
 		}
 	}
 	return ""
@@ -97,7 +103,8 @@ func (g *pageFlushNames) fill(c *Cache, n int) {
 // TestPageOpsMatchWholeCacheScan checks FlushPage and SetPagePerm, which
 // look up a page's 64 line names, against the whole-cache scan they
 // replace, on an L1-sized and an LLC-sized cache filled at random: the
-// counts and every way (key, LRU stamp, state, permission) must agree.
+// counts, every set's recency word, and every way's key, state and
+// permission must agree.
 func TestPageOpsMatchWholeCacheScan(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "L1D", SizeBytes: 32 << 10, Ways: 4, HitLatency: 4},

@@ -192,7 +192,8 @@ func (h *Hierarchy) ProbePayload(core int, n addr.Name) (payload, latency uint64
 	latency += h.llc.Config().HitLatency
 	if l := h.llc.Access(n); l != nil {
 		p, _ := h.payloads.get(n.Key())
-		if v, evicted := h.l2[core].Fill(n, Shared, l.Perm); evicted {
+		// The L2 has just missed n, so the fill need not look again.
+		if v, evicted := h.l2[core].fillAbsent(n, Shared, l.Perm); evicted {
 			h.handleL2Victim(core, v)
 		}
 		return p, latency, true

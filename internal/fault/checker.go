@@ -85,8 +85,9 @@ type CheckerConfig struct {
 //  4. Event/statistics reconciliation — probe event counts match the
 //     memory system's own counters, so neither layer drops or double
 //     counts under faults.
-//  5. The hierarchy's own MESI/inclusion invariants (skipped for SplitL1,
-//     where inclusion across the naming boundary does not hold).
+//  5. The hierarchy's own invariants: every cache's set state, and MESI
+//     and inclusion (only the set state for SplitL1, where inclusion
+//     across the naming boundary does not hold).
 //
 // A Checker is itself a pipeline.Probe (attach it with SetProbe, before
 // any injector in the Tee so its counts are current when the injector
@@ -147,7 +148,9 @@ func (c *Checker) Check() error {
 	c.checkTLBs(add)
 	c.checkPayloads(add)
 	c.checkStats(add)
-	if !c.cfg.SplitL1 {
+	if c.cfg.SplitL1 {
+		add(c.cfg.Mem.Hierarchy().CheckSets())
+	} else {
 		add(c.cfg.Mem.Hierarchy().CheckInvariants())
 	}
 	if len(errs) == 0 {
