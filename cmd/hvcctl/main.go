@@ -306,7 +306,7 @@ func cmdHealth(ctx context.Context, c *client.Client) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("readyz:  status=%s draining=%v breaker=%s\n", r.Status, r.Draining, r.Breaker)
+	fmt.Printf("readyz:  status=%s draining=%v\n", r.Status, r.Draining)
 	return nil
 }
 

@@ -13,7 +13,7 @@
 //	DELETE /v1/jobs/{id}          cancel
 //	GET    /v1/orgs               organization + workload catalog
 //	GET    /v1/experiments        experiment registry
-//	GET    /healthz, /readyz      liveness; readiness (503 draining/overloaded)
+//	GET    /healthz, /readyz      liveness; readiness (503 while draining)
 //	GET    /metrics               Prometheus text exposition
 //
 // Sweep jobs run concurrently, each under its own context and checkpoint
@@ -35,7 +35,7 @@
 //
 // Usage:
 //
-//	hvcd -addr :8077 -workers 4 -queue 64 -rate 50 -store /var/lib/hvcd
+//	hvcd -addr :8077 -workers 4 -queue 64 -store /var/lib/hvcd
 package main
 
 import (
@@ -59,16 +59,11 @@ func main() {
 	workers := flag.Int("workers", 0, "job worker pool size (<= 0 means GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "pending-job queue depth (full queue answers 429)")
 	cacheEntries := flag.Int("cache", 1024, "content-addressed result cache entries")
-	rate := flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
-	burst := flag.Int("burst", 10, "per-client submission burst")
 	spool := flag.String("spool", "", "sweep checkpoint spool directory (default: per-process temp dir, removed on drain)")
 	storeDir := flag.String("store", "", "durable result store directory (empty = memory-only cache)")
 	storeTTL := flag.Duration("store-ttl", 24*time.Hour, "expire store records this long after write (< 0 = never)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "store size budget, oldest records evicted first (< 0 = unbounded)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline from submission to completion (0 = unbounded)")
-	breakerWait := flag.Duration("breaker-queue-wait", 0, "open the overload breaker when queue waits exceed this (0 = breaker disabled)")
-	breakerTrips := flag.Int("breaker-trips", 3, "consecutive slow queue waits that trip the breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long the tripped breaker sheds before probing again")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	quiet := flag.Bool("quiet", false, "log warnings and errors only")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
@@ -85,8 +80,6 @@ func main() {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheEntries: *cacheEntries,
-		RatePerSec:   *rate,
-		RateBurst:    *burst,
 		SpoolDir:     *spool,
 		Logger:       logger,
 
@@ -94,10 +87,6 @@ func main() {
 		StoreTTL:      *storeTTL,
 		StoreMaxBytes: *storeMaxBytes,
 		JobTimeout:    *jobTimeout,
-
-		BreakerQueueWait: *breakerWait,
-		BreakerTrips:     *breakerTrips,
-		BreakerCooldown:  *breakerCooldown,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hvcd:", err)

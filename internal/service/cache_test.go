@@ -1,10 +1,6 @@
 package service
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
@@ -42,55 +38,5 @@ func TestResultCacheOverwrite(t *testing.T) {
 	}
 	if c.len() != 1 {
 		t.Errorf("len = %d, want 1", c.len())
-	}
-}
-
-// TestRateLimiterBucket drives the token bucket through a fake clock:
-// burst tokens up front, then exactly rate tokens per second, per client.
-func TestRateLimiterBucket(t *testing.T) {
-	l := newRateLimiter(2, 3) // 2/sec, burst 3
-	now := time.Unix(1000, 0)
-	l.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
-		if !l.allow("alice") {
-			t.Fatalf("burst submission %d refused", i)
-		}
-	}
-	if l.allow("alice") {
-		t.Error("submission beyond burst allowed")
-	}
-	if !l.allow("bob") {
-		t.Error("independent client throttled by alice's bucket")
-	}
-
-	now = now.Add(500 * time.Millisecond) // refills 1 token at 2/sec
-	if !l.allow("alice") {
-		t.Error("refilled token refused")
-	}
-	if l.allow("alice") {
-		t.Error("second token allowed after a 1-token refill")
-	}
-
-	if ra := l.retryAfter(); ra != 1 {
-		t.Errorf("retryAfter = %d, want 1", ra)
-	}
-}
-
-func TestRateLimiterDisabledAndPrune(t *testing.T) {
-	if !newRateLimiter(0, 1).allow("anyone") {
-		t.Error("zero rate must disable limiting")
-	}
-
-	l := newRateLimiter(1000, 1)
-	now := time.Unix(2000, 0)
-	l.now = func() time.Time { return now }
-	for i := 0; i < maxClients; i++ {
-		l.allow(fmt.Sprintf("client-%d", i))
-	}
-	now = now.Add(time.Second) // every bucket refills to full
-	l.allow("one-more")
-	if n := len(l.clients); n > maxClients {
-		t.Errorf("bucket map grew past maxClients: %d", n)
 	}
 }

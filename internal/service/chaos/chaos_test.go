@@ -1,7 +1,7 @@
 // The service-chaos suite (make chaos): a live hvcd daemon driven
-// through seeded store faults, deadline-exceeded jobs, an overload trip
-// and mid-stream client disconnects. Every scenario ends by proving the
-// daemon converged back to healthy. Run race-enabled.
+// through seeded store faults, deadline-exceeded jobs and mid-stream
+// client disconnects. Every scenario ends by proving the daemon
+// converged back to healthy. Run race-enabled.
 package chaos_test
 
 import (
@@ -221,98 +221,6 @@ func TestChaosDeadlines(t *testing.T) {
 		t.Errorf("resubmission coalesced onto an expired job: %+v", retry)
 	}
 	watchDone(t, c, retry.ID)
-}
-
-// TestChaosBreakerTripsAndRecovers drives the overload state machine end
-// to end over live HTTP: sustained queue waits trip the breaker, fresh
-// submissions shed 503 + Retry-After while cached results still serve,
-// /readyz goes unready, and after the cooldown the daemon recovers.
-func TestChaosBreakerTripsAndRecovers(t *testing.T) {
-	srv, c, _ := startServer(t, service.Config{
-		Workers:          1,
-		BreakerQueueWait: time.Millisecond,
-		BreakerTrips:     2,
-		BreakerCooldown:  time.Second,
-	})
-	ctx := context.Background()
-
-	// A long blocker pins the one worker while two short jobs accumulate
-	// queue wait behind it.
-	blocker, err := c.Submit(ctx, service.JobSpec{Instructions: service.MaxInstructions, Seed: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, c, blocker.ID)
-	short1, err := c.Submit(ctx, service.JobSpec{Instructions: 10_000, Seed: 101})
-	if err != nil {
-		t.Fatal(err)
-	}
-	short2, err := c.Submit(ctx, service.JobSpec{Instructions: 10_000, Seed: 102})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // both shorts now exceed the 1ms wait
-	if err := c.Cancel(ctx, blocker.ID); err != nil {
-		t.Fatal(err)
-	}
-	watchDone(t, c, blocker.ID)
-	st1, st2 := watchDone(t, c, short1.ID), watchDone(t, c, short2.ID)
-	if st1.State != service.StateDone || st2.State != service.StateDone {
-		t.Fatalf("short jobs finished %s/%s", st1.State, st2.State)
-	}
-
-	tripAt := time.Now()
-	if m := srv.MetricsSnapshot(); m.BreakerState != service.BreakerOpen || m.BreakerTrips != 1 {
-		t.Fatalf("breaker = %s after %d trips, want open/1", m.BreakerState, m.BreakerTrips)
-	}
-
-	// Open: fresh work sheds with 503 + Retry-After…
-	_, err = c.Submit(ctx, service.JobSpec{Instructions: 10_000, Seed: 103})
-	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.StatusCode != 503 {
-		t.Fatalf("fresh submit while open: %v, want 503", err)
-	}
-	if !apiErr.IsRetryable() || apiErr.RetryAfter <= 0 {
-		t.Errorf("shed response not retryable with Retry-After: %+v", apiErr)
-	}
-	// …but cached results keep flowing…
-	hit, err := c.Submit(ctx, service.JobSpec{Instructions: 10_000, Seed: 101})
-	if err != nil || !(hit.Cached || hit.Deduped) {
-		t.Errorf("cached spec while open: err=%v resp=%+v, want served", err, hit)
-	}
-	// …and readiness reflects the shed while liveness stays up.
-	ready, err := c.Ready(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ready.Status != "overloaded" || ready.Breaker != service.BreakerOpen {
-		t.Errorf("readyz while open = %+v", ready)
-	}
-	health, err := c.Health(ctx)
-	if err != nil || health.Status != "ok" {
-		t.Errorf("healthz while open = %+v err=%v, want ok (liveness)", health, err)
-	}
-	if m := srv.MetricsSnapshot(); m.Shed == 0 {
-		t.Error("shed counter did not move")
-	}
-
-	// Cooldown elapses → half-open admits a probe; an idle queue makes it
-	// a fast pickup, closing the breaker.
-	time.Sleep(time.Second - time.Since(tripAt) + 50*time.Millisecond)
-	probe, err := c.Submit(ctx, service.JobSpec{Instructions: 10_000, Seed: 104})
-	if err != nil {
-		t.Fatalf("probe after cooldown rejected: %v", err)
-	}
-	if st := watchDone(t, c, probe.ID); st.State != service.StateDone {
-		t.Fatalf("probe finished %s (%s)", st.State, st.Error)
-	}
-	if m := srv.MetricsSnapshot(); m.BreakerState != service.BreakerClosed {
-		t.Errorf("breaker = %s after fast probe, want closed", m.BreakerState)
-	}
-	ready, err = c.Ready(ctx)
-	if err != nil || ready.Status != "ready" {
-		t.Errorf("readyz after recovery = %+v err=%v", ready, err)
-	}
 }
 
 // TestChaosClientDisconnectMidStream: a timeline subscriber vanishing

@@ -49,8 +49,8 @@ func (e *APIError) Error() string {
 }
 
 // IsRetryable reports whether the submission should simply be retried
-// later: queue backpressure or rate limiting (429), and temporary
-// unavailability (503 — a draining daemon or an open overload breaker).
+// later: queue backpressure (429), and temporary unavailability (503 — a
+// draining daemon).
 func (e *APIError) IsRetryable() bool {
 	return e.StatusCode == http.StatusTooManyRequests ||
 		e.StatusCode == http.StatusServiceUnavailable
@@ -112,7 +112,7 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.Subm
 }
 
 // SubmitWait submits with bounded retries on retryable rejections
-// (429 backpressure/rate limiting, 503 draining/overloaded): it honours
+// (429 queue full, 503 draining): it honours
 // Retry-After when the server supplies one, otherwise paces itself with
 // the default capped jittered exponential Backoff, and gives up when ctx
 // expires or the backoff's MaxElapsed budget is spent. Non-retryable
@@ -261,9 +261,9 @@ func (c *Client) Health(ctx context.Context) (service.HealthResponse, error) {
 	return out, nil
 }
 
-// Ready fetches /readyz. Like Health, the 503 a draining or overloaded
-// daemon answers still carries a body, so that case is not an error
-// here — inspect the returned Status/Breaker fields.
+// Ready fetches /readyz. Like Health, the 503 a draining daemon answers
+// still carries a body, so that case is not an error here — inspect the
+// returned Status/Draining fields.
 func (c *Client) Ready(ctx context.Context) (service.ReadyResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
 	if err != nil {

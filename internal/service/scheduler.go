@@ -35,11 +35,6 @@ type Config struct {
 	// (default 1024).
 	CacheEntries int
 
-	// RatePerSec limits each client to this many submissions per second
-	// with bursts of RateBurst (0 disables limiting; burst default 10).
-	RatePerSec float64
-	RateBurst  int
-
 	// SpoolDir holds sweep checkpoint journals, keyed by cache key, so
 	// a drained sweep resumes when the same spec is resubmitted. The
 	// default is a per-process temp dir, which Drain removes.
@@ -69,16 +64,6 @@ type Config struct {
 	// (0 = unbounded).
 	JobTimeout time.Duration
 
-	// BreakerQueueWait arms the overload breaker: when jobs wait longer
-	// than this in the queue for BreakerTrips consecutive worker
-	// pickups, the breaker opens and fresh submissions are shed with
-	// 503 + Retry-After for BreakerCooldown while cached, deduplicated
-	// and disk-served results keep flowing (0 disables the breaker;
-	// trips default 3, cooldown default 5s).
-	BreakerQueueWait time.Duration
-	BreakerTrips     int
-	BreakerCooldown  time.Duration
-
 	// Logger receives structured request and job-lifecycle logs: one
 	// record per lifecycle transition carrying the lineage ID, spec key,
 	// org/experiment and stage latencies (nil = silent).
@@ -95,20 +80,11 @@ func (c *Config) fillDefaults() {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
 	}
-	if c.RateBurst <= 0 {
-		c.RateBurst = 10
-	}
 	if c.StoreTTL == 0 {
 		c.StoreTTL = 24 * time.Hour
 	}
 	if c.StoreMaxBytes == 0 {
 		c.StoreMaxBytes = 256 << 20
-	}
-	if c.BreakerTrips <= 0 {
-		c.BreakerTrips = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -119,16 +95,15 @@ func (c *Config) fillDefaults() {
 // by MetricsSnapshot. All fields are monotonic except the gauges derived
 // at snapshot time.
 type metrics struct {
-	submitted   atomic.Uint64 // accepted submissions (incl. dedup/cache)
-	deduped     atomic.Uint64 // submissions coalesced onto a live job
-	simulated   atomic.Uint64 // simulations actually executed
-	sweeps      atomic.Uint64 // experiment sweeps actually executed
-	failed      atomic.Uint64
-	canceled    atomic.Uint64
-	rateLimited atomic.Uint64 // submissions rejected 429 by the limiter
-	queueFull   atomic.Uint64 // submissions rejected 429 by backpressure
-	deadlines   atomic.Uint64 // jobs failed by the per-job deadline
-	busy        atomic.Int64  // workers currently executing a job (gauge)
+	submitted atomic.Uint64 // accepted submissions (incl. dedup/cache)
+	deduped   atomic.Uint64 // submissions coalesced onto a live job
+	simulated atomic.Uint64 // simulations actually executed
+	sweeps    atomic.Uint64 // experiment sweeps actually executed
+	failed    atomic.Uint64
+	canceled  atomic.Uint64
+	queueFull atomic.Uint64 // submissions rejected 429 by backpressure
+	deadlines atomic.Uint64 // jobs failed by the per-job deadline
+	busy      atomic.Int64  // workers currently executing a job (gauge)
 
 	// The "completed" counter lives in the telemetry collector: it IS the
 	// end-to-end latency histogram's sample count, so the counter and the
@@ -147,7 +122,6 @@ type MetricsSnapshot struct {
 	Completed   uint64 `json:"completed"`
 	Failed      uint64 `json:"failed"`
 	Canceled    uint64 `json:"canceled"`
-	RateLimited uint64 `json:"rate_limited"`
 	QueueFull   uint64 `json:"queue_full"`
 	QueueDepth  int    `json:"queue_depth"`
 	Jobs        int    `json:"jobs"`
@@ -160,12 +134,6 @@ type MetricsSnapshot struct {
 	// subset of Failed).
 	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 
-	// Overload breaker: state string ("closed", "half-open", "open"),
-	// total open transitions, and submissions shed while open.
-	BreakerState string `json:"breaker_state"`
-	BreakerTrips uint64 `json:"breaker_trips"`
-	Shed         uint64 `json:"shed"`
-
 	// Store is the durable-tier counter block; nil when the disk store
 	// is disabled.
 	Store *store.Metrics `json:"store,omitempty"`
@@ -175,14 +143,12 @@ type MetricsSnapshot struct {
 // API (see Handler). Construct with New, start the workers with Start,
 // stop with Drain.
 type Server struct {
-	cfg     Config
-	cache   *resultCache
-	store   *store.Store // durable second tier; nil when disabled
-	limiter *rateLimiter
-	breaker *breaker
-	met     metrics
-	tel     *telemetry.Collector
-	logger  *slog.Logger
+	cfg    Config
+	cache  *resultCache
+	store  *store.Store // durable second tier; nil when disabled
+	met    metrics
+	tel    *telemetry.Collector
+	logger *slog.Logger
 
 	// lifetime is the parent context of every job; drain cancels it
 	// after the grace period.
@@ -239,8 +205,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cache:    newResultCache(cfg.CacheEntries),
 		store:    disk,
-		limiter:  newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
-		breaker:  newBreaker(cfg.BreakerQueueWait, cfg.BreakerTrips, cfg.BreakerCooldown),
 		tel:      telemetry.NewCollector(),
 		logger:   cfg.Logger,
 		lifetime: ctx,
@@ -285,10 +249,6 @@ var (
 	ErrQueueFull = errors.New("job queue is full")
 	// ErrDraining is returned once Drain has begun — mapped to 503.
 	ErrDraining = errors.New("server is draining")
-	// ErrOverloaded is returned while the overload breaker is open:
-	// fresh submissions are shed (mapped to 503 + Retry-After) while
-	// deduplicated, cached and disk-served results keep flowing.
-	ErrOverloaded = errors.New("server overloaded: breaker open, retry later")
 )
 
 // SubmitResult reports how a submission was satisfied.
@@ -376,13 +336,6 @@ func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, 
 			s.cache.put(key, e)
 			return s.serveCachedLocked(spec, key, lineage, arrived, e, "disk"), nil
 		}
-	}
-
-	// Only genuinely fresh work reaches the breaker: an open breaker
-	// sheds new simulations but everything above — dedup, memory, disk —
-	// still serves.
-	if !s.breaker.admit() {
-		return SubmitResult{}, ErrOverloaded
 	}
 
 	job := newJob(s.newID(), key, lineage, spec, s.lifetime)
@@ -489,7 +442,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	s.mu.Lock()
 	jobs, draining := len(s.jobs), s.draining
 	s.mu.Unlock()
-	breakerState, breakerTrips, shed := s.breaker.snapshot()
 	var storeMet *store.Metrics
 	if s.store != nil {
 		m := s.store.Metrics()
@@ -506,7 +458,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		Completed:   s.tel.Completed(),
 		Failed:      s.met.failed.Load(),
 		Canceled:    s.met.canceled.Load(),
-		RateLimited: s.met.rateLimited.Load(),
 		QueueFull:   s.met.queueFull.Load(),
 		QueueDepth:  len(s.queue),
 		Jobs:        jobs,
@@ -516,9 +467,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		UptimeSec:   int64(time.Since(s.started).Seconds()),
 
 		DeadlineExceeded: s.met.deadlines.Load(),
-		BreakerState:     breakerState,
-		BreakerTrips:     breakerTrips,
-		Shed:             shed,
 		Store:            storeMet,
 	}
 }
@@ -600,7 +548,6 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	queueWait, _, _ := job.latencies(time.Now())
-	s.breaker.observe(queueWait)
 	s.logJob(job, "", "running", "queue_wait_s", queueWait.Seconds())
 
 	var (

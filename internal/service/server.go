@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -85,15 +84,12 @@ type HealthResponse struct {
 }
 
 // ReadyResponse answers GET /readyz — readiness: 503 while the server
-// is draining or the overload breaker is open, 200 otherwise, so load
-// balancers stop routing fresh work to a daemon that would shed it
-// while the liveness probe keeps the process alive.
+// is draining, 200 otherwise, so load balancers stop routing fresh work
+// to a daemon that would refuse it while the liveness probe keeps the
+// process alive.
 type ReadyResponse struct {
-	Status   string `json:"status"` // "ready", "draining" or "overloaded"
+	Status   string `json:"status"` // "ready" or "draining"
 	Draining bool   `json:"draining"`
-	// Breaker is the overload breaker state: "closed", "half-open" or
-	// "open".
-	Breaker string `json:"breaker"`
 }
 
 // Handler returns the daemon's HTTP API, wrapped in structured request
@@ -157,16 +153,6 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// clientKey extracts the per-client identity for rate limiting: the
-// remote IP without the ephemeral port.
-func clientKey(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
 // lineageHeader carries the submission's lineage ID on every job-scoped
 // response; X-Request-Id is the inbound header a client may use to
 // supply its own.
@@ -178,12 +164,6 @@ const (
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	lineage := telemetry.LineageFrom(r.Header.Get(requestIDHeader))
 	w.Header().Set(lineageHeader, lineage)
-	if !s.limiter.allow(clientKey(r)) {
-		s.met.rateLimited.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.limiter.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, "rate limit exceeded")
-		return
-	}
 	// The body is exactly one spec: unknown fields, and anything after the
 	// spec but white space, are rejected rather than silently dropped.
 	var spec JobSpec
@@ -201,10 +181,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case err == ErrDraining:
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err == ErrOverloaded:
-		w.Header().Set("Retry-After", strconv.Itoa(s.breaker.retryAfter()))
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err == ErrQueueFull:
@@ -423,16 +399,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	m := s.MetricsSnapshot()
-	resp := ReadyResponse{Status: "ready", Draining: m.Draining, Breaker: m.BreakerState}
+	resp := ReadyResponse{Status: "ready", Draining: m.Draining}
 	code := http.StatusOK
-	switch {
-	case m.Draining:
+	if m.Draining {
 		resp.Status = "draining"
 		code = http.StatusServiceUnavailable
-	case m.BreakerState == BreakerOpen:
-		resp.Status = "overloaded"
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(s.breaker.retryAfter()))
 	}
 	writeJSON(w, code, resp)
 }
@@ -457,11 +428,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	enc.Counter("hvcd_completed_total", "Jobs completed successfully (equals the hvcd_e2e_seconds sample count).", st.EndToEnd.Total)
 	enc.Counter("hvcd_failed_total", "Jobs that finished in the failed state.", m.Failed)
 	enc.Counter("hvcd_canceled_total", "Jobs that finished in the canceled state.", m.Canceled)
-	enc.Counter("hvcd_rate_limited_total", "Submissions rejected by the per-client rate limiter.", m.RateLimited)
 	enc.Counter("hvcd_queue_full_total", "Submissions rejected by queue backpressure.", m.QueueFull)
 	enc.Counter("hvcd_deadline_exceeded_total", "Jobs failed by the per-job deadline.", m.DeadlineExceeded)
-	enc.Counter("hvcd_breaker_trips_total", "Times the overload breaker opened.", m.BreakerTrips)
-	enc.Counter("hvcd_shed_total", "Fresh submissions shed while the overload breaker was open.", m.Shed)
 
 	// Store families are emitted even when the disk tier is disabled (all
 	// zeros) so dashboards and the metrics lint see a stable family set.
@@ -486,7 +454,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		draining = 1
 	}
 	enc.Gauge("hvcd_draining", "1 while the server is draining, 0 otherwise.", draining)
-	enc.Gauge("hvcd_breaker_state", "Overload breaker state: 0 closed, 1 half-open, 2 open.", BreakerStateValue(m.BreakerState))
 	enc.Gauge("hvcd_store_records", "Records resident in the durable result store.", float64(sm.Records))
 	enc.Gauge("hvcd_store_bytes", "Bytes resident in the durable result store.", float64(sm.Bytes))
 	enc.Gauge("hvcd_uptime_seconds", "Seconds since the server started.", float64(m.UptimeSec))

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -381,32 +382,9 @@ func TestSubmitPastLimitIs400(t *testing.T) {
 	}
 }
 
-// TestRateLimit checks the per-client token bucket: burst 1 means the
-// second immediate request is refused 429 before its body is even read.
-func TestRateLimit(t *testing.T) {
-	srv, c := startServer(t, service.Config{Workers: 1, RatePerSec: 0.5, RateBurst: 1})
-	ctx := context.Background()
-	bad := service.JobSpec{Kind: "nonsense"} // rejected post-limiter; schedules nothing
-
-	_, err := c.Submit(ctx, bad)
-	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != 400 {
-		t.Fatalf("first submit: %v, want 400 (past the limiter)", err)
-	}
-	_, err = c.Submit(ctx, bad)
-	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.StatusCode != 429 {
-		t.Fatalf("second submit: %v, want 429", err)
-	}
-	if apiErr.RetryAfter != 2*time.Second {
-		t.Errorf("Retry-After = %v, want 2s (1/rate)", apiErr.RetryAfter)
-	}
-	if m := srv.MetricsSnapshot(); m.RateLimited != 1 {
-		t.Errorf("rate_limited = %d, want 1", m.RateLimited)
-	}
-}
-
 // TestDrain checks graceful shutdown: running jobs are cancelled, new
-// submissions answer 503, and health reports draining.
+// submissions answer 503, health reports draining, and readiness turns
+// from 200 ready to 503 draining.
 func TestDrain(t *testing.T) {
 	srv, c := startServer(t, service.Config{Workers: 1})
 	ctx := context.Background()
@@ -416,6 +394,7 @@ func TestDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, c, resp.ID, service.StateRunning)
+	checkReady(t, c, http.StatusOK, service.ReadyResponse{Status: "ready"})
 
 	drainCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
@@ -441,6 +420,25 @@ func TestDrain(t *testing.T) {
 	}
 	if h.Status != "draining" || !h.Draining {
 		t.Errorf("health while draining = %+v", h)
+	}
+	checkReady(t, c, http.StatusServiceUnavailable, service.ReadyResponse{Status: "draining", Draining: true})
+}
+
+// checkReady requires GET /readyz to answer code, and client.Ready, which
+// returns a 503's body rather than an error, to decode want.
+func checkReady(t *testing.T, c *client.Client, code int, want service.ReadyResponse) {
+	t.Helper()
+	resp, err := http.Get(c.Base() + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != code {
+		t.Errorf("/readyz answered %d, want %d", resp.StatusCode, code)
+	}
+	got, err := c.Ready(context.Background())
+	if err != nil || got != want {
+		t.Errorf("client.Ready = %+v, %v; want %+v", got, err, want)
 	}
 }
 

@@ -97,9 +97,6 @@ func TestMetricsLint(t *testing.T) {
 		"# TYPE hvcd_completed_total counter",
 		"# TYPE hvcd_workers_busy gauge",
 		"# TYPE hvcd_deadline_exceeded_total counter",
-		"# TYPE hvcd_breaker_trips_total counter",
-		"# TYPE hvcd_shed_total counter",
-		"# TYPE hvcd_breaker_state gauge",
 		"# TYPE hvcd_store_hits_total counter",
 		"# TYPE hvcd_store_misses_total counter",
 		"# TYPE hvcd_store_writes_total counter",
@@ -120,9 +117,6 @@ func TestMetricsLint(t *testing.T) {
 	}
 	if v := promValue(t, body, "hvcd_store_records"); v != 2 {
 		t.Errorf("hvcd_store_records = %v, want 2", v)
-	}
-	if v := promValue(t, body, "hvcd_breaker_state"); v != 0 {
-		t.Errorf("hvcd_breaker_state = %v, want 0 (closed)", v)
 	}
 
 	// A store-less daemon still exposes every family, zero-valued, so the

@@ -13,17 +13,25 @@ import (
 	"testing"
 
 	"hybridvc"
+	"hybridvc/internal/core"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/stats"
 )
 
-// newTimelineSystem runs the acceptance workload: hybrid-manyseg+sc, a
-// small LLC (busy delayed-translation path), 120k instructions at a 10k
-// interval.
-func runTimeline(t *testing.T) (*stats.Timeline, sim.Report) {
+// timelineInterval and timelineInsns leave a partial last window.
+const (
+	timelineInterval = 10_000
+	timelineInsns    = 125_000
+)
+
+// runTimeline runs the acceptance workload: hybrid-manyseg+sc on a small
+// LLC (busy delayed-translation path), timelineInsns instructions at a
+// timelineInterval interval. A non-nil probe is attached before Run,
+// which tees it with the interval collector.
+func runTimeline(t *testing.T, workload string, probe *core.CountingProbe) (*stats.Timeline, sim.Report) {
 	t.Helper()
 	simCfg := sim.DefaultConfig()
-	simCfg.Interval = 10_000
+	simCfg.Interval = timelineInterval
 	sys, err := hybridvc.New(hybridvc.Config{
 		Org:      hybridvc.HybridManySegSC,
 		LLCBytes: 256 << 10,
@@ -33,10 +41,13 @@ func runTimeline(t *testing.T) (*stats.Timeline, sim.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.LoadWorkload("gups"); err != nil {
+	if err := sys.LoadWorkload(workload); err != nil {
 		t.Fatal(err)
 	}
-	report, err := sys.Run(120_000)
+	if probe != nil {
+		sys.Mem.SetProbe(probe)
+	}
+	report, err := sys.Run(timelineInsns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,48 +58,99 @@ func runTimeline(t *testing.T) (*stats.Timeline, sim.Report) {
 	return tl, report
 }
 
-func TestTimelineSumsMatchReport(t *testing.T) {
-	tl, report := runTimeline(t)
-	ivs := tl.Intervals()
-	if len(ivs) < 10 {
-		t.Fatalf("got %d intervals, want >= 10", len(ivs))
-	}
+// eventCountNames names, in order, the event counts that eventCounts
+// reads from an interval and probeCounts from a probe.
+var eventCountNames = [...]string{
+	"refs", "memory hits", "L1 hits", "private hits", "LLC hits", "LLC misses",
+	"filter probes", "candidates", "delayed translations", "writeback translations",
+}
 
-	var insns, cycles uint64
-	var energy float64
-	prevEnd := uint64(0)
-	for i, iv := range ivs {
-		if iv.Index != i {
-			t.Errorf("interval %d: index %d", i, iv.Index)
-		}
-		if iv.StartInsns != prevEnd {
-			t.Errorf("interval %d: starts at %d, previous ended at %d", i, iv.StartInsns, prevEnd)
-		}
-		if iv.EndInsns <= iv.StartInsns {
-			t.Errorf("interval %d: empty window [%d,%d]", i, iv.StartInsns, iv.EndInsns)
-		}
-		if iv.Insns != iv.EndInsns-iv.StartInsns {
-			t.Errorf("interval %d: Insns %d != EndInsns-StartInsns %d",
-				i, iv.Insns, iv.EndInsns-iv.StartInsns)
-		}
-		prevEnd = iv.EndInsns
-		insns += iv.Insns
-		cycles += iv.Cycles
-		energy += iv.DynamicEnergyPJ
+func eventCounts(iv *stats.Interval) [len(eventCountNames)]uint64 {
+	return [...]uint64{
+		iv.Refs, iv.HitLevels[0], iv.HitLevels[1], iv.HitLevels[2], iv.HitLevels[3], iv.LLCMisses,
+		iv.FilterProbes, iv.Candidates, iv.DelayedTranslations, iv.WritebackTranslations,
 	}
-	if insns != report.Instructions {
-		t.Errorf("summed interval insns %d != report instructions %d", insns, report.Instructions)
+}
+
+func probeCounts(cp *core.CountingProbe) [len(eventCountNames)]uint64 {
+	return [...]uint64{
+		cp.RouteTotal, cp.CacheHitLevel[0], cp.CacheHitLevel[1], cp.CacheHitLevel[2], cp.CacheHitLevel[3], cp.LLCMisses,
+		cp.FilterProbes, cp.FilterCandidates, cp.DelayedDemand, cp.DelayedWritebacks,
 	}
-	if cycles != report.Cycles {
-		t.Errorf("summed interval cycles %d != report cycles %d", cycles, report.Cycles)
+}
+
+// TestTimelineSumsMatchReport requires the intervals, the partial last
+// one included, to tile the run and sum to the report's instructions,
+// cycles and energy, and their event counts to sum to those of a probe
+// attached for the whole run. gups drives LLC misses and writeback
+// translations; postgres drives synonym candidates.
+func TestTimelineSumsMatchReport(t *testing.T) {
+	var seen [len(eventCountNames)]bool
+	for _, workload := range []string{"gups", "postgres"} {
+		t.Run(workload, func(t *testing.T) {
+			cp := &core.CountingProbe{}
+			tl, report := runTimeline(t, workload, cp)
+			ivs := tl.Intervals()
+			if len(ivs) < 10 {
+				t.Fatalf("got %d intervals, want >= 10", len(ivs))
+			}
+			if last := ivs[len(ivs)-1]; last.Insns >= timelineInterval {
+				t.Fatalf("last interval holds %d instructions, want a partial window", last.Insns)
+			}
+
+			var insns, cycles uint64
+			var energy float64
+			var sums [len(eventCountNames)]uint64
+			prevEnd := uint64(0)
+			for i := range ivs {
+				iv := &ivs[i]
+				if iv.Index != i {
+					t.Errorf("interval %d: index %d", i, iv.Index)
+				}
+				if iv.StartInsns != prevEnd {
+					t.Errorf("interval %d: starts at %d, previous ended at %d", i, iv.StartInsns, prevEnd)
+				}
+				if iv.EndInsns <= iv.StartInsns {
+					t.Errorf("interval %d: empty window [%d,%d]", i, iv.StartInsns, iv.EndInsns)
+				}
+				if iv.Insns != iv.EndInsns-iv.StartInsns {
+					t.Errorf("interval %d: Insns %d != EndInsns-StartInsns %d",
+						i, iv.Insns, iv.EndInsns-iv.StartInsns)
+				}
+				prevEnd = iv.EndInsns
+				insns += iv.Insns
+				cycles += iv.Cycles
+				energy += iv.DynamicEnergyPJ
+				for k, n := range eventCounts(iv) {
+					sums[k] += n
+				}
+			}
+			if insns != report.Instructions {
+				t.Errorf("summed interval insns %d != report instructions %d", insns, report.Instructions)
+			}
+			if cycles != report.Cycles {
+				t.Errorf("summed interval cycles %d != report cycles %d", cycles, report.Cycles)
+			}
+			if diff := math.Abs(energy - report.DynamicEnergyPJ); diff > 1e-6*report.DynamicEnergyPJ {
+				t.Errorf("summed interval energy %.3f pJ != report %.3f pJ", energy, report.DynamicEnergyPJ)
+			}
+			for k, want := range probeCounts(cp) {
+				if sums[k] != want {
+					t.Errorf("summed interval %s %d != probe %d", eventCountNames[k], sums[k], want)
+				}
+				seen[k] = seen[k] || want > 0
+			}
+		})
 	}
-	if diff := math.Abs(energy - report.DynamicEnergyPJ); diff > 1e-6*report.DynamicEnergyPJ {
-		t.Errorf("summed interval energy %.3f pJ != report %.3f pJ", energy, report.DynamicEnergyPJ)
+	for k, name := range eventCountNames {
+		if !seen[k] {
+			t.Errorf("no workload exercised %s: its sum check is vacuous", name)
+		}
 	}
 }
 
 func TestTimelineNDJSONWellFormed(t *testing.T) {
-	tl, _ := runTimeline(t)
+	tl, _ := runTimeline(t, "gups", nil)
 	var buf bytes.Buffer
 	if err := tl.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -114,7 +176,7 @@ func TestTimelineNDJSONWellFormed(t *testing.T) {
 }
 
 func TestTimelineCSVWellFormed(t *testing.T) {
-	tl, _ := runTimeline(t)
+	tl, _ := runTimeline(t, "gups", nil)
 	var buf bytes.Buffer
 	if err := tl.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
