@@ -79,11 +79,12 @@ govulncheck:
 		echo "govulncheck: not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# parity runs the golden refactor gate on its own: every organization's
-# full stat table must stay byte-identical to the recorded golden file,
-# at jobs=1 and jobs=8.
+# parity runs the golden refactor gates on their own: every
+# organization's full stat table, and every interval of its timeline runs,
+# must stay byte-identical to the recorded golden files, at jobs=1 and
+# jobs=8.
 parity:
-	$(GO) test -run TestGoldenParity -count=1 ./experiments
+	$(GO) test -run 'TestGoldenParity|TestGoldenTimelines' -count=1 ./experiments
 
 # determinism runs every registered experiment at Quick scale with one
 # sweep worker and with eight, and fails unless the two outputs are
