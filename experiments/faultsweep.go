@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"hybridvc"
-	"hybridvc/internal/core"
 	"hybridvc/internal/fault"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/stats"
@@ -65,10 +64,7 @@ func faultCell(org hybridvc.Organization, label string, kinds []fault.Kind, simC
 		if err != nil {
 			return nil, err
 		}
-		inj, ch, err := sys.InjectFaults(fault.Config{Seed: 13, Period: 1024, Kinds: kinds})
-		if err != nil {
-			return nil, err
-		}
+		inj, ch := sys.InjectFaults(fault.Config{Seed: 13, Period: 1024, Kinds: kinds})
 		if err := sys.LoadWorkload(faultWorkload); err != nil {
 			return nil, err
 		}
@@ -82,7 +78,7 @@ func faultCell(org hybridvc.Organization, label string, kinds []fault.Kind, simC
 		if err := ch.Check(); err != nil {
 			return nil, fmt.Errorf("%s after %s faults: %w", org, label, err)
 		}
-		base := sys.Mem.(core.BaseHolder).BaseState()
+		base := sys.Mem.BaseState()
 		return []string{
 			string(org), faultWorkload, label,
 			fmt.Sprintf("%d", inj.Total()),

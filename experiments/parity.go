@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybridvc"
-	"hybridvc/internal/core"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/stats"
 	"hybridvc/internal/workload"
@@ -83,11 +82,7 @@ func Parity(s Scale, opts RunOptions) (*stats.Table, error) {
 func parityRow(org, wl string, cores int) func(*hybridvc.System, sim.Report) (any, error) {
 	return func(sys *hybridvc.System, rep sim.Report) (any, error) {
 		h := sys.Mem.Hierarchy()
-		bh, ok := sys.Mem.(core.BaseHolder)
-		if !ok {
-			return nil, fmt.Errorf("organization %s does not expose its Base", org)
-		}
-		b := bh.BaseState()
+		b := sys.Mem.BaseState()
 		return []string{
 			org, wl,
 			fmt.Sprintf("%d", cores),

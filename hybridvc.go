@@ -310,12 +310,13 @@ func applyLLC(dst *int, override int) {
 // delayed TLBs and reconcile the false-positive counter, the virtualized
 // designs resolve guest-physical addresses through the VM, OVC audits
 // only its virtual L1 (split naming boundary), and filter-bypass
-// (Enigma) permits shared pages under virtual names. The checker probes
-// the memory system (composed with any existing probe) and its Check
-// method may be invoked at any point between accesses — the fault
-// injector does so after every injection.
-func (s *System) AttachChecker() (*fault.Checker, error) {
+// (Enigma) permits shared pages under virtual names. The checker reads
+// the memory system's pipeline counts, and its Check method may be
+// invoked at any point between accesses — the fault injector does so
+// after every injection.
+func (s *System) AttachChecker() *fault.Checker {
 	cfg := fault.CheckerConfig{Mem: s.Mem, Kernel: s.Kernel}
+	countedFPs := func(c *pipeline.Counts) uint64 { return c.FalsePositives }
 	switch m := s.Mem.(type) {
 	case *core.HybridMMU:
 		cfg.AllowSharedVirtual = s.cfg.Org == Enigma
@@ -328,7 +329,7 @@ func (s *System) AttachChecker() (*fault.Checker, error) {
 		cfg.Extra = []fault.Recon{{
 			Label: "hybrid false positives",
 			Stat:  func() uint64 { return m.FalsePositives.Value() },
-			Event: func(p *core.CountingProbe) uint64 { return p.FalsePositives },
+			Event: countedFPs,
 		}}
 	case *core.VirtHybridMMU:
 		cfg.TranslateGPA = s.VM.TranslateGPA
@@ -336,7 +337,7 @@ func (s *System) AttachChecker() (*fault.Checker, error) {
 		cfg.Extra = []fault.Recon{{
 			Label: "virt-hybrid false positives",
 			Stat:  func() uint64 { return m.FalsePositives.Value() },
-			Event: func(p *core.CountingProbe) uint64 { return p.FalsePositives },
+			Event: countedFPs,
 		}}
 	case *core.RLTVC:
 		for i := 0; i < s.cfg.Cores; i++ {
@@ -346,7 +347,7 @@ func (s *System) AttachChecker() (*fault.Checker, error) {
 		cfg.Extra = []fault.Recon{{
 			Label: "rlt-vc false positives",
 			Stat:  func() uint64 { return m.FalsePositives.Value() },
-			Event: func(p *core.CountingProbe) uint64 { return p.FalsePositives },
+			Event: countedFPs,
 		}}
 	case *baseline.Victima:
 		for i := 0; i < s.cfg.Cores; i++ {
@@ -361,39 +362,26 @@ func (s *System) AttachChecker() (*fault.Checker, error) {
 		cfg.TranslateGPA = s.VM.TranslateGPA
 		cfg.NestedWalks = true
 	}
-	ch, err := fault.NewChecker(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.Mem.SetProbe(pipeline.Tee(s.Mem.Probe(), ch))
-	return ch, nil
+	return fault.NewChecker(cfg)
 }
 
-// AttachFaults attaches a deterministic fault injector: it observes every
-// reference through the probe layer and also arms transient page-walk
-// failures through the pipeline's walk-fault hook. Attach a checker
-// FIRST (AttachChecker, or use InjectFaults) so its event counts are
-// current when the injector triggers a post-fault check.
+// AttachFaults attaches a deterministic fault injector as the memory
+// system's pipeline.Faulter: the engine calls it once per reference, and
+// its armed transient page-walk failures reach the shared walk path.
 func (s *System) AttachFaults(cfg fault.Config) *fault.Injector {
 	inj := fault.NewInjector(cfg, s.Kernel)
-	if bh, ok := s.Mem.(core.BaseHolder); ok {
-		bh.BaseState().SetWalkFaulter(inj)
-	}
-	s.Mem.SetProbe(pipeline.Tee(s.Mem.Probe(), inj))
+	s.Mem.BaseState().SetFaulter(inj)
 	return inj
 }
 
 // InjectFaults attaches a checker-audited fault injector: every injected
 // fault is followed by a full invariant check, and the first violation is
 // retained on both the injector and the checker.
-func (s *System) InjectFaults(cfg fault.Config) (*fault.Injector, *fault.Checker, error) {
-	ch, err := s.AttachChecker()
-	if err != nil {
-		return nil, nil, err
-	}
+func (s *System) InjectFaults(cfg fault.Config) (*fault.Injector, *fault.Checker) {
+	ch := s.AttachChecker()
 	inj := s.AttachFaults(cfg)
 	inj.SetChecker(ch)
-	return inj, ch, nil
+	return inj, ch
 }
 
 // LoadWorkload instantiates the named workload's processes in the system.

@@ -84,20 +84,13 @@ func (c *Conventional) translate(req *core.Request) (addr.PA, addr.Perm, uint64,
 	// The 2 MiB TLB is probed in parallel with the 4 KiB L1 TLB.
 	if e, ok := c.hugeTLBs[req.Core].Lookup(req.Proc.ASID, req.VA.HugePage()); ok {
 		c.HugeTLBHits.Inc()
-		if p := c.Probe(); p != nil {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBHuge, Hit: true})
-		}
+		c.Counts.TLB(pipeline.TLBHuge, true)
 		off := uint64(req.VA) & (addr.HugePageSize - 1)
 		return addr.FrameToPA(e.PFN) + addr.PA(off), e.Perm, 0, true
 	}
 	tres := tl.Lookup(req.Proc.ASID, req.VA.Page())
-	if p := c.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBHuge, Hit: false})
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
-		if tres.Level != 1 {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL2, Hit: tres.Level == 2})
-		}
-	}
+	c.Counts.TLB(pipeline.TLBHuge, false)
+	c.Counts.TwoLevelTLB(tres.Level)
 	var lat uint64
 	switch tres.Level {
 	case 1:
@@ -359,23 +352,16 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 
 	r.Acc.Access(energy.L1TLB, 1)
 	e, ok := r.l1tlbs[req.Core].Lookup(req.Proc.ASID, req.VA.Page())
+	r.Counts.TLB(pipeline.TLBL1, ok)
 	if ok {
-		if p := r.Probe(); p != nil {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: true})
-		}
 		pa = addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
 		perm = e.Perm
 	} else {
-		if p := r.Probe(); p != nil {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: false})
-		}
 		// Range TLB at the L2 TLB position: 7 cycles on the critical path.
 		r.Acc.Access(energy.SegmentTable, 1)
 		res.Latency += 7
 		seg, rok := r.ranges[req.Core].Lookup(req.Proc.ASID, req.VA)
-		if p := r.Probe(); p != nil {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBRange, Hit: rok})
-		}
+		r.Counts.TLB(pipeline.TLBRange, rok)
 		if rok {
 			pa = seg.Translate(req.VA)
 			perm = seg.Perm

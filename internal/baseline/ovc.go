@@ -66,12 +66,7 @@ func (o *OVC) l1For(kind cache.AccessKind) *cache.Cache {
 func (o *OVC) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool) {
 	o.Acc.Access(energy.L1TLB, 1)
 	tres := o.tlb.Lookup(req.Proc.ASID, req.VA.Page())
-	if p := o.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
-		if tres.Level != 1 {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL2, Hit: tres.Level == 2})
-		}
-	}
+	o.Counts.TwoLevelTLB(tres.Level)
 	var lat uint64
 	if tres.Level == 0 {
 		o.Acc.Access(energy.L2TLB, 1)
@@ -106,9 +101,7 @@ func (o *OVC) timedWalk(proc *osmodel.Process, va addr.VA) (core.WalkLeaf, uint6
 		slat, _, _ := o.physL2Access(cache.Read, slot, addr.PermRO)
 		lat += slat
 	}
-	if p := o.Probe(); p != nil {
-		p.Walk(pipeline.WalkEvent{Steps: steps, OK: found})
-	}
+	o.Counts.Walk(steps)
 	if !found {
 		return core.WalkLeaf{}, lat, false
 	}
@@ -168,9 +161,7 @@ func (o *OVC) backInvalidate(n addr.Name) {
 // translate first and run the physical L1.
 func (o *OVC) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	candidate := req.Proc.Filter.IsCandidate(req.VA)
-	if p := o.Probe(); p != nil {
-		p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: candidate})
-	}
+	o.Counts.Filter(candidate)
 	if !candidate {
 		return pipeline.GoVirtual(0)
 	}

@@ -90,12 +90,7 @@ func (v *Victima) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool
 	vpn := req.VA.Page()
 	v.Acc.Access(energy.L1TLB, 1)
 	tres := tl.Lookup(req.Proc.ASID, vpn)
-	if p := v.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
-		if tres.Level != 1 {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL2, Hit: tres.Level == 2})
-		}
-	}
+	v.Counts.TwoLevelTLB(tres.Level)
 	var lat uint64
 	switch tres.Level {
 	case 1:
@@ -111,9 +106,7 @@ func (v *Victima) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool
 		name := xlatName(req.Proc.ASID, vpn)
 		payload, plat, hit := v.Hier.ProbePayload(req.Core, name)
 		lat += plat
-		if p := v.Probe(); p != nil {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBXlatCache, Hit: hit})
-		}
+		v.Counts.TLB(pipeline.TLBXlatCache, hit)
 		if hit {
 			v.CachedXlatHits.Inc()
 			e := unpackXlat(req.Proc.ASID, vpn, payload)

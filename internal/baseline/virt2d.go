@@ -64,9 +64,7 @@ func (v *Virt2D) timed2DWalk(coreID int, proc *osmodel.Process, gva addr.VA) (vi
 		l, _ := v.PhysAccess(coreID, cache.Read, ma, addr.PermRO)
 		lat += l
 	}
-	if p := v.Probe(); p != nil {
-		p.Walk(pipeline.WalkEvent{Core: coreID, Steps: len(res.Path), OK: res.OK})
-	}
+	v.Counts.Walk(len(res.Path))
 	return res, lat
 }
 
@@ -75,12 +73,7 @@ func (v *Virt2D) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	tl := v.tlbs[req.Core]
 	v.Acc.Access(energy.L1TLB, 1)
 	tres := tl.Lookup(req.Proc.ASID, req.VA.Page())
-	if p := v.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL1, Hit: tres.Level == 1})
-		if tres.Level != 1 {
-			p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBL2, Hit: tres.Level == 2})
-		}
-	}
+	v.Counts.TwoLevelTLB(tres.Level)
 	var ma addr.PA
 	var perm addr.Perm
 	switch tres.Level {

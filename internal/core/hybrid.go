@@ -240,9 +240,7 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	if !m.cfg.FilterBypass {
 		m.Acc.Access(energy.SynonymFilter, 1)
 		candidate = req.Proc.Filter.IsCandidate(req.VA)
-		if p := m.Probe(); p != nil {
-			p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: candidate})
-		}
+		m.Counts.Filter(candidate)
 		if m.cfg.FPRebuildThreshold > 0 {
 			m.stepRebuildPolicy(req.Proc)
 		}
@@ -262,9 +260,7 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 	res.Latency += st.Config().Latency
 
 	e, hit := st.Lookup(req.Proc.ASID, req.VA.Page())
-	if p := m.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBSynonym, Hit: hit})
-	}
+	m.Counts.TLB(pipeline.TLBSynonym, hit)
 	if !hit {
 		leaf, lat, ok := m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 		res.Latency += lat
@@ -293,9 +289,7 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 		// Filter false positive: the TLB entry corrects it; proceed with
 		// ASID+VA (the L1 block accessed with ASID+VA is used).
 		m.FalsePositives.Inc()
-		if p := m.Probe(); p != nil {
-			p.FalsePositive(pipeline.FalsePositiveEvent{Core: req.Core, VA: req.VA})
-		}
+		m.Counts.FalsePositive()
 		if w := m.fpWindow[req.Proc.ASID]; w != nil {
 			w.fps++
 		}
@@ -436,10 +430,7 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 			m.Acc.Access(energy.IndexCache, uint64(tres.ICProbes))
 			m.Acc.Access(energy.SegmentTable, 1)
 		}
-		if p := m.Probe(); p != nil {
-			p.Delayed(pipeline.DelayedEvent{Core: core, Writeback: wb,
-				SCHit: tres.SCHit, Depth: tres.ICProbes, Fault: tres.Fault})
-		}
+		m.Counts.Delayed(wb, tres.SCHit, tres.ICProbes, tres.Fault)
 		if tres.Fault {
 			return 0, tres.Latency, false
 		}
@@ -448,23 +439,16 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 		m.Acc.Access(energy.DelayedTLB, 1)
 		lat := m.delayedTLB.Config().Latency
 		if e, ok := m.delayedTLB.Lookup(proc.ASID, va.Page()); ok {
-			if p := m.Probe(); p != nil {
-				p.TLB(pipeline.TLBEvent{Core: core, Level: pipeline.TLBDelayed, Hit: true})
-				p.Delayed(pipeline.DelayedEvent{Core: core, Writeback: wb})
-			}
+			m.Counts.TLB(pipeline.TLBDelayed, true)
+			m.Counts.Delayed(wb, false, 0, false)
 			return addr.FrameToPA(e.PFN) + addr.PA(va.PageOffset()), lat, true
 		}
 		m.DelayedTLBMisses.Inc()
-		if p := m.Probe(); p != nil {
-			p.TLB(pipeline.TLBEvent{Core: core, Level: pipeline.TLBDelayed, Hit: false})
-		}
+		m.Counts.TLB(pipeline.TLBDelayed, false)
 		steps := m.WalkSteps.Value()
 		leaf, wlat, ok := m.TimedWalk(core, proc, va.PageAligned())
 		lat += wlat
-		if p := m.Probe(); p != nil {
-			p.Delayed(pipeline.DelayedEvent{Core: core, Writeback: wb,
-				Depth: int(m.WalkSteps.Value() - steps), Fault: !ok})
-		}
+		m.Counts.Delayed(wb, false, int(m.WalkSteps.Value()-steps), !ok)
 		if !ok {
 			return 0, lat, false
 		}

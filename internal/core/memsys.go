@@ -35,12 +35,6 @@ type Base = pipeline.Base
 // WalkLeaf is the result of a page walk.
 type WalkLeaf = pipeline.WalkLeaf
 
-// Probe receives typed pipeline events (see internal/pipeline).
-type Probe = pipeline.Probe
-
-// CountingProbe tallies every pipeline event kind, allocation-free.
-type CountingProbe = pipeline.CountingProbe
-
 // FaultLatency is the cycles charged for an OS fault handler invocation
 // (demand paging, CoW break, cold segment fill).
 const FaultLatency = pipeline.FaultLatency
@@ -63,19 +57,15 @@ type MemSystem interface {
 	Energy() *energy.Accumulator
 	// Hierarchy exposes the cache hierarchy for statistics.
 	Hierarchy() *cache.Hierarchy
-	// Probe returns the attached event probe (nil: observability off).
-	Probe() Probe
-	// SetProbe attaches (nil: detaches) the event probe. With no probe
-	// the hot path pays one nil-check per emission site and stays
-	// allocation-free.
-	SetProbe(p Probe)
+	// BaseState returns the shared substrate: its counters, its
+	// pipeline Counts and its fault hook.
+	BaseState() *Base
 	// Name identifies the organization in reports.
 	Name() string
 }
 
-// BaseHolder is implemented by every organization embedding *Base (all of
-// them, through the pipeline engine): generic tooling uses it to reach
-// the shared counters without a per-organization type switch.
+// BaseHolder is the BaseState method of MemSystem on its own. Every
+// MemSystem implements it; the benchmark module still asserts it.
 type BaseHolder interface {
 	BaseState() *Base
 }

@@ -103,9 +103,7 @@ func (m *RLTVC) lookupRecord(req *Request, res *Result) bool {
 	name := recordName(req.Proc.ASID, vpn)
 	payload, lat, hit := m.Hier.ProbePayload(req.Core, name)
 	res.Latency += lat
-	if p := m.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBXlatCache, Hit: hit})
-	}
+	m.Counts.TLB(pipeline.TLBXlatCache, hit)
 	if hit {
 		m.CachedRecordHits.Inc()
 	} else {
@@ -129,18 +127,14 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 	rc := m.rlt[req.Core]
 	vpn := req.VA.Page()
 	e, hit := rc.Lookup(req.Proc.ASID, vpn)
-	if p := m.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBRLT, Hit: hit})
-	}
+	m.Counts.TLB(pipeline.TLBRLT, hit)
 	var isSyn bool
 	if hit {
 		isSyn = !e.NonSynonym
 	} else {
 		isSyn = m.lookupRecord(req, res)
 	}
-	if p := m.Probe(); p != nil {
-		p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: isSyn})
-	}
+	m.Counts.Filter(isSyn)
 	if !isSyn {
 		if !hit {
 			m.insertNonSynonym(req.Core, req.Proc, vpn)

@@ -247,9 +247,7 @@ func (m *VirtHybridMMU) timed2DWalk(core int, proc *osmodel.Process, gva addr.VA
 		l, _ := m.PhysAccess(core, cache.Read, ma, addr.PermRO)
 		lat += l
 	}
-	if p := m.Probe(); p != nil {
-		p.Walk(pipeline.WalkEvent{Core: core, Steps: len(res.Path), OK: res.OK})
-	}
+	m.Counts.Walk(len(res.Path))
 	return res, lat
 }
 
@@ -257,9 +255,7 @@ func (m *VirtHybridMMU) timed2DWalk(core int, proc *osmodel.Process, gva addr.VA
 func (m *VirtHybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	m.Acc.Access(energy.SynonymFilter, 2) // both guest and host filters
 	candidate := m.pair(req.Proc).IsCandidate(req.VA)
-	if p := m.Probe(); p != nil {
-		p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: candidate})
-	}
+	m.Counts.Filter(candidate)
 	if candidate {
 		m.SynonymCandidates.Inc()
 		return m.routeSynonym(req, res)
@@ -275,9 +271,7 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 	res.Latency += st.Config().Latency
 
 	e, hit := st.Lookup(req.Proc.ASID, req.VA.Page())
-	if p := m.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBSynonym, Hit: hit})
-	}
+	m.Counts.TLB(pipeline.TLBSynonym, hit)
 	if !hit {
 		wres, lat := m.timed2DWalk(req.Core, req.Proc, req.VA.PageAligned())
 		res.Latency += lat
@@ -304,9 +298,7 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 	}
 	if e.NonSynonym {
 		m.FalsePositives.Inc()
-		if p := m.Probe(); p != nil {
-			p.FalsePositive(pipeline.FalsePositiveEvent{Core: req.Core, VA: req.VA})
-		}
+		m.Counts.FalsePositive()
 		return m.routeVirtual(req, res)
 	}
 	m.TrueSynonymAccesses.Inc()
@@ -385,9 +377,7 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 		m.Acc.Access(energy.SegmentCache, 1)
 		lat += 2
 		if ma, _, ok := m.sc.Lookup(proc.ASID, gva); ok {
-			if p := m.Probe(); p != nil {
-				p.Delayed(pipeline.DelayedEvent{Core: core, Writeback: wb, SCHit: true})
-			}
+			m.Counts.Delayed(wb, true, 0, false)
 			return ma, lat, true
 		}
 	}
@@ -398,10 +388,7 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 	m.Acc.Access(energy.SegmentTable, 1)
 	lat += g.Latency
 	if g.Fault {
-		if p := m.Probe(); p != nil {
-			p.Delayed(pipeline.DelayedEvent{Core: core, Writeback: wb,
-				Depth: g.ICProbes, Fault: true})
-		}
+		m.Counts.Delayed(wb, false, g.ICProbes, true)
 		return 0, lat, false
 	}
 	gpa := addr.GPA(g.PA)
@@ -410,10 +397,7 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 	m.Acc.Access(energy.IndexCache, uint64(h.ICProbes))
 	m.Acc.Access(energy.SegmentTable, 1)
 	lat += h.Latency
-	if p := m.Probe(); p != nil {
-		p.Delayed(pipeline.DelayedEvent{Core: core, Writeback: wb,
-			Depth: g.ICProbes + h.ICProbes, Fault: h.Fault})
-	}
+	m.Counts.Delayed(wb, false, g.ICProbes+h.ICProbes, h.Fault)
 	if h.Fault {
 		return 0, lat, false
 	}

@@ -129,7 +129,7 @@ func (a *Accumulator) Access(c Component, n uint64) {
 }
 
 // Snapshot captures the accumulator's access counts at a point in time,
-// so interval collectors can compute energy deltas.
+// so timelines can compute energy deltas.
 type Snapshot struct {
 	Accesses [numComponents]uint64
 }

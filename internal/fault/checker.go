@@ -20,20 +20,19 @@ type NamedTLB struct {
 	T    *tlb.TLB
 }
 
-// Recon is one organization-specific statistic/probe-event reconciliation
-// pair: Stat reads the memory system's own counter and Event derives the
-// same quantity from the checker's probe counts. The two must agree at
-// every check point.
+// Recon is one organization-specific counter reconciliation pair: Stat
+// reads the memory system's own counter and Event derives the same
+// quantity from the pipeline counts. The two must agree at every check
+// point.
 type Recon struct {
 	Label string
 	Stat  func() uint64
-	Event func(p *pipeline.CountingProbe) uint64
+	Event func(c *pipeline.Counts) uint64
 }
 
 // CheckerConfig wires a Checker to one system.
 type CheckerConfig struct {
-	// Mem is the memory system under audit; it must implement
-	// core.BaseHolder (all organizations do).
+	// Mem is the memory system under audit.
 	Mem core.MemSystem
 	// Kernel owns the address spaces whose names appear in the hierarchy
 	// (the guest kernel in virtualized organizations).
@@ -53,9 +52,9 @@ type CheckerConfig struct {
 	// virtually and tolerate multi-name sharing by construction.
 	AllowSharedVirtual bool
 	// NestedWalks marks virtualized organizations whose 2D walkers fetch
-	// nested tables outside the shared walk path: their probe walk-step
-	// counts legitimately exceed the base counter, so that pair is not
-	// reconciled (matching the repo-wide probe invariants).
+	// nested tables outside the shared walk path: their counted walk
+	// steps legitimately exceed the base counter, so that pair is not
+	// reconciled (matching the repo-wide count invariants).
 	NestedWalks bool
 	// TLBs lists translation structures to audit against the page tables.
 	TLBs []NamedTLB
@@ -65,8 +64,8 @@ type CheckerConfig struct {
 	// when the organization caches no metadata.
 	PayloadCoherence func(n addr.Name, payload uint64) error
 	// Extra adds organization-specific reconciliation pairs (for example
-	// the hybrid MMU's false-positive counter against the probe's
-	// FalsePositive events).
+	// the hybrid MMU's false-positive counter against
+	// Counts.FalsePositives).
 	Extra []Recon
 }
 
@@ -82,26 +81,20 @@ type CheckerConfig struct {
 //  3. Translation coherence — every valid TLB entry agrees with the
 //     authoritative page tables (mapping exists, frame and shared flag
 //     match).
-//  4. Event/statistics reconciliation — probe event counts match the
-//     memory system's own counters, so neither layer drops or double
-//     counts under faults.
+//  4. Count reconciliation — the pipeline counts match the memory
+//     system's own counters, so neither drops or double counts under
+//     faults.
 //  5. The hierarchy's own invariants: every cache's set state, and MESI
 //     and inclusion (only the set state for SplitL1, where inclusion
 //     across the naming boundary does not hold).
 //
-// A Checker is itself a pipeline.Probe (attach it with SetProbe, before
-// any injector in the Tee so its counts are current when the injector
-// triggers a check). Check may be called at any Route emission point: the
-// hierarchy is never mid-update there.
+// Both sides of the reconciliation count from the system's
+// construction, so a Checker built mid-run needs no baselines. Check may
+// be called between accesses and from Faulter.Routed: the hierarchy is
+// never mid-update there.
 type Checker struct {
-	pipeline.CountingProbe
 	cfg  CheckerConfig
 	base *pipeline.Base
-
-	// Counter baselines captured at attach time, so systems audited from
-	// mid-run still reconcile.
-	faults0, walkSteps0 uint64
-	extra0              []uint64
 
 	// Checks counts completed Check calls.
 	Checks uint64
@@ -111,20 +104,9 @@ type Checker struct {
 	firstErr error
 }
 
-// NewChecker builds a checker; Mem must implement core.BaseHolder.
-func NewChecker(cfg CheckerConfig) (*Checker, error) {
-	bh, ok := cfg.Mem.(core.BaseHolder)
-	if !ok {
-		return nil, fmt.Errorf("fault: %s does not expose pipeline base state", cfg.Mem.Name())
-	}
-	c := &Checker{cfg: cfg, base: bh.BaseState()}
-	c.faults0 = c.base.Faults.Value()
-	c.walkSteps0 = c.base.WalkSteps.Value()
-	c.extra0 = make([]uint64, len(cfg.Extra))
-	for i, r := range cfg.Extra {
-		c.extra0[i] = r.Stat()
-	}
-	return c, nil
+// NewChecker builds a checker.
+func NewChecker(cfg CheckerConfig) *Checker {
+	return &Checker{cfg: cfg, base: cfg.Mem.BaseState()}
 }
 
 // Err returns the first violation any Check observed, or nil.
@@ -338,18 +320,19 @@ func (c *Checker) checkPayloads(add func(error)) {
 	})
 }
 
-// checkStats reconciles probe event counts against the memory system's
-// own statistics, relative to the attach-time baselines.
+// checkStats reconciles the pipeline counts against the memory system's
+// own statistics.
 func (c *Checker) checkStats(add func(error)) {
-	if got, want := c.Faults, c.base.Faults.Value()-c.faults0; got != want {
-		add(fmt.Errorf("reconciliation: probe saw %d fault events, base counted %d", got, want))
+	counts := &c.base.Counts
+	if got, want := counts.Faults, c.base.Faults.Value(); got != want {
+		add(fmt.Errorf("reconciliation: counted %d faults, base counter says %d", got, want))
 	}
-	if got, want := c.WalkSteps, c.base.WalkSteps.Value()-c.walkSteps0; !c.cfg.NestedWalks && got != want {
-		add(fmt.Errorf("reconciliation: probe saw %d walk steps, base counted %d", got, want))
+	if got, want := counts.WalkSteps, c.base.WalkSteps.Value(); !c.cfg.NestedWalks && got != want {
+		add(fmt.Errorf("reconciliation: counted %d walk steps, base counter says %d", got, want))
 	}
-	for i, r := range c.cfg.Extra {
-		if got, want := r.Event(&c.CountingProbe), r.Stat()-c.extra0[i]; got != want {
-			add(fmt.Errorf("reconciliation: %s: probe derived %d, counter says %d", r.Label, got, want))
+	for _, r := range c.cfg.Extra {
+		if got, want := r.Event(counts), r.Stat(); got != want {
+			add(fmt.Errorf("reconciliation: %s: counted %d, counter says %d", r.Label, got, want))
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package fault provides deterministic fault injection and runtime
 // invariant checking for the hybrid virtual caching simulator.
 //
-// The Injector attaches to a memory system like any other pipeline probe:
-// it counts references through the Route emission point and, at seeded
+// The Injector attaches to a memory system as its pipeline.Faulter: it
+// counts references through the engine's Routed hook and, at seeded
 // period boundaries, perturbs the system with one of the modelled fault
 // kinds — synonym-filter soft errors, forced false-positive storms, TLB
 // shootdown bursts, mmap/munmap remap churn through the OS model, and
@@ -14,7 +14,7 @@
 //
 // The Checker (see checker.go) verifies the paper's structural invariants
 // — one name per physical block, zero synonym-filter false negatives,
-// translation-structure/page-table agreement, and probe-event/statistics
+// translation-structure/page-table agreement, and pipeline-count/statistics
 // reconciliation — and is designed to be run after every injected fault.
 //
 // All injected faults are *recoverable* by construction: they perturb
@@ -31,7 +31,6 @@ import (
 	"hybridvc/internal/addr"
 	"hybridvc/internal/bloom"
 	"hybridvc/internal/osmodel"
-	"hybridvc/internal/pipeline"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -142,10 +141,8 @@ func (c *Config) fillDefaults() {
 const maxArmedWalks = 64
 
 // Injector deterministically perturbs a running system. It implements
-// pipeline.Probe (attach with SetProbe, composed via pipeline.Tee) and
-// pipeline.WalkFaulter (attach with Base.SetWalkFaulter).
+// pipeline.Faulter (attach with Base.SetFaulter).
 type Injector struct {
-	pipeline.NopProbe
 	cfg     Config
 	kernel  *osmodel.Kernel
 	rng     *rand.Rand
@@ -198,11 +195,11 @@ func (in *Injector) Counts() map[string]uint64 {
 // Total returns the number of faults injected.
 func (in *Injector) Total() uint64 { return in.seq }
 
-// Route implements pipeline.Probe: every reference advances the injection
-// clock; at period boundaries one fault is injected. The Route event
-// fires after the front end decided and before the cache stage runs, so
-// the hierarchy is never mutated mid-update.
-func (in *Injector) Route(pipeline.RouteEvent) {
+// Routed implements pipeline.Faulter: every reference advances the
+// injection clock; at period boundaries one fault is injected. The engine
+// calls it after the front end decided and before the cache stage runs,
+// so the hierarchy is never mutated mid-update.
+func (in *Injector) Routed() {
 	in.accesses++
 	if in.accesses%in.cfg.Period != 0 {
 		return
@@ -215,8 +212,8 @@ func (in *Injector) Route(pipeline.RouteEvent) {
 	}
 }
 
-// FailWalk implements pipeline.WalkFaulter: armed walk transients drain
-// one per walk attempt.
+// FailWalk implements pipeline.Faulter: armed walk transients drain one
+// per walk attempt.
 func (in *Injector) FailWalk(int) bool {
 	if in.walkBudget > 0 {
 		in.walkBudget--

@@ -31,10 +31,7 @@ func buildFaulty(t *testing.T, org hybridvc.Organization, fcfg fault.Config) (*h
 	if err != nil {
 		t.Fatalf("New(%s): %v", org, err)
 	}
-	inj, ch, err := sys.InjectFaults(fcfg)
-	if err != nil {
-		t.Fatalf("InjectFaults(%s): %v", org, err)
-	}
+	inj, ch := sys.InjectFaults(fcfg)
 	if err := sys.LoadSpec(faultSpec()); err != nil {
 		t.Fatalf("LoadSpec(%s): %v", org, err)
 	}
@@ -136,7 +133,7 @@ func TestWalkTransientRetries(t *testing.T) {
 	if err := inj.Err(); err != nil {
 		t.Fatalf("invariant violation: %v", err)
 	}
-	base := sys.Mem.(core.BaseHolder).BaseState()
+	base := sys.Mem.BaseState()
 	if base.WalkRetries.Value() == 0 {
 		t.Fatalf("no walk retries recorded; injected=%d", inj.Injected[fault.WalkTransient])
 	}
@@ -150,10 +147,7 @@ func TestCheckerDetectsFilterFalseNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := sys.AttachChecker()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := sys.AttachChecker()
 	if err := sys.LoadSpec(faultSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +170,7 @@ func TestCheckerDetectsStaleLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := sys.AttachChecker()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := sys.AttachChecker()
 	if err := sys.LoadSpec(faultSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +188,7 @@ func TestCheckerDetectsBogusTLBEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := sys.AttachChecker()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := sys.AttachChecker()
 	if err := sys.LoadSpec(faultSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -209,5 +197,29 @@ func TestCheckerDetectsBogusTLBEntry(t *testing.T) {
 	m.SynTLB(0).Insert(tlb.Entry{ASID: asid, VPN: 0x9999_9, PFN: 0x42})
 	if err := ch.Check(); err == nil {
 		t.Fatalf("TLB entry for unmapped page not detected")
+	}
+}
+
+// TestCheckerDetectsCountDrift proves the reconciliation audit compares
+// the pipeline counts with the organization's own counters: a false
+// positive counted by the hybrid MMU alone is a violation.
+func TestCheckerDetectsCountDrift(t *testing.T) {
+	sys, err := hybridvc.New(hybridvc.Config{Org: hybridvc.HybridManySegSC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := sys.AttachChecker()
+	if err := sys.LoadSpec(faultSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(8_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Check(); err != nil {
+		t.Fatalf("clean system failed check: %v", err)
+	}
+	sys.Mem.(*core.HybridMMU).FalsePositives.Inc()
+	if err := ch.Check(); err == nil {
+		t.Fatalf("false positive counted by the MMU alone not detected")
 	}
 }

@@ -129,30 +129,32 @@ func (e *Engine) AccessBatch(reqs []Request, res []Result) {
 // Retry re-executes the request after a fault repaired the mapping and
 // folds the retried outcome into res. res.Fault stays set: the original
 // reference did fault, whatever the retry then did. The retried access
-// re-enters the pipeline, so it emits its own Route/Cache events; the
-// Retry event lets observers reconcile event counts with the number of
-// references the driver issued.
+// re-enters the pipeline, so it counts its own route and cache outcome;
+// Counts.Retries reconciles route counts with the number of references
+// the simulator issued.
 func (e *Engine) Retry(req *Request, res *Result) {
-	if p := e.probe; p != nil {
-		p.Retry(RetryEvent{Core: req.Core, Kind: req.Kind, VA: req.VA})
-	}
+	e.Counts.Retry()
 	r2 := e.Access(*req)
 	res.Latency += r2.Latency
 	res.LLCMiss = r2.LLCMiss
 	res.HitLevel = r2.HitLevel
 }
 
-// access runs the three stages for one reference. Probe events fire from
-// the stable points of the flow: Route after the front end decided, Cache
-// after the hierarchy (and, for virtual routes, the backend) completed —
-// so the CacheEvent carries the reference's final HitLevel/LLCMiss on the
-// unified scale regardless of which cache stage ran.
+// access runs the three stages for one reference. It counts at the
+// stable points of the flow: the route after the front end decided, where
+// the faulter runs too, and the cache outcome after the hierarchy (and,
+// for virtual routes, the backend) completed, so the count holds the
+// reference's final HitLevel/LLCMiss on the unified scale regardless of
+// which cache stage ran.
 func (e *Engine) access(req *Request, res *Result) {
 	d := e.front.Route(req, res)
-	if p := e.probe; p != nil {
-		p.Route(RouteEvent{Core: req.Core, Kind: req.Kind, VA: req.VA, Verdict: d.Verdict})
+	e.Counts.Route(d.Verdict)
+	if e.faulter != nil {
+		e.faulter.Routed()
 	}
 	switch d.Verdict {
+	case Done:
+		return
 	case Physical:
 		if e.cache != nil {
 			e.cache.Physical(req, d.PA, d.Perm, res)
@@ -161,10 +163,6 @@ func (e *Engine) access(req *Request, res *Result) {
 			res.Latency += lat
 			res.LLCMiss = hres.LLCMiss
 			res.HitLevel = hres.HitLevel
-		}
-		if p := e.probe; p != nil {
-			p.Cache(CacheEvent{Core: req.Core, Kind: req.Kind,
-				HitLevel: res.HitLevel, LLCMiss: res.LLCMiss})
 		}
 	case Virtual:
 		if e.cache != nil {
@@ -182,9 +180,6 @@ func (e *Engine) access(req *Request, res *Result) {
 		if e.back != nil {
 			e.back.Finish(req, res, &e.hres)
 		}
-		if p := e.probe; p != nil {
-			p.Cache(CacheEvent{Core: req.Core, Kind: req.Kind, Virtual: true,
-				HitLevel: res.HitLevel, LLCMiss: res.LLCMiss})
-		}
 	}
+	e.Counts.Cache(res.HitLevel, res.LLCMiss)
 }

@@ -69,13 +69,18 @@ const MaxWalkRetries = 3
 // walker detects the bad fetch (parity/poison) and re-issues the walk.
 const WalkRetryLatency = 50
 
-// WalkFaulter decides whether a timed page walk suffers a transient
-// failure (a soft error on a PTE fetch). The fault injector implements it;
-// with none installed the walk path pays only a nil-check.
-type WalkFaulter interface {
+// Faulter perturbs a running system between accesses. The fault injector
+// implements it; with none installed the engine and the walk path pay
+// only a nil-check.
+type Faulter interface {
+	// Routed is called once per reference entering the pipeline, fault
+	// retries included, after the front end decided and Counts counted
+	// the route, and before the cache stage runs: the hierarchy is never
+	// mid-update there.
+	Routed()
 	// FailWalk reports whether the next walk issued by core should fail
-	// transiently. It is consulted once per walk attempt, so a walk that
-	// retries asks again for each re-issue.
+	// transiently (a soft error on a PTE fetch). It is consulted once per
+	// walk attempt, so a walk that retries asks again for each re-issue.
 	FailWalk(core int) bool
 }
 
@@ -91,13 +96,13 @@ type Base struct {
 	// WalkSteps counts PTE fetches issued by timed page walks.
 	WalkSteps stats.Counter
 
-	// probe receives typed pipeline events; nil (the default) disables
-	// observability at the cost of one nil-check per emission site.
-	probe Probe
+	// Counts tallies every stage's events. It is shared by every engine
+	// running over this substrate: organizations composing several
+	// engines on one Base (direct segments, rlt-vc) keep one count.
+	Counts Counts
 
-	// walkFaulter injects transient page-walk failures; nil (the default)
-	// keeps the walk path allocation-free with a single nil-check.
-	walkFaulter WalkFaulter
+	// faulter perturbs the run (nil, the default, leaves it alone).
+	faulter Faulter
 	// WalkRetries counts transient walk failures that were retried.
 	WalkRetries stats.Counter
 }
@@ -105,34 +110,26 @@ type Base struct {
 // NewBase builds the shared substrate.
 func NewBase(hcfg cache.HierarchyConfig, dcfg mem.DRAMConfig, model energy.Model) *Base {
 	return &Base{
-		Hier: cache.NewHierarchy(hcfg),
-		DRAM: mem.NewDRAM(dcfg),
-		Acc:  energy.NewAccumulator(model),
+		Hier:   cache.NewHierarchy(hcfg),
+		DRAM:   mem.NewDRAM(dcfg),
+		Acc:    energy.NewAccumulator(model),
+		Counts: Counts{WalkDepth: stats.NewHistogram(1, 2, 3, 4, 6, 8, 12, 16, 24, 32)},
 	}
 }
 
 // BaseState returns the shared substrate itself. Organizations embed
-// *Base (through the Engine), so the promoted method lets generic tooling
-// (the parity experiment, benchmarks) reach the shared counters without a
-// per-organization type switch.
+// *Base (through the Engine), so the promoted method implements
+// core.MemSystem's BaseState for every organization: the simulator, the
+// fault checker and the parity experiment reach the shared counters and
+// Counts without a per-organization type switch.
 func (b *Base) BaseState() *Base { return b }
 
-// Probe returns the attached probe, or nil when observability is off.
-// Stages guard every emission with this nil-check, which is the entire
-// cost of the probe layer when disabled.
-func (b *Base) Probe() Probe { return b.probe }
-
-// SetProbe attaches (or, with nil, detaches) the event probe. The probe
-// is shared by every stage running over this substrate — organizations
-// composing several engines on one Base (direct segments) observe one
-// coherent event stream.
-func (b *Base) SetProbe(p Probe) { b.probe = p }
-
-// SetWalkFaulter attaches (or, with nil, detaches) a transient walk-fault
-// source. Organizations whose walks run through Base.TimedWalk see the
-// injected failures; designs with private walkers (OVC, virtualized 2D
-// walks) simply never consult it.
-func (b *Base) SetWalkFaulter(f WalkFaulter) { b.walkFaulter = f }
+// SetFaulter attaches (or, with nil, detaches) a fault source. The engine
+// calls its Routed hook in every organization; organizations whose walks
+// run through Base.TimedWalk also see its walk failures, while designs
+// with private walkers (OVC, virtualized 2D walks) never consult
+// FailWalk.
+func (b *Base) SetFaulter(f Faulter) { b.faulter = f }
 
 // PhysAccess performs a physically addressed access (synonym data, PTE
 // fetches, baseline data) through the hierarchy and DRAM, returning the
@@ -151,7 +148,7 @@ func (b *Base) PhysAccess(core int, kind cache.AccessKind, pa addr.PA, perm addr
 // PTE through the cache hierarchy (so large caches absorb walk traffic).
 // It returns the leaf, the total latency, and whether the walk succeeded.
 //
-// When a WalkFaulter is attached, a walk attempt may fail transiently (a
+// When a Faulter is attached, a walk attempt may fail transiently (a
 // soft error on a PTE fetch): the walker detects the bad fetch, charges
 // WalkRetryLatency, and re-issues the walk up to MaxWalkRetries times.
 // The page-table state itself is untouched, so a retried walk returns the
@@ -166,10 +163,8 @@ func (b *Base) TimedWalk(core int, proc *osmodel.Process, va addr.VA) (pte WalkL
 			lat, _ := b.PhysAccess(core, cache.Read, slot, addr.PermRO)
 			latency += lat
 		}
-		transient := b.walkFaulter != nil && attempt < MaxWalkRetries && b.walkFaulter.FailWalk(core)
-		if p := b.probe; p != nil {
-			p.Walk(WalkEvent{Core: core, Steps: steps, OK: found && !transient})
-		}
+		transient := b.faulter != nil && attempt < MaxWalkRetries && b.faulter.FailWalk(core)
+		b.Counts.Walk(steps)
 		if transient {
 			b.WalkRetries.Inc()
 			latency += WalkRetryLatency
@@ -218,8 +213,6 @@ func (l WalkLeaf) FrameFor4K(va addr.VA) uint64 {
 func (b *Base) HandleFault(proc *osmodel.Process, va addr.VA, isWrite bool) (uint64, bool) {
 	b.Faults.Inc()
 	ok := proc.HandleFault(va, isWrite)
-	if p := b.probe; p != nil {
-		p.Fault(FaultEvent{Write: isWrite, Fixed: ok})
-	}
+	b.Counts.Fault(ok)
 	return FaultLatency, ok
 }

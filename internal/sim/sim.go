@@ -37,17 +37,17 @@ type Config struct {
 	// Interleave is the per-core chunk size of the round-robin
 	// interleaving between cores.
 	Interleave int
-	// Interval enables the time-series collector: one stats.Interval is
-	// recorded every Interval retired instructions (summed over cores).
-	// 0 (the default) disables collection; the run then attaches no probe
-	// and the hot path stays allocation-free.
+	// Interval enables the time series: one stats.Interval, read from
+	// the memory system's pipeline.Counts, is recorded every Interval
+	// retired instructions (summed over cores). 0 (the default) records
+	// none.
 	Interval uint64
 	// Workers selects the run loop. 1 forces the serial loop; 0 (auto) and
 	// every other value enable the per-core parallel loop — one goroutine
 	// per simulated core over private chunk lanes, plan and access phases
 	// serialized in fixed core order by a token ring — whenever more than
-	// one core has work and no interval collector needs run-loop
-	// quiescence. Reports are byte-identical either way: the parallel loop
+	// one core has work and no Interval needs run-loop quiescence.
+	// Reports are byte-identical either way: the parallel loop
 	// performs every shared-state operation in exactly the serial order,
 	// only each core's private retire phase overlaps the ring.
 	Workers int
@@ -98,35 +98,16 @@ type Simulator struct {
 	stop        atomic.Bool
 	interrupted bool
 
-	// Interval time-series state (cfg.Interval > 0 only). The collector
-	// probe is attached for the duration of Run and detached afterwards,
-	// restoring whatever probe the caller had installed.
-	collector    *intervalCollector
+	// Interval time-series state (cfg.Interval > 0 only). Each window
+	// is the delta of the memory system's counts since prevCounts.
+	counts       *pipeline.Counts
 	timeline     *stats.Timeline
-	prevCounts   core.CountingProbe
+	prevCounts   pipeline.Counts
 	prevEnergy   energy.Snapshot
 	prevCycles   uint64
 	prevInsns    uint64
 	nextBoundary uint64
 	intervalIdx  int
-}
-
-// intervalCollector counts pipeline events for the current window and
-// accumulates the walk-depth distribution (page-walk steps and delayed
-// index-tree probe depths share one histogram).
-type intervalCollector struct {
-	core.CountingProbe
-	depth *stats.Histogram
-}
-
-func (c *intervalCollector) Walk(ev pipeline.WalkEvent) {
-	c.CountingProbe.Walk(ev)
-	c.depth.Observe(uint64(ev.Steps))
-}
-
-func (c *intervalCollector) Delayed(ev pipeline.DelayedEvent) {
-	c.CountingProbe.Delayed(ev)
-	c.depth.Observe(uint64(ev.Depth))
 }
 
 // stepPlan records the decode of one planned instruction so the replay
@@ -185,9 +166,7 @@ func New(cfg Config, ms core.MemSystem, gens []*workload.Generator) *Simulator {
 	}
 	s.l1iHitLat = ms.Hierarchy().Config().L1I.HitLatency
 	if cfg.Interval > 0 {
-		s.collector = &intervalCollector{
-			depth: stats.NewHistogram(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
-		}
+		s.counts = &ms.BaseState().Counts
 		s.timeline = &stats.Timeline{}
 		s.nextBoundary = cfg.Interval
 	}
@@ -225,10 +204,11 @@ func (s *Simulator) maxCycles() uint64 {
 
 // flushInterval closes the current window: every Interval field is the
 // delta since the previous flush, so per-field sums over all intervals
-// reproduce the end-of-run totals.
+// reproduce the end-of-run totals. The walk-depth histogram is the
+// window's own: it is read and reset.
 func (s *Simulator) flushInterval() {
-	cur := s.collector.CountingProbe
-	prev := s.prevCounts
+	cur := s.counts
+	prev := &s.prevCounts
 	insns := s.totalRetired()
 	cycles := s.maxCycles()
 
@@ -253,7 +233,7 @@ func (s *Simulator) flushInterval() {
 		WritebackTranslations: cur.DelayedWritebacks - prev.DelayedWritebacks,
 
 		DynamicEnergyPJ: s.memsys.Energy().DynamicSince(s.prevEnergy),
-		WalkDepth:       s.collector.depth.Snapshot(),
+		WalkDepth:       cur.WalkDepth.Snapshot(),
 	}
 	for l := range iv.HitLevels {
 		iv.HitLevels[l] = cur.CacheHitLevel[l] - prev.CacheHitLevel[l]
@@ -271,11 +251,11 @@ func (s *Simulator) flushInterval() {
 
 	s.timeline.Append(iv)
 	s.intervalIdx++
-	s.prevCounts = cur
+	s.prevCounts = *cur
 	s.prevEnergy = s.memsys.Energy().Snapshot()
 	s.prevCycles = cycles
 	s.prevInsns = insns
-	s.collector.depth.Reset()
+	cur.WalkDepth.Reset()
 }
 
 // runChunk advances core c by n instructions through the batched access
@@ -478,23 +458,24 @@ func (s *Simulator) runParallel(n uint64, act []int) {
 
 // Run executes n instructions per core, interleaving cores in chunks so
 // they share the memory system roughly in lockstep. With cfg.Interval
-// set, the collector probe rides along (tee'd with any probe the caller
-// installed) and one stats.Interval is flushed each time total retired
-// instructions cross an interval boundary, plus a final partial interval;
-// the caller's probe is restored before Run returns.
+// set, one stats.Interval is flushed each time total retired instructions
+// cross an interval boundary, plus a final partial interval. Run starts
+// its windows from a snapshot of the counts and an empty walk-depth
+// histogram, so accesses issued outside a Run never enter its intervals.
 //
 // Unless cfg.Workers is 1, runs with more than one active core and no
-// interval collector take the parallel per-core loop (see runParallel);
-// its reports are byte-identical to the serial loop's.
+// Interval take the parallel per-core loop (see runParallel); its
+// reports are byte-identical to the serial loop's. Timeline runs stay on
+// the serial loop, which flushes between chunk rounds once every
+// retire is done.
 func (s *Simulator) Run(n uint64) Report {
-	if act := s.activeCores(); s.cfg.Workers != 1 && s.collector == nil && len(act) > 1 {
+	if act := s.activeCores(); s.cfg.Workers != 1 && s.cfg.Interval == 0 && len(act) > 1 {
 		s.runParallel(n, act)
 		return s.Report()
 	}
-	var callerProbe core.Probe
-	if s.collector != nil {
-		callerProbe = s.memsys.Probe()
-		s.memsys.SetProbe(pipeline.Tee(callerProbe, s.collector))
+	if s.timeline != nil {
+		s.prevCounts = *s.counts
+		s.counts.WalkDepth.Reset()
 	}
 	done := make([]uint64, len(s.cores))
 	for {
@@ -513,7 +494,7 @@ func (s *Simulator) Run(n uint64) Report {
 				progressed = true
 			}
 		}
-		if s.collector != nil {
+		if s.timeline != nil {
 			for s.totalRetired() >= s.nextBoundary {
 				s.flushInterval()
 				s.nextBoundary += s.cfg.Interval
@@ -530,11 +511,8 @@ func (s *Simulator) Run(n uint64) Report {
 			break
 		}
 	}
-	if s.collector != nil {
-		if s.totalRetired() > s.prevInsns {
-			s.flushInterval()
-		}
-		s.memsys.SetProbe(callerProbe)
+	if s.timeline != nil && s.totalRetired() > s.prevInsns {
+		s.flushInterval()
 	}
 	return s.Report()
 }

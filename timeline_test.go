@@ -14,6 +14,7 @@ import (
 
 	"hybridvc"
 	"hybridvc/internal/core"
+	"hybridvc/internal/pipeline"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/stats"
 )
@@ -24,11 +25,10 @@ const (
 	timelineInsns    = 125_000
 )
 
-// runTimeline runs the acceptance workload: hybrid-manyseg+sc on a small
-// LLC (busy delayed-translation path), timelineInsns instructions at a
-// timelineInterval interval. A non-nil probe is attached before Run,
-// which tees it with the interval collector.
-func runTimeline(t *testing.T, workload string, probe *core.CountingProbe) (*stats.Timeline, sim.Report) {
+// newTimelineSystem builds the acceptance system: hybrid-manyseg+sc on a
+// small LLC (busy delayed-translation path) with a timelineInterval
+// interval, workload loaded.
+func newTimelineSystem(t *testing.T, workload string) *hybridvc.System {
 	t.Helper()
 	simCfg := sim.DefaultConfig()
 	simCfg.Interval = timelineInterval
@@ -44,9 +44,15 @@ func runTimeline(t *testing.T, workload string, probe *core.CountingProbe) (*sta
 	if err := sys.LoadWorkload(workload); err != nil {
 		t.Fatal(err)
 	}
-	if probe != nil {
-		sys.Mem.SetProbe(probe)
-	}
+	return sys
+}
+
+// runTimeline runs sys for timelineInsns instructions. It returns the
+// run's timeline and report and the memory system's counts accumulated
+// over the run.
+func runTimeline(t *testing.T, sys *hybridvc.System) (*stats.Timeline, sim.Report, [len(eventCountNames)]uint64) {
+	t.Helper()
+	before := countTotals(&sys.Mem.BaseState().Counts)
 	report, err := sys.Run(timelineInsns)
 	if err != nil {
 		t.Fatal(err)
@@ -55,41 +61,59 @@ func runTimeline(t *testing.T, workload string, probe *core.CountingProbe) (*sta
 	if tl == nil {
 		t.Fatal("Timeline() is nil with Interval set")
 	}
-	return tl, report
+	delta := countTotals(&sys.Mem.BaseState().Counts)
+	for k := range delta {
+		delta[k] -= before[k]
+	}
+	return tl, report, delta
 }
 
 // eventCountNames names, in order, the event counts that eventCounts
-// reads from an interval and probeCounts from a probe.
+// reads from an interval and countTotals from the pipeline counts. Each
+// walk and each delayed translation adds one walk-depth sample.
 var eventCountNames = [...]string{
 	"refs", "memory hits", "L1 hits", "private hits", "LLC hits", "LLC misses",
 	"filter probes", "candidates", "delayed translations", "writeback translations",
+	"walk-depth samples",
 }
 
 func eventCounts(iv *stats.Interval) [len(eventCountNames)]uint64 {
 	return [...]uint64{
 		iv.Refs, iv.HitLevels[0], iv.HitLevels[1], iv.HitLevels[2], iv.HitLevels[3], iv.LLCMisses,
 		iv.FilterProbes, iv.Candidates, iv.DelayedTranslations, iv.WritebackTranslations,
+		iv.WalkDepth.Total,
 	}
 }
 
-func probeCounts(cp *core.CountingProbe) [len(eventCountNames)]uint64 {
+func countTotals(c *pipeline.Counts) [len(eventCountNames)]uint64 {
 	return [...]uint64{
-		cp.RouteTotal, cp.CacheHitLevel[0], cp.CacheHitLevel[1], cp.CacheHitLevel[2], cp.CacheHitLevel[3], cp.LLCMisses,
-		cp.FilterProbes, cp.FilterCandidates, cp.DelayedDemand, cp.DelayedWritebacks,
+		c.RouteTotal, c.CacheHitLevel[0], c.CacheHitLevel[1], c.CacheHitLevel[2], c.CacheHitLevel[3], c.LLCMisses,
+		c.FilterProbes, c.FilterCandidates, c.DelayedDemand, c.DelayedWritebacks,
+		c.Walks + c.DelayedDemand + c.DelayedWritebacks,
 	}
+}
+
+// sumEventCounts sums eventCounts over ivs.
+func sumEventCounts(ivs []stats.Interval) [len(eventCountNames)]uint64 {
+	var sums [len(eventCountNames)]uint64
+	for i := range ivs {
+		for k, n := range eventCounts(&ivs[i]) {
+			sums[k] += n
+		}
+	}
+	return sums
 }
 
 // TestTimelineSumsMatchReport requires the intervals, the partial last
 // one included, to tile the run and sum to the report's instructions,
-// cycles and energy, and their event counts to sum to those of a probe
-// attached for the whole run. gups drives LLC misses and writeback
-// translations; postgres drives synonym candidates.
+// cycles and energy, and their event counts and walk-depth samples to
+// sum to what the memory system counted over the run. gups drives LLC
+// misses and writeback translations; postgres drives synonym candidates.
 func TestTimelineSumsMatchReport(t *testing.T) {
 	var seen [len(eventCountNames)]bool
 	for _, workload := range []string{"gups", "postgres"} {
 		t.Run(workload, func(t *testing.T) {
-			cp := &core.CountingProbe{}
-			tl, report := runTimeline(t, workload, cp)
+			tl, report, counted := runTimeline(t, newTimelineSystem(t, workload))
 			ivs := tl.Intervals()
 			if len(ivs) < 10 {
 				t.Fatalf("got %d intervals, want >= 10", len(ivs))
@@ -100,7 +124,6 @@ func TestTimelineSumsMatchReport(t *testing.T) {
 
 			var insns, cycles uint64
 			var energy float64
-			var sums [len(eventCountNames)]uint64
 			prevEnd := uint64(0)
 			for i := range ivs {
 				iv := &ivs[i]
@@ -121,9 +144,6 @@ func TestTimelineSumsMatchReport(t *testing.T) {
 				insns += iv.Insns
 				cycles += iv.Cycles
 				energy += iv.DynamicEnergyPJ
-				for k, n := range eventCounts(iv) {
-					sums[k] += n
-				}
 			}
 			if insns != report.Instructions {
 				t.Errorf("summed interval insns %d != report instructions %d", insns, report.Instructions)
@@ -134,9 +154,10 @@ func TestTimelineSumsMatchReport(t *testing.T) {
 			if diff := math.Abs(energy - report.DynamicEnergyPJ); diff > 1e-6*report.DynamicEnergyPJ {
 				t.Errorf("summed interval energy %.3f pJ != report %.3f pJ", energy, report.DynamicEnergyPJ)
 			}
-			for k, want := range probeCounts(cp) {
+			sums := sumEventCounts(ivs)
+			for k, want := range counted {
 				if sums[k] != want {
-					t.Errorf("summed interval %s %d != probe %d", eventCountNames[k], sums[k], want)
+					t.Errorf("summed interval %s %d != counted %d", eventCountNames[k], sums[k], want)
 				}
 				seen[k] = seen[k] || want > 0
 			}
@@ -149,8 +170,32 @@ func TestTimelineSumsMatchReport(t *testing.T) {
 	}
 }
 
+// TestTimelineSecondRunCountsOnlyItsOwnEvents continues a system after a
+// first timeline run and references issued outside any run: the second
+// run's intervals must hold only the second run's refs and walk-depth
+// samples, as the memory system counted them over that run.
+func TestTimelineSecondRunCountsOnlyItsOwnEvents(t *testing.T) {
+	sys := newTimelineSystem(t, "gups")
+	runTimeline(t, sys)
+
+	reqs := collectRequests(sys, 4096)
+	sys.Mem.AccessBatch(reqs, make([]core.Result, len(reqs)))
+
+	tl, _, counted := runTimeline(t, sys)
+	sums := sumEventCounts(tl.Intervals())
+	for k, want := range counted {
+		if sums[k] != want {
+			t.Errorf("second run: summed interval %s %d != counted over the run %d",
+				eventCountNames[k], sums[k], want)
+		}
+	}
+	if refs, depths := counted[0], counted[len(counted)-1]; refs == 0 || depths == 0 {
+		t.Errorf("second run counted %d refs and %d walk-depth samples: the check is vacuous", refs, depths)
+	}
+}
+
 func TestTimelineNDJSONWellFormed(t *testing.T) {
-	tl, _ := runTimeline(t, "gups", nil)
+	tl, _, _ := runTimeline(t, newTimelineSystem(t, "gups"))
 	var buf bytes.Buffer
 	if err := tl.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -176,7 +221,7 @@ func TestTimelineNDJSONWellFormed(t *testing.T) {
 }
 
 func TestTimelineCSVWellFormed(t *testing.T) {
-	tl, _ := runTimeline(t, "gups", nil)
+	tl, _, _ := runTimeline(t, newTimelineSystem(t, "gups"))
 	var buf bytes.Buffer
 	if err := tl.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
