@@ -1,8 +1,10 @@
 // Command hvcd is the simulation-as-a-service daemon: a long-running
 // HTTP server that accepts simulation and sweep jobs, schedules them on
-// a bounded worker pool, and serves repeated submissions of the same
-// configuration from a content-addressed result cache instead of
-// re-simulating.
+// a bounded worker pool, and answers repeated submissions of the same
+// configuration (one content-addressed key) with the job that already
+// ran it instead of re-simulating. The -cache most recently used
+// finished jobs stay in memory; an older job's ID answers 404, and its
+// spec is served from -store or simulated again.
 //
 // API (see DESIGN.md §10):
 //
@@ -58,7 +60,7 @@ func main() {
 	addr := flag.String("addr", ":8077", "listen address")
 	workers := flag.Int("workers", 0, "job worker pool size (<= 0 means GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "pending-job queue depth (full queue answers 429)")
-	cacheEntries := flag.Int("cache", 1024, "content-addressed result cache entries")
+	cacheEntries := flag.Int("cache", 1024, "finished jobs held in memory, least recently used first out")
 	spool := flag.String("spool", "", "sweep checkpoint spool directory (default: per-process temp dir, removed on drain)")
 	storeDir := flag.String("store", "", "durable result store directory (empty = memory-only cache)")
 	storeTTL := flag.Duration("store-ttl", 24*time.Hour, "expire store records this long after write (< 0 = never)")

@@ -38,12 +38,16 @@ func (s Scale) pick(quick, full uint64) uint64 {
 // driveMem replays n instructions per generator through the memory system
 // without the timing cores — the paper's Pin-style trace model (used for
 // Tables I-III and the structure-sensitivity figures, where only access
-// counts matter). Generators round-robin over the system's cores. It
-// checks ctx once per chunk and returns its cause once it is cancelled.
+// counts matter). Generators round-robin over the system's cores in
+// chunks of 256 instructions; each chunk's references go to the memory
+// system in one AccessBatch call, in program order. It checks ctx once
+// per chunk and returns its cause once it is cancelled.
 func driveMem(ctx context.Context, ms core.MemSystem, gens []*workload.Generator, n uint64) error {
 	cores := ms.Hierarchy().NumCores()
 	const chunk = 256
 	done := make([]uint64, len(gens))
+	reqs := make([]core.Request, 0, chunk)
+	res := make([]core.Result, chunk)
 	for remaining := true; remaining; {
 		remaining = false
 		for gi, g := range gens {
@@ -55,6 +59,7 @@ func driveMem(ctx context.Context, ms core.MemSystem, gens []*workload.Generator
 				return context.Cause(ctx)
 			}
 			c := gi % cores
+			reqs = reqs[:0]
 			for i := 0; i < chunk && done[gi] < n; i++ {
 				in := g.Next()
 				done[gi]++
@@ -65,8 +70,9 @@ func driveMem(ctx context.Context, ms core.MemSystem, gens []*workload.Generator
 				if in.IsStore {
 					kind = cache.Write
 				}
-				ms.Access(core.Request{Core: c, Kind: kind, VA: in.VA, Proc: g.Proc})
+				reqs = append(reqs, core.Request{Core: c, Kind: kind, VA: in.VA, Proc: g.Proc})
 			}
+			ms.AccessBatch(reqs, res)
 		}
 	}
 	return nil

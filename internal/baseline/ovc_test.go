@@ -122,6 +122,11 @@ func TestOVCDemandFaultAndCoW(t *testing.T) {
 	if res2 := o.Access(core.Request{Kind: cache.Write, VA: va, Proc: p}); res2.Fault {
 		t.Error("retry faulted")
 	}
+	// The demand fault re-ran its reference once, and that re-run entered
+	// the pipeline like the two references the test issued.
+	if c := o.BaseState().Counts; c.Retries != 1 || c.RouteTotal != 2+c.Retries {
+		t.Errorf("retries %d, routes %d; want 1 and 3", c.Retries, c.RouteTotal)
+	}
 	_ = k
 }
 

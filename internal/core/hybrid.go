@@ -250,7 +250,7 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 		return m.routeSynonym(req, res)
 	}
 	m.NonSynonymAccesses.Inc()
-	return m.routeVirtual(req, res)
+	return routeVirtual(m.Base, req, res)
 }
 
 // routeSynonym handles synonym candidates: TLB before L1 (Section III-A).
@@ -293,7 +293,7 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 		if w := m.fpWindow[req.Proc.ASID]; w != nil {
 			w.fps++
 		}
-		return m.routeVirtual(req, res)
+		return routeVirtual(m.Base, req, res)
 	}
 	m.TrueSynonymAccesses.Inc()
 
@@ -315,13 +315,15 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 	return pipeline.GoPhysical(pa, e.Perm)
 }
 
-// routeVirtual handles non-synonym accesses: demand-paging and CoW faults
-// up front, then ASID+VA through the whole hierarchy.
-func (m *HybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
+// routeVirtual handles non-synonym accesses of the hybrid organizations:
+// demand-paging and CoW faults up front, charged to b, then ASID+VA (a
+// VMID-extended ASID and gVA under virtualization) through the whole
+// hierarchy.
+func routeVirtual(b *Base, req *Request, res *Result) pipeline.Decision {
 	perm := fillPerm(req.Proc, req.VA)
 	if perm == addr.PermNone {
 		// Unmapped: demand paging fault, then retry.
-		fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
+		fl, fixed := b.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
 		res.Latency += fl
 		res.Fault = true
 		if !fixed {
@@ -333,7 +335,7 @@ func (m *HybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
 		}
 	}
 	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
+		fl, fixed := b.HandleFault(req.Proc, req.VA, true)
 		res.Latency += fl
 		res.Fault = true
 		if !fixed {

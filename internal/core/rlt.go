@@ -140,7 +140,7 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 			m.insertNonSynonym(req.Core, req.Proc, vpn)
 		}
 		m.NonSynonymAccesses.Inc()
-		return m.routeVirtual(req, res)
+		return routeVirtual(m.HybridMMU.Base, req, res)
 	}
 	m.SynonymCandidates.Inc()
 	m.Acc.Access(energy.SynonymTLB, 1)

@@ -261,7 +261,7 @@ func (m *VirtHybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 		return m.routeSynonym(req, res)
 	}
 	m.NonSynonymAccesses.Inc()
-	return m.routeVirtual(req, res)
+	return routeVirtual(m.Base, req, res)
 }
 
 // routeSynonym: TLB (gVA->MA) before L1, filled by 2D walks.
@@ -299,7 +299,7 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 	if e.NonSynonym {
 		m.FalsePositives.Inc()
 		m.Counts.FalsePositive()
-		return m.routeVirtual(req, res)
+		return routeVirtual(m.Base, req, res)
 	}
 	m.TrueSynonymAccesses.Inc()
 	if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
@@ -314,34 +314,6 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 	}
 	ma := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
 	return pipeline.GoPhysical(ma, e.Perm)
-}
-
-// routeVirtual: VMID-extended ASID + gVA addressing; demand-paging and
-// CoW faults resolve before the hierarchy runs.
-func (m *VirtHybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
-	perm := fillPerm(req.Proc, req.VA)
-	if perm == addr.PermNone {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		perm = fillPerm(req.Proc, req.VA)
-		if perm == addr.PermNone {
-			return pipeline.DoneNow()
-		}
-	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		perm = fillPerm(req.Proc, req.VA)
-	}
-	return pipeline.GoVirtual(perm)
 }
 
 // Finish implements pipeline.Backend: two-step delayed segment

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"sync"
@@ -10,7 +11,7 @@ import (
 )
 
 // Job states. A job moves queued → running → one of the terminal states;
-// a deduplicated or cache-served submission is born done.
+// a submission served from the durable store is born done.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -34,7 +35,7 @@ type Job struct {
 
 	// Lineage is the lineage ID of the submission that created this job
 	// (immutable). Coalesced submissions keep their own lineage IDs in
-	// the response/logs but share this job; a cache-served job's chain
+	// the response/logs but share this job; a store-served job's chain
 	// back to the producing run is in parentLineage.
 	Lineage string
 
@@ -52,8 +53,7 @@ type Job struct {
 	errMsg        string
 	reportJSON    []byte
 	tables        []string
-	cached        bool
-	provenance    string // cache-served jobs: "memory" or "disk"
+	provenance    string // store-served jobs: "disk"
 	checkpoint    string
 	parentLineage string
 	created       time.Time
@@ -66,6 +66,10 @@ type Job struct {
 	// is the armed timer, stopped on finish.
 	expired  bool
 	deadline *time.Timer
+
+	// elem is the job's element in Server.finished once it is terminal;
+	// guarded by Server.mu, not mu.
+	elem *list.Element
 }
 
 // newJob creates a queued job with its own cancellation context,
@@ -166,12 +170,13 @@ func (j *Job) start() bool {
 }
 
 // finish moves the job to a terminal state exactly once, recording the
-// outcome and waking watchers. Later calls are ignored.
-func (j *Job) finish(state string, report []byte, tables []string, errMsg string) {
+// outcome and waking watchers. Later calls are ignored. It reports
+// whether this call made the transition.
+func (j *Job) finish(state string, report []byte, tables []string, errMsg string) bool {
 	j.mu.Lock()
 	if terminal(j.state) {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.state = state
 	j.reportJSON = report
@@ -185,21 +190,21 @@ func (j *Job) finish(state string, report []byte, tables []string, errMsg string
 	j.mu.Unlock()
 	j.cancel() // release the context watcher; idempotent
 	close(j.done)
+	return true
 }
 
-// finishCached marks a freshly created job done with a cache-served
-// result (it was never queued). parentLineage is the lineage ID of the
-// job that originally produced the cached result, so the lineage chain
-// request → cached result → producing run stays traceable; provenance
-// records which tier served it ("memory" or "disk").
-func (j *Job) finishCached(report []byte, tables []string, intervals []stats.Interval, parentLineage, provenance string) {
+// finishCached marks a freshly created job done with a result served
+// from the durable store (it was never queued). parentLineage is the
+// lineage ID of the job that originally produced the result, so the
+// lineage chain request → stored result → producing run stays
+// traceable.
+func (j *Job) finishCached(report []byte, tables []string, intervals []stats.Interval, parentLineage string) {
 	tl := &stats.Timeline{}
 	for _, iv := range intervals {
 		tl.Append(iv)
 	}
 	j.mu.Lock()
-	j.cached = true
-	j.provenance = provenance
+	j.provenance = "disk"
 	j.tl = tl
 	j.parentLineage = parentLineage
 	j.created = time.Now()
@@ -235,24 +240,24 @@ type JobStatus struct {
 	Key    string `json:"key"`
 	State  string `json:"state"`
 	Cached bool   `json:"cached"`
-	// Provenance records which cache tier served a born-done job:
-	// "memory" (LRU) or "disk" (durable store, possibly written by
-	// another daemon sharing the directory). Empty for fresh runs and
-	// coalesced submissions.
+	// Provenance is "disk" for a job born done from the durable store
+	// (possibly written by another daemon sharing the directory). Empty
+	// for fresh runs, whose repeats share the job itself.
 	Provenance string `json:"provenance,omitempty"`
 	Error      string `json:"error,omitempty"`
 
 	// Lineage is the lineage ID of the submission that created the job;
-	// ParentLineage (cache-served jobs only) is the lineage of the run
+	// ParentLineage (store-served jobs only) is the lineage of the run
 	// that originally produced the result.
 	Lineage       string `json:"lineage"`
 	ParentLineage string `json:"parent_lineage,omitempty"`
 
 	Spec JobSpec `json:"spec"`
 
-	// Report is the simulation report (sim jobs, done only); the bytes
-	// are exactly what the simulation produced, so cache hits are
-	// byte-identical to the original run.
+	// Report is the simulation report (sim jobs, done only). On the wire
+	// it is byte-identical to the original run's, whether the job ran it
+	// or was served from the store: the store keeps the report compacted
+	// and the JSON encoder compacts a fresh job's indented bytes too.
 	Report json.RawMessage `json:"report,omitempty"`
 	// Tables are the rendered result tables (sweep jobs, done only).
 	Tables []string `json:"tables,omitempty"`
@@ -273,7 +278,7 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID: j.ID, Key: j.Key, State: j.state, Cached: j.cached,
+		ID: j.ID, Key: j.Key, State: j.state, Cached: j.provenance != "",
 		Provenance: j.provenance, Error: j.errMsg,
 		Spec: j.Spec, Checkpoint: j.checkpoint,
 		Lineage: j.Lineage, ParentLineage: j.parentLineage,

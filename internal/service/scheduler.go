@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -31,8 +32,10 @@ type Config struct {
 	// QueueDepth bounds the pending-job queue; a submission that finds
 	// it full is rejected with 429 (default 64).
 	QueueDepth int
-	// CacheEntries bounds the content-addressed result cache
-	// (default 1024).
+	// CacheEntries bounds the finished jobs held in memory, least
+	// recently used first out (default 1024). A finished job answers
+	// every repeat of its spec; one that has aged out answers 404, and
+	// its spec is served from the store or simulated again.
 	CacheEntries int
 
 	// SpoolDir holds sweep checkpoint journals, keyed by cache key, so
@@ -42,10 +45,10 @@ type Config struct {
 
 	// StoreDir enables the durable result store: completed results are
 	// persisted there (atomic, checksummed — see the store package) and
-	// a restarted daemon serves them as warm cache hits with
-	// provenance=disk. Daemons that share one StoreDir also serve each
-	// other's results this way. Empty disables the disk tier; the daemon
-	// is then memory-only.
+	// a restarted daemon, or one whose finished job has aged out, serves
+	// them as jobs born done with provenance=disk. Daemons that share one
+	// StoreDir also serve each other's results this way. Empty disables
+	// the disk tier; the daemon is then memory-only.
 	StoreDir string
 	// StoreTTL expires store records this long after they were written
 	// (default 24h; < 0 disables expiry).
@@ -96,7 +99,9 @@ func (c *Config) fillDefaults() {
 // at snapshot time.
 type metrics struct {
 	submitted atomic.Uint64 // accepted submissions (incl. dedup/cache)
-	deduped   atomic.Uint64 // submissions coalesced onto a live job
+	deduped   atomic.Uint64 // submissions coalesced onto a live or finished job
+	hits      atomic.Uint64 // repeats answered by a finished job
+	misses    atomic.Uint64 // submissions no live or finished job answered
 	simulated atomic.Uint64 // simulations actually executed
 	sweeps    atomic.Uint64 // experiment sweeps actually executed
 	failed    atomic.Uint64
@@ -144,7 +149,6 @@ type MetricsSnapshot struct {
 // stop with Drain.
 type Server struct {
 	cfg    Config
-	cache  *resultCache
 	store  *store.Store // durable second tier; nil when disabled
 	met    metrics
 	tel    *telemetry.Collector
@@ -155,9 +159,13 @@ type Server struct {
 	lifetime context.Context
 	endLife  context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // by ID
-	byKey    map[string]*Job // latest job per cache key (dedup index)
+	mu    sync.Mutex
+	jobs  map[string]*Job // by ID
+	byKey map[string]*Job // latest job per cache key (dedup index)
+	// finished holds the terminal jobs, most recently used first; past
+	// cfg.CacheEntries the back one leaves jobs and byKey. It is the
+	// daemon's only in-memory result tier.
+	finished *list.List
 	queue    chan *Job
 	draining bool
 	nextID   atomic.Uint64
@@ -203,7 +211,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheEntries),
 		store:    disk,
 		tel:      telemetry.NewCollector(),
 		logger:   cfg.Logger,
@@ -211,6 +218,7 @@ func New(cfg Config) (*Server, error) {
 		endLife:  cancel,
 		jobs:     make(map[string]*Job),
 		byKey:    make(map[string]*Job),
+		finished: list.New(),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		started:  time.Now(),
 
@@ -255,7 +263,7 @@ var (
 type SubmitResult struct {
 	Job *Job
 	// Fresh means a new job was queued; false means the submission was
-	// coalesced onto an existing job or served from the result cache.
+	// coalesced onto an existing job or served from the store.
 	Fresh bool
 	// Lineage is this submission's lineage ID (distinct per request even
 	// when the job is shared); Origin is the lineage of the run that
@@ -274,11 +282,11 @@ func (s *Server) Submit(spec JobSpec) (SubmitResult, error) {
 
 // SubmitWithLineage validates, normalizes and schedules a job spec.
 // Identical specs deduplicate through the content-addressed key: a key
-// with a live (queued/running/done) job coalesces onto it, a key with a
-// cached result gets a job born done, and only genuinely new work is
-// enqueued. A full queue returns ErrQueueFull; a draining server
-// ErrDraining. lineage identifies this submission in logs and traces
-// (empty mints one).
+// with a live (queued/running) or finished (done) job coalesces onto it,
+// a key with a stored result gets a job born done, and only genuinely
+// new work is enqueued. A full queue returns ErrQueueFull; a draining
+// server ErrDraining. lineage identifies this submission in logs and
+// traces (empty mints one).
 func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, error) {
 	if lineage == "" {
 		lineage = telemetry.NewLineageID()
@@ -296,10 +304,11 @@ func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, 
 	}
 	s.met.submitted.Add(1)
 
-	// Coalesce onto a live job with the same key: queued or running
-	// (the submitter shares its id and will see its result), or done
-	// (its result is the cached result). Failed/canceled jobs do not
-	// absorb resubmissions — the user is asking to try again.
+	// Coalesce onto a job with the same key: queued or running (the
+	// submitter shares its id and will see its result), or done (its
+	// result is the cached result, and the job becomes the most recently
+	// used). Failed/canceled jobs do not absorb resubmissions — the user
+	// is asking to try again.
 	if prev, ok := s.byKey[key]; ok {
 		switch prev.State() {
 		case StateQueued, StateRunning:
@@ -309,32 +318,23 @@ func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, 
 			return SubmitResult{Job: prev, Lineage: lineage, Origin: prev.Lineage}, nil
 		case StateDone:
 			s.met.deduped.Add(1)
-			s.cache.hits.Add(1)
+			s.met.hits.Add(1)
+			s.finished.MoveToFront(prev.elem)
 			s.tel.ObserveCacheServe(time.Since(arrived))
 			s.logJob(prev, lineage, "submitted",
 				"cache_hit", true, "origin", prev.Lineage)
 			return SubmitResult{Job: prev, Lineage: lineage, Origin: prev.Lineage}, nil
 		}
 	}
+	s.met.misses.Add(1)
 
-	// A cold key may still hit the result cache (the original job aged
-	// out of the registry, or the key was evicted from byKey on retry).
-	if e, ok := s.cache.get(key); ok {
-		return s.serveCachedLocked(spec, key, lineage, arrived, e, "memory"), nil
-	}
-
-	// Second tier: the durable store. A hit means an earlier life of this
-	// daemon, or another daemon sharing the store directory, produced
-	// this exact result — serve it, promote it into the memory LRU, and
-	// record provenance=disk in the lineage chain.
+	// The durable store. A hit means an earlier life of this daemon, a
+	// finished job that has aged out, or another daemon sharing the store
+	// directory produced this exact result — serve it and record
+	// provenance=disk in the lineage chain.
 	if s.store != nil {
 		if rec, ok := s.store.Get(key); ok {
-			e := &cacheEntry{
-				reportJSON: rec.Report, tables: rec.Tables,
-				intervals: rec.Intervals, lineage: rec.Lineage,
-			}
-			s.cache.put(key, e)
-			return s.serveCachedLocked(spec, key, lineage, arrived, e, "disk"), nil
+			return s.serveCachedLocked(spec, key, lineage, arrived, rec), nil
 		}
 	}
 
@@ -352,16 +352,17 @@ func (s *Server) SubmitWithLineage(spec JobSpec, lineage string) (SubmitResult, 
 	return SubmitResult{Job: job, Fresh: true, Lineage: lineage, Origin: lineage}, nil
 }
 
-// serveCachedLocked answers a submission from a cached result: a job
-// born done, registered under key, whose provenance names the tier
-// ("memory" or "disk") that served it. The caller holds s.mu.
-func (s *Server) serveCachedLocked(spec JobSpec, key, lineage string, arrived time.Time, e *cacheEntry, provenance string) SubmitResult {
+// serveCachedLocked answers a submission from a stored record: a job
+// born done with provenance "disk", registered under key and filed as
+// the most recently used finished job. The caller holds s.mu.
+func (s *Server) serveCachedLocked(spec JobSpec, key, lineage string, arrived time.Time, rec store.Record) SubmitResult {
 	job := newJob(s.newID(), key, lineage, spec, s.lifetime)
-	job.finishCached(e.reportJSON, e.tables, e.intervals, e.lineage, provenance)
+	job.finishCached(rec.Report, rec.Tables, rec.Intervals, rec.Lineage)
 	s.register(job)
+	s.fileLocked(job)
 	s.tel.ObserveCacheServe(time.Since(arrived))
-	s.logJob(job, "", "submitted", "cache_hit", true, "provenance", provenance, "origin", e.lineage)
-	return SubmitResult{Job: job, Lineage: lineage, Origin: e.lineage}
+	s.logJob(job, "", "submitted", "cache_hit", true, "provenance", "disk", "origin", rec.Lineage)
+	return SubmitResult{Job: job, Lineage: lineage, Origin: rec.Lineage}
 }
 
 // logJob emits one structured lifecycle record: every line carries the
@@ -389,6 +390,36 @@ func (s *Server) logJob(job *Job, lineage, event string, extra ...any) {
 func (s *Server) register(job *Job) {
 	s.jobs[job.ID] = job
 	s.byKey[job.Key] = job
+}
+
+// finish moves job to a terminal state and, if this call made the
+// transition, files it as the most recently used finished job. Both
+// happen under s.mu, so a submission never sees a done job that is not
+// filed, and a job finished twice (a drain past its deadline, then the
+// job's worker) is filed once. It reports whether the transition was
+// this call's.
+func (s *Server) finish(job *Job, state string, report []byte, tables []string, errMsg string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !job.finish(state, report, tables, errMsg) {
+		return false
+	}
+	s.fileLocked(job)
+	return true
+}
+
+// fileLocked puts a terminal job at the front of the finished list and
+// ages out the least recently used past cfg.CacheEntries: it leaves jobs,
+// and byKey when the key still names it. The caller holds s.mu.
+func (s *Server) fileLocked(job *Job) {
+	job.elem = s.finished.PushFront(job)
+	for s.finished.Len() > s.cfg.CacheEntries {
+		old := s.finished.Remove(s.finished.Back()).(*Job)
+		delete(s.jobs, old.ID)
+		if s.byKey[old.Key] == old {
+			delete(s.byKey, old.Key)
+		}
+	}
 }
 
 func (s *Server) newID() string {
@@ -440,7 +471,7 @@ func (s *Server) Cancel(id string) (found, canceled bool) {
 // MetricsSnapshot captures the daemon counters.
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	s.mu.Lock()
-	jobs, draining := len(s.jobs), s.draining
+	jobs, finished, draining := len(s.jobs), s.finished.Len(), s.draining
 	s.mu.Unlock()
 	var storeMet *store.Metrics
 	if s.store != nil {
@@ -450,9 +481,9 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		Submitted:   s.met.submitted.Load(),
 		Deduped:     s.met.deduped.Load(),
-		CacheHits:   s.cache.hits.Load(),
-		CacheMisses: s.cache.misses.Load(),
-		CacheLen:    s.cache.len(),
+		CacheHits:   s.met.hits.Load(),
+		CacheMisses: s.met.misses.Load(),
+		CacheLen:    finished,
 		Simulated:   s.met.simulated.Load(),
 		Sweeps:      s.met.sweeps.Load(),
 		Completed:   s.tel.Completed(),
@@ -515,8 +546,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// Queued jobs the workers never picked up die with the lifetime
 	// context; mark them canceled so watchers unblock.
 	for _, j := range s.Jobs() {
-		if !terminal(j.State()) {
-			j.finish(StateCanceled, nil, nil, "server drained")
+		if s.finish(j, StateCanceled, nil, nil, "server drained") {
 			s.met.canceled.Add(1)
 			s.logJob(j, "", "canceled", "error", "server drained")
 		}
@@ -534,15 +564,14 @@ func (s *Server) runJob(job *Job) {
 	if !job.start() {
 		if job.Expired() {
 			// The deadline fired while the job sat in the queue.
-			job.finish(StateFailed, nil, nil, "job deadline exceeded while queued")
+			s.finish(job, StateFailed, nil, nil, "job deadline exceeded while queued")
 			s.met.deadlines.Add(1)
 			s.met.failed.Add(1)
-			s.unbindKey(job)
 			s.logJob(job, "", "failed", "error", "job deadline exceeded while queued")
 			return
 		}
 		// Cancelled while queued.
-		job.finish(StateCanceled, nil, nil, "canceled before start")
+		s.finish(job, StateCanceled, nil, nil, "canceled before start")
 		s.met.canceled.Add(1)
 		s.logJob(job, "", "canceled", "error", "canceled before start")
 		return
@@ -564,19 +593,15 @@ func (s *Server) runJob(job *Job) {
 
 	switch {
 	case err == nil:
-		entry := &cacheEntry{reportJSON: report, tables: tables, lineage: job.Lineage}
-		if tl := job.timeline(); tl != nil {
-			entry.intervals = tl.Intervals()
-		}
-		s.cache.put(job.Key, entry)
 		if s.store != nil {
 			// Durable tier is best-effort on the write path: a failed write
 			// (full disk, injected fault) costs warm restarts, not this
 			// result.
-			if perr := s.store.Put(store.Record{
-				Key: job.Key, Report: report, Tables: tables,
-				Intervals: entry.intervals, Lineage: job.Lineage,
-			}); perr != nil {
+			rec := store.Record{Key: job.Key, Report: report, Tables: tables, Lineage: job.Lineage}
+			if tl := job.timeline(); tl != nil {
+				rec.Intervals = tl.Intervals()
+			}
+			if perr := s.store.Put(rec); perr != nil {
 				s.logger.Warn("result store write failed",
 					"job", job.ID, "key", job.Key, "error", perr.Error())
 			}
@@ -585,45 +610,31 @@ func (s *Server) runJob(job *Job) {
 		// that sees "done" must also see the counters agreeing.
 		wait, exec, e2e := job.latencies(time.Now())
 		s.tel.ObserveCompleted(job.Spec.Org, wait, exec, e2e)
-		job.finish(StateDone, report, tables, "")
+		s.finish(job, StateDone, report, tables, "")
 		s.logJob(job, "", "done", "queue_wait_s", wait.Seconds(),
 			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
 	case job.Expired():
 		// Deadline fired mid-execution: terminal failed, not canceled, so
 		// watchers see the reason and resubmission runs fresh.
-		job.finish(StateFailed, nil, nil, "job deadline exceeded: "+err.Error())
+		s.finish(job, StateFailed, nil, nil, "job deadline exceeded: "+err.Error())
 		s.met.deadlines.Add(1)
 		s.met.failed.Add(1)
-		s.unbindKey(job)
 		_, exec, e2e := job.latencies(time.Now())
 		s.logJob(job, "", "failed", "error", "job deadline exceeded",
 			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
 	case job.ctx.Err() != nil:
-		job.finish(StateCanceled, nil, nil, err.Error())
+		s.finish(job, StateCanceled, nil, nil, err.Error())
 		s.met.canceled.Add(1)
-		s.unbindKey(job)
 		_, exec, e2e := job.latencies(time.Now())
 		s.logJob(job, "", "canceled", "error", err.Error(),
 			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
 	default:
-		job.finish(StateFailed, nil, nil, err.Error())
+		s.finish(job, StateFailed, nil, nil, err.Error())
 		s.met.failed.Add(1)
-		s.unbindKey(job)
 		_, exec, e2e := job.latencies(time.Now())
 		s.logJob(job, "", "failed", "error", err.Error(),
 			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
 	}
-}
-
-// unbindKey removes a failed/canceled job from the dedup index so a
-// resubmission of the same spec runs fresh instead of coalescing onto
-// the corpse.
-func (s *Server) unbindKey(job *Job) {
-	s.mu.Lock()
-	if s.byKey[job.Key] == job {
-		delete(s.byKey, job.Key)
-	}
-	s.mu.Unlock()
 }
 
 // runSim executes a sim job. The simulator is driven directly rather

@@ -26,9 +26,8 @@ type SubmitResponse struct {
 	ID    string `json:"id"`
 	Key   string `json:"key"`
 	State string `json:"state"`
-	// Cached means the result was served from the content-addressed
-	// cache (or coalesced onto an already-finished job) — no new
-	// simulation was scheduled.
+	// Cached means the result was served by a finished job with the same
+	// key or from the durable store — no new simulation was scheduled.
 	Cached bool `json:"cached"`
 	// Deduped means the submission coalesced onto a live job with the
 	// same key (queued or running) instead of enqueueing a duplicate.
@@ -421,8 +420,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	enc := telemetry.NewEncoder()
 	enc.Counter("hvcd_submitted_total", "Accepted submissions, including deduplicated and cache-served ones.", m.Submitted)
 	enc.Counter("hvcd_deduped_total", "Submissions coalesced onto a live or finished job with the same key.", m.Deduped)
-	enc.Counter("hvcd_cache_hits_total", "Result-cache hits.", m.CacheHits)
-	enc.Counter("hvcd_cache_misses_total", "Result-cache misses.", m.CacheMisses)
+	enc.Counter("hvcd_cache_hits_total", "Repeat submissions answered by a finished job held in memory.", m.CacheHits)
+	enc.Counter("hvcd_cache_misses_total", "Submissions that no live or finished job answered.", m.CacheMisses)
 	enc.Counter("hvcd_simulated_total", "Simulations actually executed.", m.Simulated)
 	enc.Counter("hvcd_sweeps_total", "Experiment sweeps actually executed.", m.Sweeps)
 	enc.Counter("hvcd_completed_total", "Jobs completed successfully (equals the hvcd_e2e_seconds sample count).", st.EndToEnd.Total)
@@ -448,7 +447,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	enc.Gauge("hvcd_jobs", "Jobs resident in the registry, any state.", float64(m.Jobs))
 	enc.Gauge("hvcd_workers", "Size of the worker pool.", float64(m.Workers))
 	enc.Gauge("hvcd_workers_busy", "Workers currently executing a job.", float64(m.WorkersBusy))
-	enc.Gauge("hvcd_cache_entries", "Entries resident in the result cache.", float64(m.CacheLen))
+	enc.Gauge("hvcd_cache_entries", "Finished jobs held in memory (bounded by -cache).", float64(m.CacheLen))
 	draining := 0.0
 	if m.Draining {
 		draining = 1
@@ -466,7 +465,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st.Execute, telemetry.LatencyScale)
 	enc.Histogram("hvcd_e2e_seconds", "End-to-end job latency, submission to completion.",
 		st.EndToEnd, telemetry.LatencyScale)
-	enc.Histogram("hvcd_cache_serve_seconds", "Latency of submissions served from the result cache or a finished job.",
+	enc.Histogram("hvcd_cache_serve_seconds", "Latency of submissions served by a finished job or from the durable store.",
 		st.CacheServe, telemetry.LatencyScale)
 	for _, org := range st.Orgs() {
 		enc.Histogram("hvcd_simulate_seconds", "Execution latency of simulation jobs by cache organization.",

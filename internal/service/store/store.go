@@ -1,7 +1,8 @@
 // Package store is the hvcd daemon's durable second result tier: a
 // content-addressed on-disk store keyed by the same canonical SHA-256
-// the in-memory LRU uses, so a restarted daemon serves warm cache hits
-// instead of re-simulating everything it knew before the restart.
+// that indexes the daemon's finished jobs, so a restarted daemon, or one
+// whose finished job has aged out of memory, serves the result instead
+// of re-simulating it.
 //
 // Durability discipline (DESIGN.md §14):
 //
