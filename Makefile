@@ -2,7 +2,7 @@
 # suite under the race detector (the sweep runner is concurrent).
 GO ?= go
 
-.PHONY: all build test race vet fmt ci parity determinism invariants fuzz-smoke mutants service-race sim-race chaos metrics-lint staticcheck govulncheck bench bench-test bench-all sweep sweep-full clean
+.PHONY: all build test race vet fmt ci parity determinism invariants fuzz-smoke mutants service-race chaos metrics-lint staticcheck govulncheck bench bench-test bench-all sweep sweep-full clean
 
 all: build
 
@@ -24,11 +24,12 @@ fmt:
 # validate numerics, not concurrency, and are 10x+ slower instrumented);
 # the runner's concurrency is still exercised end to end by the tests in
 # experiments/runner_test.go. `ci` therefore runs both the plain suite
-# and the race-instrumented one.
+# and the race-instrumented one. The simulator itself runs one loop on
+# one goroutine, so `race` covers internal/sim with no target of its own.
 race:
 	$(GO) test -race ./...
 
-ci: fmt vet staticcheck govulncheck test race service-race sim-race chaos metrics-lint parity determinism invariants fuzz-smoke bench-test
+ci: fmt vet staticcheck govulncheck test race service-race chaos metrics-lint parity determinism invariants fuzz-smoke bench-test
 
 # service-race runs the hvcd service integration suite alone under the
 # race detector: concurrent clients submitting/watching/cancelling jobs
@@ -51,16 +52,6 @@ chaos:
 # == _count) with the repo's own parser — no external tooling required.
 metrics-lint:
 	$(GO) test -run TestMetricsLint -count=1 ./internal/service
-
-# sim-race runs the parallel run-loop parity test under the race
-# detector at two scheduler widths: narrow (GOMAXPROCS=2 — maximal
-# token-ring handoff contention, workers constantly preempting each
-# other) and wide (GOMAXPROCS=8 — every per-core worker goroutine truly
-# parallel). `race` already covers the test at the default width; these
-# two pins keep both extremes exercised.
-sim-race:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run TestParallelRunMatchesSerial ./internal/sim
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run TestParallelRunMatchesSerial ./internal/sim
 
 # staticcheck/govulncheck run when the tools are installed and skip with a
 # notice otherwise — the build environment is intentionally hermetic (no
@@ -103,10 +94,13 @@ determinism:
 
 # invariants runs the fault-injection suite on its own: every
 # organization under every fault type with the runtime invariant checker
-# attached, plus the seeded-determinism golden.
+# attached, every multi-core organization under faults at four cores on
+# the coherence-heavy mix (where the checker requires each LLC line's
+# holder mask to name exactly the cores whose L2 holds it), plus the
+# seeded-determinism golden.
 invariants:
 	$(GO) test -count=1 ./internal/fault
-	$(GO) test -run 'TestGoldenFaultSweep|TestCheckpointResume' -count=1 ./experiments
+	$(GO) test -run 'TestGoldenFaultSweep|TestFaultCheckerFourCores|TestCheckpointResume' -count=1 ./experiments
 
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
 # its checked-in corpus — enough to catch regressions in the parsing and

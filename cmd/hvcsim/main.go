@@ -28,6 +28,7 @@ import (
 
 	"hybridvc"
 	"hybridvc/internal/buildinfo"
+	"hybridvc/internal/cache"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/stats"
 	"hybridvc/internal/workload"
@@ -74,6 +75,9 @@ func (o *options) validate() (int, string) {
 	}
 	if o.cores < 1 {
 		return exitBadFlags, fmt.Sprintf("-cores %d: need at least one core", o.cores)
+	}
+	if o.cores > cache.MaxCores {
+		return exitBadFlags, fmt.Sprintf("-cores %d: the hierarchy supports at most %d cores", o.cores, cache.MaxCores)
 	}
 	if o.insns == 0 {
 		return exitBadFlags, "-insns 0: nothing to simulate"

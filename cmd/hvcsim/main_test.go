@@ -33,6 +33,7 @@ func TestValidateExitCodes(t *testing.T) {
 		{"compare with org", func(o *options) { o.compare, o.orgSet = true, true }, exitBadFlags, "-compare"},
 		{"compare alone ignores org", func(o *options) { o.compare = true; o.org = "ignored" }, 0, ""},
 		{"zero cores", func(o *options) { o.cores = 0 }, exitBadFlags, "-cores"},
+		{"too many cores", func(o *options) { o.cores = 65 }, exitBadFlags, "-cores"},
 		{"zero insns", func(o *options) { o.insns = 0 }, exitBadFlags, "-insns"},
 		{"negative llc", func(o *options) { o.llc = -1 }, exitBadFlags, "-llc"},
 		{"zero dtlb", func(o *options) { o.dtlb = 0 }, exitBadFlags, "-dtlb"},

@@ -4,6 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hybridvc"
+	"hybridvc/internal/fault"
 )
 
 // TestGoldenFaultSweep pins the injector's determinism end to end: the
@@ -38,5 +41,44 @@ func TestGoldenFaultSweep(t *testing.T) {
 			t.Errorf("jobs=%d: fault sweep diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
 				jobs, got, want)
 		}
+	}
+}
+
+// TestFaultCheckerFourCores attaches the fault injector and the invariant
+// checker to every multi-core organization at four cores, on the
+// coherence-heavy postgres mix of the parity table, where snoops,
+// back-invalidations and flushes reach lines that other cores hold. Every
+// check after an injection, and a final one, must find the hierarchy
+// consistent: MESI, inclusion, and holder masks that name exactly the
+// cores whose L2 holds each LLC line.
+func TestFaultCheckerFourCores(t *testing.T) {
+	skipIfRace(t)
+	for _, org := range hybridvc.Organizations() {
+		if org == hybridvc.OVC {
+			continue // the OVC model is single-core
+		}
+		t.Run(string(org), func(t *testing.T) {
+			t.Parallel()
+			sys, err := hybridvc.New(hybridvc.Config{Org: org, Cores: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj, ch := sys.InjectFaults(fault.Config{Seed: 13, Period: 1024})
+			if err := sys.LoadSpec(parityCoherenceSpec()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+			if err := inj.Err(); err != nil {
+				t.Fatalf("under faults: %v", err)
+			}
+			if err := ch.Check(); err != nil {
+				t.Fatalf("final check: %v", err)
+			}
+			if ch.Checks < 2 {
+				t.Fatalf("the checker ran %d times, want a check after each injection and a final one", ch.Checks)
+			}
+		})
 	}
 }

@@ -56,9 +56,9 @@ func Parity(s Scale, opts RunOptions) (*stats.Table, error) {
 			add(org, workload.Specs[wl], 1)
 		}
 		// The synonym mix again on four cores, one process each, runs
-		// the parallel run loop and cross-core snoops, which no
-		// single-core row reaches; the coherence-heavy mix makes those
-		// snoops find lines. The OVC model is single-core.
+		// cross-core snoops and back-invalidations, which no single-core
+		// row reaches; the coherence-heavy mix makes those snoops find
+		// lines. The OVC model is single-core.
 		if org != hybridvc.OVC {
 			add(org, workload.Specs["postgres"], 4)
 			add(org, parityCoherenceSpec(), 4)

@@ -209,6 +209,9 @@ func New(cfg Config) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("hybridvc: unknown organization %q", cfg.Org)
 	}
+	if cfg.Cores > cache.MaxCores {
+		return nil, fmt.Errorf("hybridvc: %d cores exceed the hierarchy's limit of %d", cfg.Cores, cache.MaxCores)
+	}
 	ms, err := build(cfg, s)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package hybridvc
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,12 @@ func TestAllOrganizationsRun(t *testing.T) {
 func TestUnknownOrganization(t *testing.T) {
 	if _, err := New(Config{Org: "bogus"}); err == nil {
 		t.Error("unknown org accepted")
+	}
+}
+
+func TestTooManyCores(t *testing.T) {
+	if _, err := New(Config{Cores: 65}); err == nil || !strings.Contains(err.Error(), "65 cores") {
+		t.Errorf("New with 65 cores: err = %v, want the core limit", err)
 	}
 }
 

@@ -247,13 +247,13 @@ func (c *Cache) Access(n addr.Name) *Line {
 }
 
 // install puts n, which the caller knows is absent from set si, in the
-// set's last way and makes it the most recent, returning the line that
-// way held if it was valid.
-func (c *Cache) install(si uint64, n addr.Name, st State, perm addr.Perm) (out Victim, evicted bool) {
+// set's last way and makes it the most recent. It returns the way's
+// index i in keys and meta, and the line the way held if it was valid.
+func (c *Cache) install(si uint64, n addr.Name, st State, perm addr.Perm) (i uint64, out Victim, evicted bool) {
 	r := c.recency[si]
 	w := r >> c.top & 0xF
 	c.recency[si] = r<<4&c.used | w
-	i := si*c.ways + w
+	i = si*c.ways + w
 	if vk := c.keys[i]; vk != 0 {
 		out = Victim{Name: addr.NameFromKey(vk &^ keyValidBit), Dirty: c.meta[i].Dirty()}
 		evicted = true
@@ -264,24 +264,32 @@ func (c *Cache) install(si uint64, n addr.Name, st State, perm addr.Perm) (out V
 	}
 	c.meta[i] = Line{State: st, Perm: perm}
 	c.keys[i] = n.Key() | keyValidBit
-	return out, evicted
+	return i, out, evicted
 }
 
 // Fill allocates n with the given state and permission, returning any
 // displaced victim. Filling a name already present just updates it.
 func (c *Cache) Fill(n addr.Name, st State, perm addr.Perm) (Victim, bool) {
+	_, _, v, evicted := c.fill(n, st, perm)
+	return v, evicted
+}
+
+// fill is Fill that also returns n's way index and whether n was already
+// present (and so only updated).
+func (c *Cache) fill(n addr.Name, st State, perm addr.Perm) (i uint64, present bool, v Victim, evicted bool) {
 	si, w, ok := c.find(n)
 	if ok {
 		*c.hit(si, w) = Line{State: st, Perm: perm}
-		return Victim{}, false
+		return si*c.ways + w, true, Victim{}, false
 	}
-	return c.install(si, n, st, perm)
+	i, v, evicted = c.install(si, n, st, perm)
+	return i, false, v, evicted
 }
 
 // fillAbsent is Fill for a name the caller knows is absent: it has just
 // missed in c, and nothing was filled into c since. It installs n without
-// looking for it again.
-func (c *Cache) fillAbsent(n addr.Name, st State, perm addr.Perm) (Victim, bool) {
+// looking for it again and returns its way index.
+func (c *Cache) fillAbsent(n addr.Name, st State, perm addr.Perm) (uint64, Victim, bool) {
 	return c.install(n.Line()&c.setMask, n, st, perm)
 }
 
@@ -290,13 +298,42 @@ func (c *Cache) fillAbsent(n addr.Name, st State, perm addr.Perm) (Victim, bool)
 // miss installs n in the set's last way without looking again. On a hit
 // it returns the line and installs nothing.
 func (c *Cache) AccessFill(n addr.Name, st State, perm addr.Perm) (l *Line, v Victim, evicted bool) {
+	i, hit, v, evicted := c.accessFill(n, st, perm)
+	if hit {
+		return &c.meta[i], Victim{}, false
+	}
+	return nil, v, evicted
+}
+
+// accessFill is AccessFill returning n's way index, whether it hit, and
+// on a miss the victim of the install.
+func (c *Cache) accessFill(n addr.Name, st State, perm addr.Perm) (i uint64, hit bool, v Victim, evicted bool) {
 	si, w, ok := c.find(n)
 	c.Stats.Record(ok)
 	if ok {
-		return c.hit(si, w), Victim{}, false
+		c.hit(si, w)
+		return si*c.ways + w, true, Victim{}, false
 	}
-	v, evicted = c.install(si, n, st, perm)
-	return nil, v, evicted
+	i, v, evicted = c.install(si, n, st, perm)
+	return i, false, v, evicted
+}
+
+// accessWay is Access returning n's way index instead of its line.
+func (c *Cache) accessWay(n addr.Name) (i uint64, ok bool) {
+	si, w, ok := c.find(n)
+	c.Stats.Record(ok)
+	if !ok {
+		return 0, false
+	}
+	c.hit(si, w)
+	return si*c.ways + w, true
+}
+
+// findWay returns n's way index, and whether n is present, without
+// touching recency or statistics.
+func (c *Cache) findWay(n addr.Name) (i uint64, ok bool) {
+	si, w, ok := c.find(n)
+	return si*c.ways + w, ok
 }
 
 // invalidateWay empties way w of set si and moves it to the set's least

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hybridvc/internal/addr"
 	"hybridvc/internal/stats"
@@ -59,6 +60,10 @@ type AccessResult struct {
 	Writebacks []addr.Name
 }
 
+// MaxCores is the largest core count a Hierarchy supports: an LLC way's
+// holder mask has one bit per core.
+const MaxCores = 64
+
 // Hierarchy is the multi-core cache hierarchy with MESI coherence between
 // private caches, inclusive of the shared LLC.
 type Hierarchy struct {
@@ -67,6 +72,19 @@ type Hierarchy struct {
 	l1d []*Cache
 	l2  []*Cache
 	llc *Cache
+
+	// holders has one word per LLC way, indexed like the LLC's keys: bit
+	// c is set exactly while core c's L2 holds the way's line. By
+	// inclusion (LLC ⊇ L2 ⊇ L1d ∪ L1i) those are the only cores with any
+	// private copy, so snoops, back-invalidations and flushes visit only
+	// them. OVC drives its caches directly and never takes the coherent
+	// path, so its masks stay empty.
+	holders []uint64
+	// llcWay[c][i] is the way, within its LLC set, of the line in way i of
+	// core c's L2. Inclusion keeps the line in that LLC way while the L2
+	// copy lives, so an L2 eviction clears its holder bit with no LLC
+	// lookup.
+	llcWay [][]uint8
 
 	// CoherenceInvals counts remote-copy invalidations caused by writes.
 	CoherenceInvals stats.Counter
@@ -88,13 +106,14 @@ type Hierarchy struct {
 	payloadListener PayloadListener
 }
 
-// NewHierarchy builds the hierarchy. It panics for a non-positive core
-// count; the topology is fixed per experiment.
+// NewHierarchy builds the hierarchy. It panics for a core count outside
+// 1..MaxCores; the topology is fixed per experiment.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	if cfg.NumCores <= 0 {
-		panic(fmt.Sprintf("cache: invalid core count %d", cfg.NumCores))
+	if cfg.NumCores <= 0 || cfg.NumCores > MaxCores {
+		panic(fmt.Sprintf("cache: invalid core count %d (want 1 to %d)", cfg.NumCores, MaxCores))
 	}
 	h := &Hierarchy{cfg: cfg, llc: New(cfg.LLC), payloads: newPayloadTable()}
+	h.holders = make([]uint64, len(h.llc.keys))
 	for i := 0; i < cfg.NumCores; i++ {
 		ic, dc, l2 := cfg.L1I, cfg.L1D, cfg.L2
 		ic.Name = fmt.Sprintf("%s[%d]", ic.Name, i)
@@ -103,6 +122,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		h.l1i = append(h.l1i, New(ic))
 		h.l1d = append(h.l1d, New(dc))
 		h.l2 = append(h.l2, New(l2))
+		h.llcWay = append(h.llcWay, make([]uint8, len(h.l2[i].keys)))
 	}
 	return h
 }
@@ -183,100 +203,89 @@ func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Per
 		return res
 	}
 
-	// Miss in the private caches: snoop the other cores before the LLC.
-	remoteState := h.snoop(core, n, kind == Write)
-
+	// Miss in the private caches: look the LLC up, then snoop the remote
+	// cores its holder mask names. That is the same as snooping first: a
+	// snoop changes only remote private lines and the LLC line's state, an
+	// LLC hit reads only the line's permission and moves its recency, and
+	// on an LLC miss inclusion leaves no private copy to snoop.
 	res.Latency += h.llc.Config().HitLatency
 	llcState := Exclusive
 	if kind == Write {
 		llcState = Modified
 	}
-	// Nothing touches the LLC between its lookup and its fill-on-miss, so
-	// the fused AccessFill (one lookup, then an install into the set's
-	// last way) is byte-identical to the pair.
-	if l, v, ok := h.llc.AccessFill(n, llcState, perm); l != nil {
+	li, hit, v, evicted := h.llc.accessFill(n, llcState, perm)
+	if hit {
 		res.HitLevel = 3
-		res.Perm = l.Perm
-		h.fillPrivate(core, kind, n, remoteState, l.Perm)
+		remote := h.snoop(core, li, n, kind == Write)
+		res.Perm = h.llc.meta[li].Perm
+		h.fillPrivate(core, kind, n, li, remote, res.Perm)
 		return res
-	} else if ok {
-		h.backInvalidate(v.Name, &res)
+	}
+	if evicted {
+		h.backInvalidate(v.Name, h.holders[li], &res)
 		if v.Dirty {
 			res.Writebacks = append(res.Writebacks, v.Name)
 			h.MemWritebacks.Inc()
 		}
 	}
+	h.holders[li] = 0
 
 	// LLC miss: the caller performs delayed translation + DRAM, then the
 	// block fills bottom-up. Record the fill now.
 	res.LLCMiss = true
 	res.Perm = perm
-	h.fillPrivate(core, kind, n, remoteState, perm)
+	h.fillPrivate(core, kind, n, li, Invalid, perm)
 	return res
 }
 
 // invalidateRemote invalidates every remote copy of n (a write upgrade).
+// core holds n privately, so by inclusion the LLC holds it too.
 func (h *Hierarchy) invalidateRemote(core int, n addr.Name) {
-	h.snoop(core, n, true)
+	if li, ok := h.llc.findWay(n); ok {
+		h.snoop(core, li, n, true)
+	}
 }
 
-// snoop probes all remote private caches for n. For writes it invalidates
-// remote copies; for reads it downgrades M/E copies to Shared. It returns
-// Shared if any remote copy remains, else Invalid.
-func (h *Hierarchy) snoop(core int, n addr.Name, isWrite bool) State {
+// snoop probes the private caches of the remote cores that hold n — those
+// named by the holder mask of n's LLC way li, other than core. For writes
+// it invalidates their copies; for reads it downgrades M/E copies to
+// Shared. It returns Shared if any remote copy remains, else Invalid.
+func (h *Hierarchy) snoop(core int, li uint64, n addr.Name, isWrite bool) State {
 	remote := Invalid
-	for c := 0; c < h.cfg.NumCores; c++ {
-		// Inclusion (L2 ⊇ L1d ∪ L1i) lets the L2 probe rule a core out, as
-		// in backInvalidate: most snoops then cost one lookup per remote
-		// core instead of three.
-		if c == core || h.l2[c].Probe(n) == nil {
-			continue
-		}
+	for m := h.holders[li] &^ (1 << core); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
 			l := pc.Probe(n)
 			if l == nil {
 				continue
 			}
-			perm, state := l.Perm, l.State
 			if isWrite {
 				if dirty, _ := pc.Invalidate(n); dirty {
 					// Dirty data is forwarded; it lives on in the LLC.
-					h.llcAbsorbDirty(n, perm)
+					h.llc.meta[li].State = Modified
 				}
 				h.CoherenceInvals.Inc()
 			} else {
-				if state == Modified || state == Exclusive {
+				if l.State == Modified || l.State == Exclusive {
 					if pc.Downgrade(n) {
-						h.llcAbsorbDirty(n, perm)
+						h.llc.meta[li].State = Modified
 					}
 					h.CoherenceDowngrades.Inc()
 				}
 				remote = Shared
 			}
 		}
+		if isWrite {
+			h.holders[li] &^= 1 << c
+		}
 	}
 	return remote
 }
 
-// llcAbsorbDirty records that dirty remote data was pushed into the LLC.
-func (h *Hierarchy) llcAbsorbDirty(n addr.Name, perm addr.Perm) {
-	if l := h.llc.Probe(n); l != nil {
-		l.State = Modified
-		return
-	}
-	// Not in the LLC: fill it, preserving inclusion for the victim.
-	if v, ok := h.llc.fillAbsent(n, Modified, perm); ok {
-		h.backInvalidate(v.Name, nil)
-		if v.Dirty {
-			h.MemWritebacks.Inc()
-		}
-	}
-}
-
-// fillPrivate installs n into core's L2 and L1 after an LLC hit or fill.
-// Both missed n at the start of the access and nothing has filled them
-// since, so neither looks for n again.
-func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, remote State, perm addr.Perm) {
+// fillPrivate installs n, which occupies LLC way li, into core's L2 and L1
+// after an LLC hit or fill. Both missed n at the start of the access and
+// nothing has filled them since, so neither looks for n again.
+func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, li uint64, remote State, perm addr.Perm) {
 	st := Exclusive
 	if remote == Shared {
 		st = Shared
@@ -284,40 +293,47 @@ func (h *Hierarchy) fillPrivate(core int, kind AccessKind, n addr.Name, remote S
 	if kind == Write {
 		st = Modified
 	}
-	if v, ok := h.l2[core].fillAbsent(n, st, perm); ok {
-		h.handleL2Victim(core, v)
-	}
+	i, v, evicted := h.l2[core].fillAbsent(n, st, perm)
+	h.holdL2(core, i, li, v, evicted)
 	h.fillL1(core, kind, n, st, perm)
 	if kind == Write {
 		// The LLC's copy is now stale relative to the private M copy; mark
 		// the LLC line dirty so the eventual eviction writes back.
-		if l := h.llc.Probe(n); l != nil {
-			l.State = Modified
-		}
+		h.llc.meta[li].State = Modified
 	}
 }
 
+// holdL2 records that way i of core's L2 now holds the line of LLC way
+// li, after pushing down the line the fill displaced, if evicted.
+func (h *Hierarchy) holdL2(core int, i, li uint64, v Victim, evicted bool) {
+	if evicted {
+		h.handleL2Victim(core, v, h.llcWay[core][i])
+	}
+	h.llcWay[core][i] = uint8(li % h.llc.ways)
+	h.holders[li] |= 1 << core
+}
+
 // fillL1 installs n, which missed in it at the start of the access, into
-// the proper L1.
+// the proper L1. A dirty L1 victim merges into its L2 copy, which
+// inclusion guarantees.
 func (h *Hierarchy) fillL1(core int, kind AccessKind, n addr.Name, st State, perm addr.Perm) {
 	l1 := h.l1d[core]
 	if kind == Fetch {
 		l1 = h.l1i[core]
 		st = Shared // instruction lines are never written
 	}
-	if v, ok := l1.fillAbsent(n, st, perm); ok && v.Dirty {
-		// Dirty L1 victim merges into L2 (and is dirty there).
+	if _, v, ok := l1.fillAbsent(n, st, perm); ok && v.Dirty {
 		if l := h.l2[core].Probe(v.Name); l != nil {
 			l.State = Modified
-		} else if lv, evicted := h.l2[core].fillAbsent(v.Name, Modified, perm); evicted {
-			h.handleL2Victim(core, lv)
 		}
 	}
 }
 
-// handleL2Victim pushes a private L2 victim down: dirty data merges into the
-// LLC; L1 copies are back-invalidated to preserve L2⊇L1 inclusion.
-func (h *Hierarchy) handleL2Victim(core int, v Victim) {
+// handleL2Victim pushes a private L2 victim, which sits in way lw of its
+// LLC set, down: L1 copies are back-invalidated to preserve L2⊇L1
+// inclusion, core leaves the LLC line's holders, and dirty data merges
+// into the LLC line.
+func (h *Hierarchy) handleL2Victim(core int, v Victim, lw uint8) {
 	for _, pc := range []*Cache{h.l1d[core], h.l1i[core]} {
 		if dirty, present := pc.Invalidate(v.Name); present {
 			h.BackInvals.Inc()
@@ -326,27 +342,29 @@ func (h *Hierarchy) handleL2Victim(core int, v Victim) {
 			}
 		}
 	}
+	li := (v.Name.Line()&h.llc.setMask)*h.llc.ways + uint64(lw)
+	h.holders[li] &^= 1 << core
 	if v.Dirty {
-		h.llcAbsorbDirty(v.Name, addr.PermRW)
+		h.llc.meta[li].State = Modified
 	}
 }
 
-// backInvalidate removes an LLC victim from every private cache (inclusive
-// LLC), folding any dirtier private copy into the writeback. res may be
-// nil when the caller has no use for the writeback name (dirty absorption,
-// where the data lives on in the LLC). Metadata victims additionally drop
-// their payload entry and notify the owner — the eviction half of the
-// payload residency contract.
-func (h *Hierarchy) backInvalidate(n addr.Name, res *AccessResult) {
+// backInvalidate removes an LLC victim from the private caches of the
+// cores in its holder mask (inclusive LLC), folding any dirtier private
+// copy into the writeback. res may be nil when the caller has no use for
+// the writeback name. Metadata victims additionally drop their payload
+// entry and notify the owner — the eviction half of the payload
+// residency contract.
+func (h *Hierarchy) backInvalidate(n addr.Name, holders uint64, res *AccessResult) {
 	if n.Kind != addr.PayloadData {
 		h.evictPayload(n)
 	}
 	dirty := false
-	for c := 0; c < h.cfg.NumCores; c++ {
+	for m := holders; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		// Inclusion (L2 ⊇ L1d ∪ L1i, maintained by handleL2Victim) lets
-		// the L2 probe gate the L1 probes: a block absent from a core's
-		// L2 cannot be in either of its L1s, so most victims cost one
-		// lookup per core instead of three.
+		// the L2 gate the L1s: a block absent from a core's L2 cannot be
+		// in either of its L1s.
 		d2, present := h.l2[c].Invalidate(n)
 		if !present {
 			continue
@@ -381,38 +399,83 @@ func (h *Hierarchy) syncL2Dirty(core int, n addr.Name) {
 
 // FlushPage invalidates all lines of the given page everywhere, returning
 // counts; dirty lines are counted as memory writebacks. The OS uses this on
-// remaps and on non-synonym -> synonym status changes.
+// remaps and on non-synonym -> synonym status changes. Each of the page's
+// lines is looked up in the LLC and, when present, invalidated in the
+// private caches of the cores that hold it. A page's lines fall in
+// distinct sets of every cache, so visiting them line by line instead of
+// cache by cache leaves every recency word as a per-cache flush would.
 func (h *Hierarchy) FlushPage(page addr.Name) (flushed, dirty int) {
-	for c := 0; c < h.cfg.NumCores; c++ {
-		for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
-			f, d := pc.FlushPage(page)
-			flushed += f
-			dirty += d
-		}
+	n := firstLine(page)
+	for l := 0; l < addr.PageSize/addr.LineSize; l++ {
+		f, d := h.flushLine(n)
+		flushed += f
+		dirty += d
+		n.Addr += addr.LineSize
 	}
-	f, d := h.llc.FlushPage(page)
-	flushed += f
-	dirty += d
 	h.MemWritebacks.Add(uint64(dirty))
 	return flushed, dirty
 }
 
-// SetPagePerm updates permission bits on all cached copies of a page
-// (Section III-D r/o content sharing).
-func (h *Hierarchy) SetPagePerm(page addr.Name, perm addr.Perm) (updated int) {
-	for c := 0; c < h.cfg.NumCores; c++ {
+// flushLine invalidates n in the LLC and in every private cache of the
+// cores that hold it, returning how many copies it removed and how many
+// of them were dirty. By inclusion a line absent from the LLC has no
+// private copy.
+func (h *Hierarchy) flushLine(n addr.Name) (flushed, dirty int) {
+	si, w, ok := h.llc.find(n)
+	if !ok {
+		return 0, 0
+	}
+	li := si*h.llc.ways + w
+	for m := h.holders[li]; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
-			updated += pc.SetPagePerm(page, perm)
+			if d, present := pc.Invalidate(n); present {
+				flushed++
+				if d {
+					dirty++
+				}
+			}
 		}
 	}
-	updated += h.llc.SetPagePerm(page, perm)
+	h.holders[li] = 0
+	if h.llc.meta[li].Dirty() {
+		dirty++
+	}
+	h.llc.invalidateWay(si, w)
+	return flushed + 1, dirty
+}
+
+// SetPagePerm updates permission bits on all cached copies of a page
+// (Section III-D r/o content sharing), looking each line up in the LLC and
+// updating the private copies of the cores that hold it.
+func (h *Hierarchy) SetPagePerm(page addr.Name, perm addr.Perm) (updated int) {
+	n := firstLine(page)
+	for l := 0; l < addr.PageSize/addr.LineSize; l++ {
+		if li, ok := h.llc.findWay(n); ok {
+			for m := h.holders[li]; m != 0; m &= m - 1 {
+				c := bits.TrailingZeros64(m)
+				for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
+					if line := pc.lookup(n); line != nil {
+						line.Perm = perm
+						updated++
+					}
+				}
+			}
+			h.llc.meta[li].Perm = perm
+			updated++
+		}
+		n.Addr += addr.LineSize
+	}
 	return updated
 }
 
 // FlushASID removes every line belonging to the address space (used when an
 // address space is destroyed and its ASID recycled). Metadata blocks are
 // virtually named, so the match catches them too; their payload entries are
-// swept afterwards with the usual eviction notification.
+// swept afterwards with the usual eviction notification. It scans every
+// way of every cache, whose order decides the recency words, so it does
+// not go through the holder masks; it clears the masks of the LLC ways it
+// frees.
 func (h *Hierarchy) FlushASID(asid addr.ASID) (flushed int) {
 	match := func(n addr.Name) bool { return !n.Synonym && n.ASID == asid }
 	for c := 0; c < h.cfg.NumCores; c++ {
@@ -422,6 +485,11 @@ func (h *Hierarchy) FlushASID(asid addr.ASID) (flushed int) {
 		}
 	}
 	f, _ := h.llc.FlushMatching(match)
+	for i, k := range h.llc.keys {
+		if k == 0 {
+			h.holders[i] = 0
+		}
+	}
 	h.flushPayloadASID(asid)
 	return flushed + f
 }
@@ -511,6 +579,39 @@ func (h *Hierarchy) CheckInvariants() error {
 			return err
 		}
 	}
+	if err := h.checkHolders(); err != nil {
+		return err
+	}
 	// Metadata payloads must mirror LLC residency exactly.
 	return h.checkPayloadResidency()
+}
+
+// checkHolders verifies the coherence directory exactly: each L2 way's
+// back-pointer names the LLC way of its line, and each LLC way's holder
+// mask names exactly the cores whose L2 holds its line (none for an
+// invalid way). A missing bit would hide a copy from snoops and
+// back-invalidations; an extra one changes no result, so only this check
+// sees it. It needs inclusion, which CheckInvariants verifies first.
+func (h *Hierarchy) checkHolders() error {
+	want := make([]uint64, len(h.holders))
+	for c, l2 := range h.l2 {
+		for i, k := range l2.keys {
+			if k == 0 {
+				continue
+			}
+			n := addr.NameFromKey(k &^ keyValidBit)
+			si, w, _ := h.llc.find(n)
+			if lw := uint64(h.llcWay[c][i]); lw != w {
+				return fmt.Errorf("cache: %v in core %d's L2 points at LLC way %d, but it is in way %d", n, c, lw, w)
+			}
+			want[si*h.llc.ways+w] |= 1 << c
+		}
+	}
+	for i, m := range h.holders {
+		if m != want[i] {
+			return fmt.Errorf("cache: LLC set %d way %d has holder mask %#x, but the L2s holding its line are %#x",
+				uint64(i)/h.llc.ways, uint64(i)%h.llc.ways, m, want[i])
+		}
+	}
+	return nil
 }

@@ -310,10 +310,50 @@ func TestDefaultHierarchyConfig(t *testing.T) {
 }
 
 func TestNewHierarchyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-core hierarchy did not panic")
-		}
-	}()
-	NewHierarchy(HierarchyConfig{NumCores: 0})
+	for _, n := range []int{0, MaxCores + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-core hierarchy did not panic", n)
+				}
+			}()
+			NewHierarchy(HierarchyConfig{NumCores: n})
+		}()
+	}
+}
+
+// TestCheckInvariantsCatchesWrongHolders corrupts one LLC way's holder
+// mask, or one L2 way's pointer to its LLC way, and expects
+// CheckInvariants to reject it: an extra bit changes no result, so only
+// this check can see it.
+func TestCheckInvariantsCatchesWrongHolders(t *testing.T) {
+	n := pn(0x4000)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(h *Hierarchy, li, i2 uint64)
+		want    string
+	}{
+		{"extra holder", func(h *Hierarchy, li, _ uint64) { h.holders[li] |= 1 << 2 }, "holder mask"},
+		{"missing holder", func(h *Hierarchy, li, _ uint64) { h.holders[li] &^= 1 << 1 }, "holder mask"},
+		{"holder of a free way", func(h *Hierarchy, li, _ uint64) { h.holders[li^1] = 1 }, "holder mask"},
+		{"stale back-pointer", func(h *Hierarchy, _, i2 uint64) { h.llcWay[1][i2] ^= 1 }, "points at LLC way"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := testHierarchy(4)
+			h.Access(0, Read, n, addr.PermRW)
+			h.Access(1, Read, n, addr.PermRW)
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			li, ok := h.llc.findWay(n)
+			i2, ok2 := h.l2[1].findWay(n)
+			if !ok || !ok2 || h.holders[li] != 0b11 {
+				t.Fatalf("LLC way found %v, L2 way found %v, holders %#b; want both and 0b11", ok, ok2, h.holders[li])
+			}
+			tc.corrupt(h, li, i2)
+			if err := h.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -146,3 +146,114 @@ func TestPageOpsMatchWholeCacheScan(t *testing.T) {
 		})
 	}
 }
+
+// hierarchyCaches lists every cache of h: each core's L1D, L1I and L2 in
+// core order, then the LLC.
+func hierarchyCaches(h *Hierarchy) []*Cache {
+	var cs []*Cache
+	for c := range h.l2 {
+		cs = append(cs, h.l1d[c], h.l1i[c], h.l2[c])
+	}
+	return append(cs, h.llc)
+}
+
+// cloneHierarchy copies h's caches so a reference can run beside it. The
+// reference visits caches directly, so it shares h's directory state.
+func cloneHierarchy(h *Hierarchy) *Hierarchy {
+	d := *h
+	d.l1d, d.l1i, d.l2 = nil, nil, nil
+	for c := range h.l2 {
+		d.l1d = append(d.l1d, cloneCache(h.l1d[c]))
+		d.l1i = append(d.l1i, cloneCache(h.l1i[c]))
+		d.l2 = append(d.l2, cloneCache(h.l2[c]))
+	}
+	d.llc = cloneCache(h.llc)
+	return &d
+}
+
+// TestHierarchyPageOpsMatchWholeHierarchyScan checks the hierarchy's
+// FlushPage, SetPagePerm and FlushName, which look each line up in the
+// LLC and visit only the cores its holder mask names, against visiting
+// every cache of a 4-core hierarchy filled by random accesses: the counts,
+// every set's recency word, and every way's key, state and permission
+// must agree, and CheckInvariants (exact holder masks included) must hold
+// after every operation.
+func TestHierarchyPageOpsMatchWholeHierarchyScan(t *testing.T) {
+	const cores = 4
+	// Every cache has at least 64 sets, so a page's lines fall in distinct
+	// sets of each, as in the default geometry.
+	h := NewHierarchy(HierarchyConfig{
+		NumCores: cores,
+		L1I:      Config{Name: "L1I", SizeBytes: 8 << 10, Ways: 2, HitLatency: 2},
+		L1D:      Config{Name: "L1D", SizeBytes: 8 << 10, Ways: 2, HitLatency: 4},
+		L2:       Config{Name: "L2", SizeBytes: 32 << 10, Ways: 4, HitLatency: 6},
+		LLC:      Config{Name: "LLC", SizeBytes: 128 << 10, Ways: 8, HitLatency: 27},
+	})
+	g := &pageFlushNames{rng: rand.New(rand.NewSource(7)),
+		asids: [3]addr.ASID{addr.MakeASID(0, 1), addr.MakeASID(0, 2), addr.MakeASID(1, 1)}}
+	data := func(n addr.Name) addr.Name {
+		n.Kind = addr.PayloadData
+		return n
+	}
+	kinds := []AccessKind{Read, Write, Fetch}
+	drive := func(refs int) {
+		for i := 0; i < refs; i++ {
+			h.Access(g.rng.Intn(cores), kinds[g.rng.Intn(len(kinds))], data(g.name(g.rng.Intn(4) == 0)), g.perm())
+		}
+	}
+	lines := h.llc.cfg.SizeBytes / addr.LineSize
+	drive(2 * lines)
+	privateHit := false
+	for op := 0; op < 300; op++ {
+		page := data(g.representative())
+		ref := cloneHierarchy(h)
+		refCaches := hierarchyCaches(ref)
+		var got, want [2]int
+		var perCache []int // the reference's count in each cache
+		switch op % 3 {
+		case 0:
+			got[0], got[1] = h.FlushPage(page)
+			for _, pc := range refCaches {
+				f, d := flushPageScan(pc, page)
+				want[0], want[1] = want[0]+f, want[1]+d
+				perCache = append(perCache, f)
+			}
+		case 1:
+			perm := g.perm()
+			got[0] = h.SetPagePerm(page, perm)
+			for _, pc := range refCaches {
+				u := setPagePermScan(pc, page, perm)
+				want[0] += u
+				perCache = append(perCache, u)
+			}
+		case 2:
+			got[0] = h.FlushName(page)
+			for _, pc := range refCaches {
+				f := 0
+				if _, ok := pc.Invalidate(page); ok {
+					f = 1
+				}
+				want[0] += f
+				perCache = append(perCache, f)
+			}
+		}
+		if got != want {
+			t.Fatalf("op %d on %v: counts %v, want %v", op, page, got, want)
+		}
+		for i, pc := range hierarchyCaches(h) {
+			if d := waysDiff(pc, refCaches[i]); d != "" {
+				t.Fatalf("op %d on %v: %s: %s", op, page, pc.cfg.Name, d)
+			}
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("op %d on %v: %v", op, page, err)
+		}
+		for _, n := range perCache[:len(perCache)-1] {
+			privateHit = privateHit || n > 0
+		}
+		drive(lines / 16)
+	}
+	if !privateHit {
+		t.Fatal("no page operation reached a private copy: the accesses miss the target pages")
+	}
+}

@@ -190,12 +190,11 @@ func (h *Hierarchy) ProbePayload(core int, n addr.Name) (payload, latency uint64
 		return p, latency, true
 	}
 	latency += h.llc.Config().HitLatency
-	if l := h.llc.Access(n); l != nil {
+	if li, ok := h.llc.accessWay(n); ok {
 		p, _ := h.payloads.get(n.Key())
 		// The L2 has just missed n, so the fill need not look again.
-		if v, evicted := h.l2[core].fillAbsent(n, Shared, l.Perm); evicted {
-			h.handleL2Victim(core, v)
-		}
+		i, v, evicted := h.l2[core].fillAbsent(n, Shared, h.llc.meta[li].Perm)
+		h.holdL2(core, i, li, v, evicted)
 		return p, latency, true
 	}
 	return 0, latency, false
@@ -209,37 +208,29 @@ func (h *Hierarchy) ProbePayload(core int, n addr.Name) (payload, latency uint64
 // dropped with notification.
 func (h *Hierarchy) FillPayload(core int, n addr.Name, payload uint64) {
 	h.payloads.set(n.Key(), payload)
-	if v, evicted := h.llc.Fill(n, Shared, addr.PermRO); evicted {
-		h.backInvalidate(v.Name, nil)
-		if v.Dirty {
-			h.MemWritebacks.Inc()
+	li, present, v, evicted := h.llc.fill(n, Shared, addr.PermRO)
+	if !present {
+		if evicted {
+			h.backInvalidate(v.Name, h.holders[li], nil)
+			if v.Dirty {
+				h.MemWritebacks.Inc()
+			}
 		}
+		h.holders[li] = 0
 	}
-	if v, evicted := h.l2[core].Fill(n, Shared, addr.PermRO); evicted {
-		h.handleL2Victim(core, v)
+	if i, present, v, evicted := h.l2[core].fill(n, Shared, addr.PermRO); !present {
+		h.holdL2(core, i, li, v, evicted)
 	}
 }
 
-// FlushName invalidates the exact block everywhere (all private caches and
-// the LLC) and, for metadata blocks, drops the payload with notification.
-// This is the shootdown-driven invalidation path: when the OS changes a
-// mapping, the owning organization flushes the affected translation or
-// record block by name.
+// FlushName invalidates the exact block everywhere (the LLC and the
+// private caches of the cores that hold it) and, for metadata blocks,
+// drops the payload with notification. This is the shootdown-driven
+// invalidation path: when the OS changes a mapping, the owning
+// organization flushes the affected translation or record block by name.
 func (h *Hierarchy) FlushName(n addr.Name) (flushed int) {
-	dirty := false
-	for c := 0; c < h.cfg.NumCores; c++ {
-		for _, pc := range []*Cache{h.l1d[c], h.l1i[c], h.l2[c]} {
-			if d, present := pc.Invalidate(n); present {
-				flushed++
-				dirty = dirty || d
-			}
-		}
-	}
-	if d, present := h.llc.Invalidate(n); present {
-		flushed++
-		dirty = dirty || d
-	}
-	if dirty {
+	flushed, dirty := h.flushLine(n)
+	if dirty > 0 {
 		h.MemWritebacks.Inc()
 	}
 	if n.Kind != addr.PayloadData {

@@ -216,7 +216,7 @@ func (h *modelHarness) step(op modelOp) error {
 			if m.probe(n) != nil {
 				return nil // fillAbsent requires an absent name
 			}
-			v, ev = c.fillAbsent(n, op.state, op.perm)
+			_, v, ev = c.fillAbsent(n, op.state, op.perm)
 		} else {
 			v, ev = c.Fill(n, op.state, op.perm)
 		}

@@ -170,13 +170,12 @@ func (j *Job) start() bool {
 }
 
 // finish moves the job to a terminal state exactly once, recording the
-// outcome and waking watchers. Later calls are ignored. It reports
-// whether this call made the transition.
-func (j *Job) finish(state string, report []byte, tables []string, errMsg string) bool {
+// outcome and waking watchers. Later calls are ignored.
+func (j *Job) finish(state string, report []byte, tables []string, errMsg string) {
 	j.mu.Lock()
 	if terminal(j.state) {
 		j.mu.Unlock()
-		return false
+		return
 	}
 	j.state = state
 	j.reportJSON = report
@@ -190,7 +189,6 @@ func (j *Job) finish(state string, report []byte, tables []string, errMsg string
 	j.mu.Unlock()
 	j.cancel() // release the context watcher; idempotent
 	close(j.done)
-	return true
 }
 
 // finishCached marks a freshly created job done with a result served

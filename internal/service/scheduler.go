@@ -393,19 +393,35 @@ func (s *Server) register(job *Job) {
 }
 
 // finish moves job to a terminal state and, if this call made the
-// transition, files it as the most recently used finished job. Both
-// happen under s.mu, so a submission never sees a done job that is not
-// filed, and a job finished twice (a drain past its deadline, then the
-// job's worker) is filed once. It reports whether the transition was
-// this call's.
-func (s *Server) finish(job *Job, state string, report []byte, tables []string, errMsg string) bool {
+// transition, calls count (when non-nil) to count the outcome and files
+// the job as the most recently used finished job. All of it happens under
+// s.mu, which every transition of a registered job holds, and count runs
+// before the transition wakes the job's watchers. So a submission never
+// sees a done job that is not filed, a client that sees the outcome also
+// sees it counted, and a job finished twice (a drain past its deadline,
+// then the job's worker) is counted and filed once. It reports whether
+// the transition was this call's.
+func (s *Server) finish(job *Job, state string, report []byte, tables []string, errMsg string, count func()) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !job.finish(state, report, tables, errMsg) {
+	if terminal(job.State()) {
 		return false
 	}
+	if count != nil {
+		count()
+	}
+	job.finish(state, report, tables, errMsg)
 	s.fileLocked(job)
 	return true
+}
+
+// countCanceled, countFailed and countDeadline are finish's counts for a
+// canceled job, a failed one, and one failed by its deadline.
+func (s *Server) countCanceled() { s.met.canceled.Add(1) }
+func (s *Server) countFailed()   { s.met.failed.Add(1) }
+func (s *Server) countDeadline() {
+	s.met.deadlines.Add(1)
+	s.met.failed.Add(1)
 }
 
 // fileLocked puts a terminal job at the front of the finished list and
@@ -546,8 +562,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// Queued jobs the workers never picked up die with the lifetime
 	// context; mark them canceled so watchers unblock.
 	for _, j := range s.Jobs() {
-		if s.finish(j, StateCanceled, nil, nil, "server drained") {
-			s.met.canceled.Add(1)
+		if s.finish(j, StateCanceled, nil, nil, "server drained", s.countCanceled) {
 			s.logJob(j, "", "canceled", "error", "server drained")
 		}
 	}
@@ -557,23 +572,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// runJob executes one job on a worker.
+// runJob executes one job on a worker. It counts and logs the job's
+// outcome only when its finish makes the transition: a drain may already
+// have marked the job canceled.
 func (s *Server) runJob(job *Job) {
 	s.met.busy.Add(1)
 	defer s.met.busy.Add(-1)
 	if !job.start() {
 		if job.Expired() {
 			// The deadline fired while the job sat in the queue.
-			s.finish(job, StateFailed, nil, nil, "job deadline exceeded while queued")
-			s.met.deadlines.Add(1)
-			s.met.failed.Add(1)
-			s.logJob(job, "", "failed", "error", "job deadline exceeded while queued")
+			const msg = "job deadline exceeded while queued"
+			if s.finish(job, StateFailed, nil, nil, msg, s.countDeadline) {
+				s.logJob(job, "", "failed", "error", msg)
+			}
 			return
 		}
 		// Cancelled while queued.
-		s.finish(job, StateCanceled, nil, nil, "canceled before start")
-		s.met.canceled.Add(1)
-		s.logJob(job, "", "canceled", "error", "canceled before start")
+		if s.finish(job, StateCanceled, nil, nil, "canceled before start", s.countCanceled) {
+			s.logJob(job, "", "canceled", "error", "canceled before start")
+		}
 		return
 	}
 	queueWait, _, _ := job.latencies(time.Now())
@@ -606,34 +623,34 @@ func (s *Server) runJob(job *Job) {
 					"job", job.ID, "key", job.Key, "error", perr.Error())
 			}
 		}
-		// Observe stage latencies BEFORE finish wakes watchers: a client
-		// that sees "done" must also see the counters agreeing.
+		// finish observes the stage latencies before it wakes watchers:
+		// a client that sees "done" must also see the counters agreeing.
 		wait, exec, e2e := job.latencies(time.Now())
-		s.tel.ObserveCompleted(job.Spec.Org, wait, exec, e2e)
-		s.finish(job, StateDone, report, tables, "")
-		s.logJob(job, "", "done", "queue_wait_s", wait.Seconds(),
-			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		observe := func() { s.tel.ObserveCompleted(job.Spec.Org, wait, exec, e2e) }
+		if s.finish(job, StateDone, report, tables, "", observe) {
+			s.logJob(job, "", "done", "queue_wait_s", wait.Seconds(),
+				"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		}
 	case job.Expired():
 		// Deadline fired mid-execution: terminal failed, not canceled, so
 		// watchers see the reason and resubmission runs fresh.
-		s.finish(job, StateFailed, nil, nil, "job deadline exceeded: "+err.Error())
-		s.met.deadlines.Add(1)
-		s.met.failed.Add(1)
-		_, exec, e2e := job.latencies(time.Now())
-		s.logJob(job, "", "failed", "error", "job deadline exceeded",
-			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		if s.finish(job, StateFailed, nil, nil, "job deadline exceeded: "+err.Error(), s.countDeadline) {
+			_, exec, e2e := job.latencies(time.Now())
+			s.logJob(job, "", "failed", "error", "job deadline exceeded",
+				"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		}
 	case job.ctx.Err() != nil:
-		s.finish(job, StateCanceled, nil, nil, err.Error())
-		s.met.canceled.Add(1)
-		_, exec, e2e := job.latencies(time.Now())
-		s.logJob(job, "", "canceled", "error", err.Error(),
-			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		if s.finish(job, StateCanceled, nil, nil, err.Error(), s.countCanceled) {
+			_, exec, e2e := job.latencies(time.Now())
+			s.logJob(job, "", "canceled", "error", err.Error(),
+				"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		}
 	default:
-		s.finish(job, StateFailed, nil, nil, err.Error())
-		s.met.failed.Add(1)
-		_, exec, e2e := job.latencies(time.Now())
-		s.logJob(job, "", "failed", "error", err.Error(),
-			"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		if s.finish(job, StateFailed, nil, nil, err.Error(), s.countFailed) {
+			_, exec, e2e := job.latencies(time.Now())
+			s.logJob(job, "", "failed", "error", err.Error(),
+				"exec_s", exec.Seconds(), "e2e_s", e2e.Seconds())
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
+	"time"
 )
 
 // TestFinishedJobsBounded: finished jobs are the daemon's one in-memory
@@ -126,10 +127,10 @@ func TestFinishFilesOnce(t *testing.T) {
 	srv.mu.Lock()
 	srv.register(job)
 	srv.mu.Unlock()
-	if !srv.finish(job, StateCanceled, nil, nil, "server drained") {
+	if !srv.finish(job, StateCanceled, nil, nil, "server drained", nil) {
 		t.Fatal("first finish made no transition")
 	}
-	if srv.finish(job, StateCanceled, nil, nil, "context canceled") {
+	if srv.finish(job, StateCanceled, nil, nil, "context canceled", nil) {
 		t.Error("second finish made a transition")
 	}
 	if n := srv.finished.Len(); n != 1 {
@@ -137,6 +138,39 @@ func TestFinishFilesOnce(t *testing.T) {
 	}
 	if st := job.Status(); st.Error != "server drained" {
 		t.Errorf("error = %q, want the first finish's", st.Error)
+	}
+}
+
+// TestDrainPastDeadlineCountsOnce: a drain whose context has already
+// expired marks a running job canceled, and the job's worker, returning
+// with the cancellation a moment later, finds it terminal. The job is
+// counted once, as canceled, whichever of the two finishes it.
+func TestDrainPastDeadlineCountsOnce(t *testing.T) {
+	srv, err := New(Config{Workers: 1, SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	res, err := srv.Submit(JobSpec{Instructions: 500_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for res.Job.State() != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Drain(expired); err == nil {
+		t.Fatal("drain with an expired context reported no error")
+	}
+	srv.wg.Wait()
+	m := srv.MetricsSnapshot()
+	if st := res.Job.State(); st != StateCanceled {
+		t.Errorf("job state %s, want %s", st, StateCanceled)
+	}
+	if m.Submitted != 1 || m.Canceled != 1 || m.Failed != 0 || m.Completed != 0 {
+		t.Errorf("submitted=%d canceled=%d failed=%d completed=%d, want 1 1 0 0",
+			m.Submitted, m.Canceled, m.Failed, m.Completed)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"hybridvc"
 	"hybridvc/experiments"
+	"hybridvc/internal/cache"
 	"hybridvc/internal/workload"
 )
 
@@ -122,9 +123,10 @@ func (s *JobSpec) normalizeSim() error {
 // Limits on a sim job, so one request cannot ask a worker for an
 // unbounded hierarchy or run. Each sits well above every catalog and
 // experiment value (4 cores, a 2 MiB LLC, a 64K-entry delayed TLB, a
-// 64 KiB index cache, 10^6 instructions per core).
+// 64 KiB index cache, 10^6 instructions per core). The core limit is the
+// hierarchy's own.
 const (
-	MaxCores             = 64
+	MaxCores             = cache.MaxCores
 	MaxInstructions      = 1_000_000_000 // per core
 	MaxLLCBytes          = 1 << 30
 	MaxDelayedTLBEntries = 1 << 20

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"hybridvc/internal/addr"
@@ -42,14 +41,9 @@ type Config struct {
 	// retired instructions (summed over cores). 0 (the default) records
 	// none.
 	Interval uint64
-	// Workers selects the run loop. 1 forces the serial loop; 0 (auto) and
-	// every other value enable the per-core parallel loop — one goroutine
-	// per simulated core over private chunk lanes, plan and access phases
-	// serialized in fixed core order by a token ring — whenever more than
-	// one core has work and no Interval needs run-loop quiescence.
-	// Reports are byte-identical either way: the parallel loop
-	// performs every shared-state operation in exactly the serial order,
-	// only each core's private retire phase overlaps the ring.
+	// Deprecated: Run ignores Workers. Every run takes the one loop,
+	// which interleaves the cores in chunks on the calling goroutine; the
+	// field remains so existing configurations still compile.
 	Workers int
 }
 
@@ -78,13 +72,12 @@ type Simulator struct {
 	// loop (fetches slower than this stall the front end).
 	l1iHitLat uint64
 
-	// lanes[c] holds core c's private chunk buffers of the batched access
-	// path: each Interleave-sized chunk is decoded into the plans lane and
-	// its references gathered into reqs, executed in one AccessBatch call
-	// into results, and then retired against the timing core. Private
-	// lanes let the parallel run loop overlap one core's retire with the
-	// next core's plan/access without copying.
-	lanes []chunkLanes
+	// lane holds the chunk buffers of the batched access path: each
+	// Interleave-sized chunk is decoded into the plans lane and its
+	// references gathered into reqs, executed in one AccessBatch call into
+	// results, and then retired against its core's timing model. Cores
+	// run their chunks in turn, so one lane serves them all.
+	lane chunkLanes
 
 	// ContextSwitches counts generator switches (filter reloads happen
 	// via the OS on real switches; here we count them for energy).
@@ -120,7 +113,7 @@ type stepPlan struct {
 	mispredict    bool
 }
 
-// chunkLanes are one core's reusable structure-of-arrays chunk buffers.
+// chunkLanes are the reusable structure-of-arrays chunk buffers.
 type chunkLanes struct {
 	plans   []stepPlan
 	reqs    []core.Request
@@ -142,9 +135,6 @@ func New(cfg Config, ms core.MemSystem, gens []*workload.Generator) *Simulator {
 	if cfg.Timeslice == 0 {
 		cfg.Timeslice = 50_000
 	}
-	if cfg.Workers < 0 {
-		cfg.Workers = 0
-	}
 	n := ms.Hierarchy().NumCores()
 	s := &Simulator{
 		cfg:       cfg,
@@ -154,7 +144,6 @@ func New(cfg Config, ms core.MemSystem, gens []*workload.Generator) *Simulator {
 		sliceLeft: make([]uint64, n),
 		fetchOff:  make([]uint64, n),
 		Retired:   make([]uint64, n),
-		lanes:     make([]chunkLanes, n),
 	}
 	for i, g := range gens {
 		c := i % n
@@ -269,24 +258,17 @@ func (s *Simulator) runChunk(c int, n uint64) {
 	if len(s.perCore[c]) == 0 || n == 0 {
 		return
 	}
-	ln := &s.lanes[c]
+	ln := &s.lane
 	s.planChunk(c, n, ln)
 	s.accessChunk(ln)
 	s.retireChunk(c, ln)
 }
 
-// planChunk decodes the next n instructions of core c into its lanes:
-// generator stepping, timeslice bookkeeping, and the program-order gather
-// of fetch and data references. It mutates workload and OS-model state
-// shared across cores (generator positions, touched-page accounting), so
-// the parallel run loop serializes it in core order.
+// planChunk decodes the next n instructions of core c, which has work,
+// into the lanes: generator stepping, timeslice bookkeeping, and the
+// program-order gather of fetch and data references.
 func (s *Simulator) planChunk(c int, n uint64, ln *chunkLanes) {
 	gens := s.perCore[c]
-	if len(gens) == 0 || n == 0 {
-		ln.plans = ln.plans[:0]
-		ln.reqs = ln.reqs[:0]
-		return
-	}
 	ln.plans = ln.plans[:0]
 	ln.reqs = ln.reqs[:0]
 	retired := s.Retired[c]
@@ -335,8 +317,7 @@ func (s *Simulator) planChunk(c int, n uint64, ln *chunkLanes) {
 }
 
 // accessChunk executes a planned chunk's references against the shared
-// memory system in one AccessBatch call. Order-sensitive by construction;
-// the parallel run loop serializes it in core order.
+// memory system in one AccessBatch call.
 func (s *Simulator) accessChunk(ln *chunkLanes) {
 	if cap(ln.results) < len(ln.reqs) {
 		ln.results = make([]core.Result, len(ln.reqs))
@@ -344,9 +325,7 @@ func (s *Simulator) accessChunk(ln *chunkLanes) {
 	s.memsys.AccessBatch(ln.reqs, ln.results[:len(ln.reqs)])
 }
 
-// retireChunk replays a chunk's plans against core c's timing model. It
-// touches only core-private state (the cpu core and Retired[c]), so the
-// parallel run loop overlaps it with other cores' plan/access phases.
+// retireChunk replays a chunk's plans against core c's timing model.
 func (s *Simulator) retireChunk(c int, ln *chunkLanes) {
 	cc := s.cores[c]
 	res := ln.results[:len(ln.reqs)]
@@ -379,83 +358,6 @@ func (s *Simulator) retireChunk(c int, ln *chunkLanes) {
 	}
 }
 
-// activeCores lists the cores with at least one generator, in core order.
-func (s *Simulator) activeCores() []int {
-	var act []int
-	for c := range s.perCore {
-		if len(s.perCore[c]) > 0 {
-			act = append(act, c)
-		}
-	}
-	return act
-}
-
-// runParallel is the per-core parallel run loop: one goroutine per active
-// core, chunk lanes private to each. A token ring serializes the
-// order-sensitive plan and access phases in exactly the serial loop's
-// fixed core order — worker j runs plan+access only while holding the
-// token, then passes it on (the last worker hands it back to the round
-// driver) — so every shared-state mutation happens in the serial order
-// and reports are byte-identical to Workers=1. Only the retire phase,
-// which touches nothing but the core's own timing model and lanes,
-// overlaps the ring. The driver checks Stop between rounds, exactly like
-// the serial loop, so interruption still quiesces at a chunk boundary.
-func (s *Simulator) runParallel(n uint64, act []int) {
-	ilv := uint64(s.cfg.Interleave)
-	rounds := n / ilv
-	if n%ilv != 0 {
-		rounds++
-	}
-	toks := make([]chan struct{}, len(act))
-	for j := range toks {
-		toks[j] = make(chan struct{}, 1)
-	}
-	ringOut := make(chan struct{}, 1)
-	var wg sync.WaitGroup
-	for j, c := range act {
-		wg.Add(1)
-		go func(j, c int) {
-			defer wg.Done()
-			var done uint64
-			for range toks[j] {
-				chunk := ilv
-				if done+chunk > n {
-					chunk = n - done
-				}
-				ln := &s.lanes[c]
-				s.planChunk(c, chunk, ln)
-				s.accessChunk(ln)
-				// Hand the token on before retiring: the next core's
-				// plan/access overlaps this core's private replay.
-				if j+1 < len(act) {
-					toks[j+1] <- struct{}{}
-				} else {
-					ringOut <- struct{}{}
-				}
-				s.retireChunk(c, ln)
-				done += chunk
-			}
-		}(j, c)
-	}
-	for r := uint64(0); r < rounds; r++ {
-		toks[0] <- struct{}{}
-		<-ringOut
-		if s.stop.Load() {
-			s.interrupted = true
-			break
-		}
-	}
-	// Every token send of the last granted round completed before ringOut
-	// was handed back, so each worker is (or will next be) blocked on its
-	// empty token channel; closing releases them after any in-flight
-	// retire finishes, and Wait publishes all retire state to this
-	// goroutine before Report reads it.
-	for _, t := range toks {
-		close(t)
-	}
-	wg.Wait()
-}
-
 // Run executes n instructions per core, interleaving cores in chunks so
 // they share the memory system roughly in lockstep. With cfg.Interval
 // set, one stats.Interval is flushed each time total retired instructions
@@ -463,16 +365,11 @@ func (s *Simulator) runParallel(n uint64, act []int) {
 // its windows from a snapshot of the counts and an empty walk-depth
 // histogram, so accesses issued outside a Run never enter its intervals.
 //
-// Unless cfg.Workers is 1, runs with more than one active core and no
-// Interval take the parallel per-core loop (see runParallel); its
-// reports are byte-identical to the serial loop's. Timeline runs stay on
-// the serial loop, which flushes between chunk rounds once every
-// retire is done.
+// There is one loop, on the calling goroutine. A per-core parallel loop
+// could overlap only each core's retire phase, a tenth of a run at most,
+// and lost more to its handoffs than it gained: serial runs of 4-core
+// postgres were faster in every measured pair.
 func (s *Simulator) Run(n uint64) Report {
-	if act := s.activeCores(); s.cfg.Workers != 1 && s.cfg.Interval == 0 && len(act) > 1 {
-		s.runParallel(n, act)
-		return s.Report()
-	}
 	if s.timeline != nil {
 		s.prevCounts = *s.counts
 		s.counts.WalkDepth.Reset()

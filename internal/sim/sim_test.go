@@ -211,53 +211,6 @@ func TestRunContextStopsOnCancel(t *testing.T) {
 	}
 }
 
-// TestParallelRunMatchesSerial is the parallel run-loop parity gate:
-// with Workers=1 (forced serial) and Workers=0 (auto, parallel whenever
-// more than one core has work), identically seeded simulators must
-// produce byte-identical JSON reports and identical shared counters at
-// every core count — including Interleave edge cases (a chunk per
-// instruction, and one chunk far larger than the whole run). `make
-// sim-race` runs this test under the race detector at GOMAXPROCS=2
-// and GOMAXPROCS=8.
-func TestParallelRunMatchesSerial(t *testing.T) {
-	cases := []struct {
-		cores int
-		ilv   int
-		n     uint64
-	}{
-		{1, 128, 40_000}, // single core: parallel loop ineligible, still identical
-		{2, 128, 40_000},
-		{8, 128, 40_000},
-		{2, 1, 2_000},        // one chunk per instruction
-		{2, 1 << 20, 40_000}, // chunk larger than the remaining run
-	}
-	for _, tc := range cases {
-		serialCfg := DefaultConfig()
-		serialCfg.Interleave = tc.ilv
-		serialCfg.Workers = 1
-		parallelCfg := serialCfg
-		parallelCfg.Workers = 0
-
-		serial := newSimWithConfig(t, "postgres", tc.cores, serialCfg)
-		parallel := newSimWithConfig(t, "postgres", tc.cores, parallelCfg)
-		a := serial.Run(tc.n)
-		b := parallel.Run(tc.n)
-		if aj, bj := a.JSON(), b.JSON(); aj != bj {
-			t.Errorf("cores=%d ilv=%d: reports differ\nserial:   %s\nparallel: %s",
-				tc.cores, tc.ilv, aj, bj)
-		}
-		if sc, pc := serial.ContextSwitches.Value(), parallel.ContextSwitches.Value(); sc != pc {
-			t.Errorf("cores=%d ilv=%d: context switches %d vs %d", tc.cores, tc.ilv, sc, pc)
-		}
-		for c := range serial.Retired {
-			if serial.Retired[c] != parallel.Retired[c] {
-				t.Errorf("cores=%d ilv=%d: core %d retired %d vs %d",
-					tc.cores, tc.ilv, c, serial.Retired[c], parallel.Retired[c])
-			}
-		}
-	}
-}
-
 // TestInterleaveValueIsNeutralOnOneCore pins that Interleave is purely an
 // implementation batch size: on a single core any value — 1, a prime, the
 // default, or one exceeding the whole run — yields byte-identical reports.
@@ -275,8 +228,8 @@ func TestInterleaveValueIsNeutralOnOneCore(t *testing.T) {
 	}
 }
 
-// TestStopQuiescesParallelRun extends the interruption contract to the
-// parallel loop: Stop() still quiesces at a chunk-round boundary with a
+// TestStopQuiescesParallelRun extends the interruption contract to a
+// 4-core run: Stop() still quiesces at a chunk-round boundary with a
 // valid partial report.
 func TestStopQuiescesParallelRun(t *testing.T) {
 	s := newHybridSim(t, "postgres", 4)
