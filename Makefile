@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/service
 	$(GO) test -run=NONE -fuzz=FuzzSubmitHandler -fuzztime=10s ./internal/service
 	$(GO) test -run=NONE -fuzz=FuzzCacheMatchesLRUModel -fuzztime=10s ./internal/cache
+	$(GO) test -run=NONE -fuzz=FuzzPayloadsMatchModel -fuzztime=10s ./internal/cache
 
 # mutants is the mutation check: each mutants/*.patch breaks one behaviour
 # and names, in its header, the package and the test that must catch it.

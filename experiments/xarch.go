@@ -70,12 +70,12 @@ func xarchRow(org, wl string) func(*hybridvc.System, sim.Report) (any, error) {
 			walks = fmt.Sprintf("%d", m.TLBMissWalks.Value())
 			cached = fmt.Sprintf("%d", m.CachedXlatHits.Value())
 			fills = fmt.Sprintf("%d", m.XlatFills.Value())
-			evictions = fmt.Sprintf("%d", m.XlatEvictions.Value())
+			evictions = fmt.Sprintf("%d", sys.Mem.Hierarchy().PayloadEvictions.Value())
 		case *core.RLTVC:
 			walks = fmt.Sprintf("%d", m.RLTWalks.Value())
 			cached = fmt.Sprintf("%d", m.CachedRecordHits.Value())
 			fills = fmt.Sprintf("%d", m.RecordFills.Value())
-			evictions = fmt.Sprintf("%d", m.RecordEvictions.Value())
+			evictions = fmt.Sprintf("%d", sys.Mem.Hierarchy().PayloadEvictions.Value())
 			fps = fmt.Sprintf("%d", m.FalsePositives.Value())
 		case *core.HybridMMU:
 			fps = fmt.Sprintf("%d", m.FalsePositives.Value())

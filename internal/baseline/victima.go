@@ -32,23 +32,19 @@ type Victima struct {
 	// CachedXlatHits counts translations served by a cached translation
 	// block instead of a walk.
 	CachedXlatHits stats.Counter
-	// XlatFills counts translation blocks installed after walks.
+	// XlatFills counts translation blocks installed after walks. The
+	// hierarchy's PayloadEvictions counts those that left the LLC.
 	XlatFills stats.Counter
-	// XlatEvictions counts translation blocks pushed out of the LLC by
-	// data (or flushed by shootdowns) — the capacity-competition metric.
-	XlatEvictions stats.Counter
-	TLBShoots     stats.Counter
+	TLBShoots stats.Counter
 }
 
-// NewVictima builds the organization and registers as the kernel's sink
-// and as the hierarchy's payload-eviction listener.
+// NewVictima builds the organization and registers as the kernel's sink.
 func NewVictima(cfg Config, k *osmodel.Kernel) *Victima {
 	v := &Victima{kernel: k}
 	v.Engine = pipeline.NewEngine(core.NewBase(cfg.Hier, cfg.DRAM, cfg.Energy), v, nil, nil)
 	for i := 0; i < cfg.Hier.NumCores; i++ {
 		v.tlbs = append(v.tlbs, tlb.NewTwoLevel(tlb.DefaultTwoLevelConfig()))
 	}
-	v.Hier.SetPayloadListener(v)
 	k.AttachSink(v)
 	return v
 }
@@ -161,10 +157,6 @@ func (v *Victima) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	return pipeline.GoPhysical(pa, perm)
 }
 
-// PayloadEvicted implements cache.PayloadListener: a translation block
-// left the LLC (data pushed it out, or a flush below removed it).
-func (v *Victima) PayloadEvicted(addr.Name, uint64) { v.XlatEvictions.Inc() }
-
 // PayloadCoherence audits one cached translation block against the
 // authoritative page tables (the fault checker's PayloadCoherence hook).
 func (v *Victima) PayloadCoherence(n addr.Name, payload uint64) error {
@@ -238,5 +230,3 @@ func (v *Victima) FlushASID(asid addr.ASID) {
 	// translation blocks, so the hierarchy ASID flush removes exactly those.
 	v.Hier.FlushASID(asid)
 }
-
-var _ cache.PayloadListener = (*Victima)(nil)

@@ -94,16 +94,20 @@ type Hierarchy struct {
 	BackInvals stats.Counter
 	// MemWritebacks counts dirty lines written back to memory.
 	MemWritebacks stats.Counter
+	// PayloadEvictions counts metadata blocks (Kind != PayloadData) that
+	// left the LLC: displaced by a fill, or flushed by name, page or ASID.
+	PayloadEvictions stats.Counter
 
 	// wbScratch backs AccessScratch results so the access engine does not
 	// allocate a Writebacks slice per reference.
 	wbScratch []addr.Name
 
-	// payloads maps metadata block names (Kind != PayloadData) resident
-	// in the LLC to their one-word payloads; payloadListener is notified
-	// when such a block is evicted or flushed.
-	payloads        *payloadTable
-	payloadListener PayloadListener
+	// payloads has one word per LLC way, indexed like the LLC's keys: the
+	// payload of the metadata block the way holds. Only FillPayload puts
+	// metadata in the LLC, and it writes the word and allocates the array
+	// on first use. A way holding data keeps a stale word that nothing
+	// reads.
+	payloads []uint64
 }
 
 // NewHierarchy builds the hierarchy. It panics for a core count outside
@@ -112,7 +116,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.NumCores <= 0 || cfg.NumCores > MaxCores {
 		panic(fmt.Sprintf("cache: invalid core count %d (want 1 to %d)", cfg.NumCores, MaxCores))
 	}
-	h := &Hierarchy{cfg: cfg, llc: New(cfg.LLC), payloads: newPayloadTable()}
+	h := &Hierarchy{cfg: cfg, llc: New(cfg.LLC)}
 	h.holders = make([]uint64, len(h.llc.keys))
 	for i := 0; i < cfg.NumCores; i++ {
 		ic, dc, l2 := cfg.L1I, cfg.L1D, cfg.L2
@@ -352,12 +356,10 @@ func (h *Hierarchy) handleL2Victim(core int, v Victim, lw uint8) {
 // backInvalidate removes an LLC victim from the private caches of the
 // cores in its holder mask (inclusive LLC), folding any dirtier private
 // copy into the writeback. res may be nil when the caller has no use for
-// the writeback name. Metadata victims additionally drop their payload
-// entry and notify the owner — the eviction half of the payload
-// residency contract.
+// the writeback name. A metadata victim counts as a payload eviction.
 func (h *Hierarchy) backInvalidate(n addr.Name, holders uint64, res *AccessResult) {
 	if n.Kind != addr.PayloadData {
-		h.evictPayload(n)
+		h.PayloadEvictions.Inc()
 	}
 	dirty := false
 	for m := holders; m != 0; m &= m - 1 {
@@ -419,11 +421,14 @@ func (h *Hierarchy) FlushPage(page addr.Name) (flushed, dirty int) {
 // flushLine invalidates n in the LLC and in every private cache of the
 // cores that hold it, returning how many copies it removed and how many
 // of them were dirty. By inclusion a line absent from the LLC has no
-// private copy.
+// private copy. A metadata line counts as a payload eviction.
 func (h *Hierarchy) flushLine(n addr.Name) (flushed, dirty int) {
 	si, w, ok := h.llc.find(n)
 	if !ok {
 		return 0, 0
+	}
+	if n.Kind != addr.PayloadData {
+		h.PayloadEvictions.Inc()
 	}
 	li := si*h.llc.ways + w
 	for m := h.holders[li]; m != 0; m &= m - 1 {
@@ -471,11 +476,10 @@ func (h *Hierarchy) SetPagePerm(page addr.Name, perm addr.Perm) (updated int) {
 
 // FlushASID removes every line belonging to the address space (used when an
 // address space is destroyed and its ASID recycled). Metadata blocks are
-// virtually named, so the match catches them too; their payload entries are
-// swept afterwards with the usual eviction notification. It scans every
-// way of every cache, whose order decides the recency words, so it does
-// not go through the holder masks; it clears the masks of the LLC ways it
-// frees.
+// virtually named, so the match catches them too, and each one the LLC
+// loses counts as a payload eviction. It scans every way of every cache,
+// whose order decides the recency words, so it does not go through the
+// holder masks; it clears the masks of the LLC ways it frees.
 func (h *Hierarchy) FlushASID(asid addr.ASID) (flushed int) {
 	match := func(n addr.Name) bool { return !n.Synonym && n.ASID == asid }
 	for c := 0; c < h.cfg.NumCores; c++ {
@@ -484,29 +488,19 @@ func (h *Hierarchy) FlushASID(asid addr.ASID) (flushed int) {
 			flushed += f
 		}
 	}
-	f, _ := h.llc.FlushMatching(match)
+	f, _ := h.llc.FlushMatching(func(n addr.Name) bool {
+		ok := match(n)
+		if ok && n.Kind != addr.PayloadData {
+			h.PayloadEvictions.Inc()
+		}
+		return ok
+	})
 	for i, k := range h.llc.keys {
 		if k == 0 {
 			h.holders[i] = 0
 		}
 	}
-	h.flushPayloadASID(asid)
 	return flushed + f
-}
-
-// flushPayloadASID drops (with notification) every payload entry whose
-// block belongs to the address space. The two-pass shape keeps the table
-// iteration free of concurrent mutation.
-func (h *Hierarchy) flushPayloadASID(asid addr.ASID) {
-	var doomed []uint64
-	h.payloads.forEach(func(k, _ uint64) {
-		if n := addr.NameFromKey(k); !n.Synonym && n.ASID == asid {
-			doomed = append(doomed, k)
-		}
-	})
-	for _, k := range doomed {
-		h.evictPayload(addr.NameFromKey(k))
-	}
 }
 
 // CheckSets verifies every cache's per-set replacement state (its
@@ -579,11 +573,7 @@ func (h *Hierarchy) CheckInvariants() error {
 			return err
 		}
 	}
-	if err := h.checkHolders(); err != nil {
-		return err
-	}
-	// Metadata payloads must mirror LLC residency exactly.
-	return h.checkPayloadResidency()
+	return h.checkHolders()
 }
 
 // checkHolders verifies the coherence directory exactly: each L2 way's

@@ -41,17 +41,15 @@ type RLTVC struct {
 	// CachedRecordHits counts record-cache misses served by a cached
 	// record block instead of a rebuild.
 	CachedRecordHits stats.Counter
-	// RecordFills counts record blocks installed after rebuilds.
+	// RecordFills counts record blocks installed after rebuilds. The
+	// hierarchy's PayloadEvictions counts those that left the LLC.
 	RecordFills stats.Counter
-	// RecordEvictions counts record blocks pushed out of the LLC by data
-	// (or flushed on synonym-range changes).
-	RecordEvictions stats.Counter
 }
 
 // NewRLTVC builds the organization over an inner hybrid MMU (whose Bloom
 // filter goes unused on the front end, but whose virtual routing, delayed
 // translation and writeback machinery are reused verbatim) and registers
-// as the kernel's sink and the hierarchy's payload-eviction listener.
+// as the kernel's sink.
 func NewRLTVC(cfg HybridConfig, k *osmodel.Kernel) *RLTVC {
 	m := &RLTVC{HybridMMU: NewHybridMMU(cfg, k)}
 	m.Engine = pipeline.NewEngine(m.HybridMMU.BaseState(), m, nil, m.HybridMMU)
@@ -60,7 +58,6 @@ func NewRLTVC(cfg HybridConfig, k *osmodel.Kernel) *RLTVC {
 			Name: fmt.Sprintf("rlt[%d]", i), Entries: 64, Ways: 4, Latency: 1,
 		}))
 	}
-	m.Hier.SetPayloadListener(m)
 	k.AttachSink(m)
 	return m
 }
@@ -204,10 +201,6 @@ func (m *RLTVC) insertNonSynonym(core int, proc *osmodel.Process, vpn uint64) {
 	})
 }
 
-// PayloadEvicted implements cache.PayloadListener: a record block left the
-// LLC (data pushed it out, or a flush below removed it).
-func (m *RLTVC) PayloadEvicted(addr.Name, uint64) { m.RecordEvictions.Inc() }
-
 // PayloadCoherence audits one cached record block against the live OS
 // synonym ranges (the fault checker's PayloadCoherence hook).
 func (m *RLTVC) PayloadCoherence(n addr.Name, payload uint64) error {
@@ -225,8 +218,7 @@ func (m *RLTVC) PayloadCoherence(n addr.Name, payload uint64) error {
 	return nil
 }
 
-// flushRecords removes every cached record block of the address space,
-// with notification.
+// flushRecords removes every cached record block of the address space.
 func (m *RLTVC) flushRecords(asid addr.ASID) {
 	var doomed []addr.Name
 	m.Hier.ForEachPayload(func(n addr.Name, _ uint64) {
@@ -271,5 +263,3 @@ func (m *RLTVC) FlushASID(asid addr.ASID) {
 		rc.FlushASID(asid)
 	}
 }
-
-var _ cache.PayloadListener = (*RLTVC)(nil)

@@ -81,19 +81,6 @@ func AllKinds() []Kind {
 	return []Kind{FilterSoftError, FilterStorm, ShootdownBurst, RemapChurn, WalkTransient}
 }
 
-// Event describes one injected fault, delivered to Config.OnFault.
-type Event struct {
-	// Seq numbers injections from 1 in injection order.
-	Seq uint64
-	// Kind is the injected fault class.
-	Kind Kind
-	// ASID is the targeted address space (zero for WalkTransient, which
-	// arms a core-side failure rather than targeting a process).
-	ASID addr.ASID
-	// Detail is a human-readable description of the specific perturbation.
-	Detail string
-}
-
 // Config parameterizes an Injector.
 type Config struct {
 	// Seed drives every random choice (default 1).
@@ -105,13 +92,6 @@ type Config struct {
 	// Burst scales multi-shot kinds: shootdowns per burst, pages per
 	// filter storm, armed walk transients (default 8).
 	Burst int
-	// ChurnRegions bounds how many scratch regions RemapChurn keeps mapped
-	// per address space before it starts unmapping (default 4).
-	ChurnRegions int
-	// ChurnBytes is the scratch region size (default 64 KiB).
-	ChurnBytes uint64
-	// OnFault, when set, observes every injection.
-	OnFault func(Event)
 }
 
 func (c *Config) fillDefaults() {
@@ -127,13 +107,15 @@ func (c *Config) fillDefaults() {
 	if c.Burst <= 0 {
 		c.Burst = 8
 	}
-	if c.ChurnRegions <= 0 {
-		c.ChurnRegions = 4
-	}
-	if c.ChurnBytes == 0 {
-		c.ChurnBytes = 64 << 10
-	}
 }
+
+const (
+	// churnRegions bounds how many scratch regions RemapChurn keeps mapped
+	// per address space before it starts unmapping.
+	churnRegions = 4
+	// churnBytes is the scratch region size.
+	churnBytes = 64 << 10
+)
 
 // maxArmedWalks caps the armed walk-transient budget so organizations
 // whose walkers do not consult the shared walk path (OVC's private
@@ -225,19 +207,18 @@ func (in *Injector) FailWalk(int) bool {
 // inject applies one fault of a seeded-random enabled kind.
 func (in *Injector) inject() {
 	kind := in.cfg.Kinds[in.rng.Intn(len(in.cfg.Kinds))]
-	var ev Event
 	var ok bool
 	switch kind {
 	case FilterSoftError:
-		ev, ok = in.filterSoftError()
+		ok = in.filterSoftError()
 	case FilterStorm:
-		ev, ok = in.filterStorm()
+		ok = in.filterStorm()
 	case ShootdownBurst:
-		ev, ok = in.shootdownBurst()
+		ok = in.shootdownBurst()
 	case RemapChurn:
-		ev, ok = in.remapChurn()
+		ok = in.remapChurn()
 	case WalkTransient:
-		ev, ok = in.walkTransient()
+		ok = in.walkTransient()
 	}
 	if !ok {
 		in.Skipped++
@@ -245,10 +226,6 @@ func (in *Injector) inject() {
 	}
 	in.seq++
 	in.Injected[kind]++
-	ev.Seq, ev.Kind = in.seq, kind
-	if in.cfg.OnFault != nil {
-		in.cfg.OnFault(ev)
-	}
 }
 
 // pickProc selects a live process deterministically: ASIDs sort before
@@ -266,10 +243,10 @@ func (in *Injector) pickProc() *osmodel.Process {
 // filterSoftError flips one filter bit. Cleared bits are repaired by an
 // immediate OS rebuild (the parity-detection model), so the filter's
 // no-false-negative guarantee is never observable-broken.
-func (in *Injector) filterSoftError() (Event, bool) {
+func (in *Injector) filterSoftError() bool {
 	p := in.pickProc()
 	if p == nil {
-		return Event{}, false
+		return false
 	}
 	coarse := in.rng.Intn(2) == 1
 	bit := uint64(in.rng.Intn(bloom.FilterBits))
@@ -278,21 +255,16 @@ func (in *Injector) filterSoftError() (Event, bool) {
 	if !set && changed {
 		in.kernel.RebuildFilter(p)
 	}
-	which := "fine"
-	if coarse {
-		which = "coarse"
-	}
-	return Event{ASID: p.ASID,
-		Detail: fmt.Sprintf("%s bit %d -> %v (changed=%v)", which, bit, set, changed)}, true
+	return true
 }
 
 // filterStorm marks Burst private pages in the target's filter, forcing
 // those granules to classify as synonym candidates (pure false
 // positives: extra set bits can never produce a false negative).
-func (in *Injector) filterStorm() (Event, bool) {
+func (in *Injector) filterStorm() bool {
 	p := in.pickProc()
 	if p == nil {
-		return Event{}, false
+		return false
 	}
 	var private []*osmodel.Region
 	for _, r := range p.Regions {
@@ -301,7 +273,7 @@ func (in *Injector) filterStorm() (Event, bool) {
 		}
 	}
 	if len(private) == 0 {
-		return Event{}, false
+		return false
 	}
 	r := private[in.rng.Intn(len(private))]
 	pages := r.Length / addr.PageSize
@@ -309,62 +281,56 @@ func (in *Injector) filterStorm() (Event, bool) {
 		va := r.Start + addr.VA((in.rng.Uint64()%pages)*addr.PageSize)
 		p.Filter.MarkSynonym(va)
 	}
-	return Event{ASID: p.ASID,
-		Detail: fmt.Sprintf("%d private pages in [%#x,%#x) forced candidate",
-			in.cfg.Burst, uint64(r.Start), uint64(r.End()))}, true
+	return true
 }
 
 // shootdownBurst broadcasts Burst spurious shootdowns for mapped pages.
-func (in *Injector) shootdownBurst() (Event, bool) {
+func (in *Injector) shootdownBurst() bool {
 	p := in.pickProc()
 	if p == nil || len(p.Regions) == 0 {
-		return Event{}, false
+		return false
 	}
 	r := p.Regions[in.rng.Intn(len(p.Regions))]
 	pages := r.Length / addr.PageSize
 	if pages == 0 {
-		return Event{}, false
+		return false
 	}
 	for i := 0; i < in.cfg.Burst; i++ {
 		va := r.Start + addr.VA((in.rng.Uint64()%pages)*addr.PageSize)
 		in.kernel.ShootdownPage(p.ASID, va.Page())
 	}
-	return Event{ASID: p.ASID,
-		Detail: fmt.Sprintf("%d spurious shootdowns in [%#x,%#x)",
-			in.cfg.Burst, uint64(r.Start), uint64(r.End()))}, true
+	return true
 }
 
 // remapChurn maps a fresh injector-owned scratch region, or unmaps the
-// oldest once ChurnRegions are live. Only regions the injector created
+// oldest once churnRegions are live. Only regions the injector created
 // are ever unmapped, so no workload reference can dangle.
-func (in *Injector) remapChurn() (Event, bool) {
+func (in *Injector) remapChurn() bool {
 	p := in.pickProc()
 	if p == nil {
-		return Event{}, false
+		return false
 	}
 	owned := in.churn[p.ASID]
-	if len(owned) < in.cfg.ChurnRegions {
-		va, err := p.Mmap(in.cfg.ChurnBytes, addr.PermRW, osmodel.MmapOpts{})
+	if len(owned) < churnRegions {
+		va, err := p.Mmap(churnBytes, addr.PermRW, osmodel.MmapOpts{})
 		if err != nil {
-			return Event{}, false // fragmentation: skip this slot
+			return false // fragmentation: skip this slot
 		}
 		in.churn[p.ASID] = append(owned, va)
-		return Event{ASID: p.ASID,
-			Detail: fmt.Sprintf("mmap scratch %#x+%d", uint64(va), in.cfg.ChurnBytes)}, true
+		return true
 	}
-	va := owned[0]
-	if err := in.kernel.Munmap(p, va); err != nil {
-		return Event{}, false
+	if err := in.kernel.Munmap(p, owned[0]); err != nil {
+		return false
 	}
 	in.churn[p.ASID] = append(owned[:0], owned[1:]...)
-	return Event{ASID: p.ASID, Detail: fmt.Sprintf("munmap scratch %#x", uint64(va))}, true
+	return true
 }
 
 // walkTransient arms Burst transient walk failures (capped).
-func (in *Injector) walkTransient() (Event, bool) {
+func (in *Injector) walkTransient() bool {
 	in.walkBudget += in.cfg.Burst
 	if in.walkBudget > maxArmedWalks {
 		in.walkBudget = maxArmedWalks
 	}
-	return Event{Detail: fmt.Sprintf("armed %d transient walk failures", in.walkBudget)}, true
+	return true
 }
