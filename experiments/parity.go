@@ -29,11 +29,12 @@ func parityCoherenceSpec() workload.Spec {
 }
 
 // Parity runs every selectable organization on the fixed workload
-// prefixes and renders a per-cell stat fingerprint: report fields plus
-// the hierarchy and fault counters. The table is intentionally exhaustive
-// and byte-stable — the golden test in parity_test.go diffs it against a
-// checked-in rendering to prove that refactors of the access path leave
-// every organization's simulated behavior bit-identical.
+// prefixes and renders a per-cell stat fingerprint: report fields, the
+// hierarchy and fault counters, and the TLB lookups and hits of the
+// pipeline counts summed over every TLB level. The table is intentionally
+// exhaustive and byte-stable — the golden test in parity_test.go diffs it
+// against a checked-in rendering to prove that refactors of the access
+// path leave every organization's simulated behavior bit-identical.
 func Parity(s Scale, opts RunOptions) (*stats.Table, error) {
 	insns := s.pick(30_000, 200_000)
 	simCfg := sim.DefaultConfig()
@@ -71,7 +72,7 @@ func Parity(s Scale, opts RunOptions) (*stats.Table, error) {
 	t := stats.NewTable("Parity: per-organization stat fingerprint",
 		"org", "workload", "cores", "cycles", "insns", "ipc", "xlat_pj", "dyn_pj",
 		"llc_hits", "llc_misses", "mem_wbs", "back_invals", "coh_invals", "coh_downgrades",
-		"faults", "walk_steps", "payload_evictions")
+		"faults", "walk_steps", "payload_evictions", "tlb_lookups", "tlb_hits")
 	for _, r := range results {
 		t.AddRow(r.Value.([]string)...)
 	}
@@ -83,6 +84,11 @@ func parityRow(org, wl string, cores int) func(*hybridvc.System, sim.Report) (an
 	return func(sys *hybridvc.System, rep sim.Report) (any, error) {
 		h := sys.Mem.Hierarchy()
 		b := sys.Mem.BaseState()
+		var lookups, hits uint64
+		for l := range b.Counts.TLBLookups {
+			lookups += b.Counts.TLBLookups[l]
+			hits += b.Counts.TLBHits[l]
+		}
 		return []string{
 			org, wl,
 			fmt.Sprintf("%d", cores),
@@ -100,6 +106,8 @@ func parityRow(org, wl string, cores int) func(*hybridvc.System, sim.Report) (an
 			fmt.Sprintf("%d", b.Faults.Value()),
 			fmt.Sprintf("%d", b.WalkSteps.Value()),
 			fmt.Sprintf("%d", h.PayloadEvictions.Value()),
+			fmt.Sprintf("%d", lookups),
+			fmt.Sprintf("%d", hits),
 		}, nil
 	}
 }
