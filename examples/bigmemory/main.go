@@ -13,7 +13,8 @@ import (
 	"log"
 
 	"hybridvc"
-	"hybridvc/internal/core"
+	"hybridvc/internal/pipeline"
+	"hybridvc/internal/stats"
 )
 
 func main() {
@@ -38,8 +39,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mmu := sys.Mem.(*core.HybridMMU)
-		mpki := 1000 * float64(mmu.DelayedTLBMisses.Value()) / float64(report.Instructions)
+		misses := sys.Mem.BaseState().Counts.Misses(pipeline.TLBDelayed)
+		mpki := 1000 * float64(misses) / float64(report.Instructions)
 		fmt.Printf("%-28s %-10d %.1f\n",
 			fmt.Sprintf("delayed TLB, %5d entries", entries), report.Cycles, mpki)
 		if first == 0 {
@@ -58,11 +59,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mmu := sys.Mem.(*core.HybridMMU)
+	// Every delayed translation, demand or writeback, looks up the SC.
+	c := &sys.Mem.BaseState().Counts
+	scHitRate := stats.Ratio(c.DelayedSCHits, c.DelayedDemand+c.DelayedWritebacks)
 	fmt.Printf("%-28s %-10d (SC hit rate %.1f%%, %d segments cover the heap)\n",
-		"many-segment + SC", report.Cycles,
-		100*mmu.Translator().SC.Stats.HitRate(),
-		sys.Kernel.MaxSegments())
+		"many-segment + SC", report.Cycles, 100*scHitRate, sys.Kernel.MaxSegments())
 	fmt.Printf("\nmany-segment speedup over the 1K delayed TLB: %.2fx\n",
 		float64(first)/float64(report.Cycles))
 }

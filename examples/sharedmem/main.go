@@ -41,17 +41,18 @@ func main() {
 	fmt.Printf("synonym filter occupancy (proc 0): fine %.1f%%, coarse %.1f%%\n",
 		100*fine, 100*coarse)
 
-	total := mmu.SynonymCandidates.Value() + mmu.NonSynonymAccesses.Value()
+	c := &mmu.Counts
+	total := c.FilterProbes
 	fmt.Printf("memory references:        %d\n", total)
 	fmt.Printf("synonym candidates:       %d (%.1f%%)\n",
-		mmu.SynonymCandidates.Value(),
-		100*float64(mmu.SynonymCandidates.Value())/float64(total))
+		c.FilterCandidates,
+		100*float64(c.FilterCandidates)/float64(total))
 	fmt.Printf("  true synonyms:          %d\n", mmu.TrueSynonymAccesses.Value())
 	fmt.Printf("  filter false positives: %d (%.4f%% of all references)\n",
-		mmu.FalsePositives.Value(),
-		100*float64(mmu.FalsePositives.Value())/float64(total))
+		c.FalsePositives,
+		100*float64(c.FalsePositives)/float64(total))
 	fmt.Printf("TLB accesses avoided:     %.1f%% of references bypass the TLB\n",
-		100*float64(mmu.NonSynonymAccesses.Value())/float64(total))
+		100*float64(total-c.FilterCandidates)/float64(total))
 
 	fmt.Printf("\nshared area / shared access (Table I metrics): %.1f%% / %.1f%%\n",
 		100*p.SharedAreaRatio(), 100*p.SharedAccessRatio())

@@ -84,9 +84,9 @@ func main() {
 	mmu.Access(core.Request{Kind: cache.Read, VA: gvaA, Proc: p})
 	mmu.Access(core.Request{Kind: cache.Read, VA: gvaB, Proc: p})
 	fmt.Println("hypervisor-induced sharing demo:")
-	fmt.Printf("  guest filter flags gvaA: %v (guest OS unaware)\n", p.Filter.ProbeQuiet(gvaA))
-	fmt.Printf("  host filter flags gvaA:  %v\n", sys.VM.HostFilter.ProbeQuiet(gvaA))
-	fmt.Printf("  host filter flags gvaB:  %v\n", sys.VM.HostFilter.ProbeQuiet(gvaB))
+	fmt.Printf("  guest filter flags gvaA: %v (guest OS unaware)\n", p.Filter.IsCandidate(gvaA))
+	fmt.Printf("  host filter flags gvaA:  %v\n", sys.VM.HostFilter.IsCandidate(gvaA))
+	fmt.Printf("  host filter flags gvaB:  %v\n", sys.VM.HostFilter.IsCandidate(gvaB))
 	fmt.Printf("  synonym candidates seen by the MMU: %d (both accesses)\n",
-		mmu.SynonymCandidates.Value())
+		mmu.Counts.FilterCandidates)
 }

@@ -62,7 +62,7 @@ func a1Designs() []FilterDesign {
 		}
 	}
 	return []FilterDesign{
-		{"two-granularity x two-hash (paper)", paper.ProbeQuiet},
+		{"two-granularity x two-hash (paper)", paper.IsCandidate},
 		{"fine 32KB only", func(va addr.VA) bool {
 			return fineOnly.Contains(uint64(va) >> synfilter.FineBits)
 		}},

@@ -6,6 +6,7 @@ import (
 
 	"hybridvc/internal/core"
 	"hybridvc/internal/osmodel"
+	"hybridvc/internal/pipeline"
 	"hybridvc/internal/stats"
 	"hybridvc/internal/workload"
 )
@@ -54,7 +55,7 @@ func Figure4(scale Scale, opts RunOptions) ([]Figure4Series, *stats.Table, error
 					for _, g := range gens {
 						insns += g.Emitted()
 					}
-					return stats.PerKilo(ms.DelayedTLBMisses.Value(), insns), nil
+					return stats.PerKilo(ms.Counts.Misses(pipeline.TLBDelayed), insns), nil
 				},
 			})
 		}

@@ -54,7 +54,7 @@ func AblationSerialParallel(scale Scale, opts RunOptions) (*stats.Table, error) 
 					}
 					return a4Result{
 						cycles:    rep.Cycles,
-						delayed:   ms.DelayedTranslations.Value(),
+						delayed:   ms.Counts.DelayedDemand,
 						dynamicPJ: rep.DynamicEnergyPJ,
 					}, nil
 				},

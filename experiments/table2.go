@@ -7,6 +7,7 @@ import (
 	"hybridvc/internal/baseline"
 	"hybridvc/internal/core"
 	"hybridvc/internal/osmodel"
+	"hybridvc/internal/pipeline"
 	"hybridvc/internal/stats"
 	"hybridvc/internal/workload"
 )
@@ -57,24 +58,15 @@ func tableIICell(ctx context.Context, name string, n uint64) (TableIIRow, error)
 		return TableIIRow{}, err
 	}
 
-	totalRefs := hybrid.SynonymCandidates.Value() + hybrid.NonSynonymAccesses.Value()
-	var synTLBAccesses, synTLBMisses uint64
-	for c := 0; c < 1; c++ {
-		synTLBAccesses += hybrid.SynTLB(c).Stats.Accesses()
-		synTLBMisses += hybrid.SynTLB(c).Stats.Misses.Value()
-	}
-	var baseAccesses, baseMisses uint64
-	for c := 0; c < 1; c++ {
-		baseAccesses += base.TLB(c).Accesses()
-		baseMisses += base.TLB(c).Misses()
-	}
-	proposedMisses := synTLBMisses + hybrid.DelayedTLBMisses.Value()
-
+	// Synonym-TLB lookups are set against the baseline's L1 TLB lookups,
+	// and synonym plus delayed TLB misses against its walks (L2 misses).
+	hc, bc := &hybrid.Counts, &base.Counts
+	proposedMisses := hc.Misses(pipeline.TLBSynonym) + hc.Misses(pipeline.TLBDelayed)
 	return TableIIRow{
 		Workload:          name,
-		FalsePositiveRate: stats.Ratio(hybrid.FalsePositives.Value(), totalRefs),
-		AccessReduction:   1 - stats.Ratio(synTLBAccesses, baseAccesses),
-		MissReduction:     1 - stats.Ratio(proposedMisses, baseMisses),
+		FalsePositiveRate: stats.Ratio(hc.FalsePositives, hc.FilterProbes),
+		AccessReduction:   1 - stats.Ratio(hc.TLBLookups[pipeline.TLBSynonym], bc.TLBLookups[pipeline.TLBL1]),
+		MissReduction:     1 - stats.Ratio(proposedMisses, bc.Misses(pipeline.TLBL2)),
 	}, nil
 }
 

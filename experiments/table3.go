@@ -6,6 +6,7 @@ import (
 
 	"hybridvc/internal/baseline"
 	"hybridvc/internal/osmodel"
+	"hybridvc/internal/pipeline"
 	"hybridvc/internal/stats"
 	"hybridvc/internal/workload"
 )
@@ -51,7 +52,7 @@ func TableIII(scale Scale, opts RunOptions) ([]TableIIIRow, *stats.Table, error)
 					insns += g.Emitted()
 					g.PrewarmTouch() // model the full run for utilization
 				}
-				misses := rmm.Range(0).Misses()
+				misses := rmm.Counts.Misses(pipeline.TLBRange)
 				var util stats.Mean
 				for _, g := range gens {
 					util.Observe(g.Proc.Utilization())

@@ -6,6 +6,7 @@ import (
 	"hybridvc"
 	"hybridvc/internal/baseline"
 	"hybridvc/internal/core"
+	"hybridvc/internal/pipeline"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/stats"
 )
@@ -60,25 +61,28 @@ func XArch(s Scale, opts RunOptions) (*stats.Table, error) {
 
 // xarchRow extracts one cell's mechanism counters while the system is
 // alive. Columns without a counterpart in an organization render "-".
+// Walks and cached hits come from the pipeline counts: the baseline walks
+// on an L2 TLB miss, and Victima and rlt-vc on a metadata-block miss.
 func xarchRow(org, wl string) func(*hybridvc.System, sim.Report) (any, error) {
 	return func(sys *hybridvc.System, rep sim.Report) (any, error) {
+		c := &sys.Mem.BaseState().Counts
 		walks, cached, fills, evictions, fps := "-", "-", "-", "-", "-"
 		switch m := sys.Mem.(type) {
 		case *baseline.Conventional:
-			walks = fmt.Sprintf("%d", m.TLBMissWalks.Value())
+			walks = fmt.Sprintf("%d", c.Misses(pipeline.TLBL2))
 		case *baseline.Victima:
-			walks = fmt.Sprintf("%d", m.TLBMissWalks.Value())
-			cached = fmt.Sprintf("%d", m.CachedXlatHits.Value())
+			walks = fmt.Sprintf("%d", c.Misses(pipeline.TLBXlatCache))
+			cached = fmt.Sprintf("%d", c.TLBHits[pipeline.TLBXlatCache])
 			fills = fmt.Sprintf("%d", m.XlatFills.Value())
 			evictions = fmt.Sprintf("%d", sys.Mem.Hierarchy().PayloadEvictions.Value())
 		case *core.RLTVC:
-			walks = fmt.Sprintf("%d", m.RLTWalks.Value())
-			cached = fmt.Sprintf("%d", m.CachedRecordHits.Value())
+			walks = fmt.Sprintf("%d", c.Misses(pipeline.TLBXlatCache))
+			cached = fmt.Sprintf("%d", c.TLBHits[pipeline.TLBXlatCache])
 			fills = fmt.Sprintf("%d", m.RecordFills.Value())
 			evictions = fmt.Sprintf("%d", sys.Mem.Hierarchy().PayloadEvictions.Value())
-			fps = fmt.Sprintf("%d", m.FalsePositives.Value())
+			fps = fmt.Sprintf("%d", c.FalsePositives)
 		case *core.HybridMMU:
-			fps = fmt.Sprintf("%d", m.FalsePositives.Value())
+			fps = fmt.Sprintf("%d", c.FalsePositives)
 		}
 		return []string{
 			org, wl,

@@ -29,7 +29,6 @@ import (
 	"hybridvc/internal/core"
 	"hybridvc/internal/fault"
 	"hybridvc/internal/osmodel"
-	"hybridvc/internal/pipeline"
 	"hybridvc/internal/segment"
 	"hybridvc/internal/sim"
 	"hybridvc/internal/virt"
@@ -310,16 +309,14 @@ func applyLLC(dst *int, override int) {
 
 // AttachChecker attaches a runtime invariant checker wired for the
 // system's organization: the hybrid designs expose their synonym and
-// delayed TLBs and reconcile the false-positive counter, the virtualized
-// designs resolve guest-physical addresses through the VM, OVC audits
-// only its virtual L1 (split naming boundary), and filter-bypass
-// (Enigma) permits shared pages under virtual names. The checker reads
-// the memory system's pipeline counts, and its Check method may be
-// invoked at any point between accesses — the fault injector does so
-// after every injection.
+// delayed TLBs, the virtualized designs resolve guest-physical addresses
+// through the VM, OVC audits only its virtual L1 (split naming boundary),
+// and filter-bypass (Enigma) permits shared pages under virtual names.
+// The checker reconciles the pipeline counts of faults and walk steps
+// with Base's counters, and its Check method may be invoked at any point
+// between accesses — the fault injector does so after every injection.
 func (s *System) AttachChecker() *fault.Checker {
 	cfg := fault.CheckerConfig{Mem: s.Mem, Kernel: s.Kernel}
-	countedFPs := func(c *pipeline.Counts) uint64 { return c.FalsePositives }
 	switch m := s.Mem.(type) {
 	case *core.HybridMMU:
 		cfg.AllowSharedVirtual = s.cfg.Org == Enigma
@@ -329,29 +326,14 @@ func (s *System) AttachChecker() *fault.Checker {
 		if d := m.DelayedTLB(); d != nil {
 			cfg.TLBs = append(cfg.TLBs, fault.NamedTLB{Name: "delayed-tlb", T: d})
 		}
-		cfg.Extra = []fault.Recon{{
-			Label: "hybrid false positives",
-			Stat:  func() uint64 { return m.FalsePositives.Value() },
-			Event: countedFPs,
-		}}
 	case *core.VirtHybridMMU:
 		cfg.TranslateGPA = s.VM.TranslateGPA
 		cfg.NestedWalks = true
-		cfg.Extra = []fault.Recon{{
-			Label: "virt-hybrid false positives",
-			Stat:  func() uint64 { return m.FalsePositives.Value() },
-			Event: countedFPs,
-		}}
 	case *core.RLTVC:
 		for i := 0; i < s.cfg.Cores; i++ {
 			cfg.TLBs = append(cfg.TLBs, fault.NamedTLB{Name: fmt.Sprintf("rlt%d", i), T: m.RLT(i)})
 		}
 		cfg.PayloadCoherence = m.PayloadCoherence
-		cfg.Extra = []fault.Recon{{
-			Label: "rlt-vc false positives",
-			Stat:  func() uint64 { return m.FalsePositives.Value() },
-			Event: countedFPs,
-		}}
 	case *baseline.Victima:
 		for i := 0; i < s.cfg.Cores; i++ {
 			cfg.TLBs = append(cfg.TLBs,

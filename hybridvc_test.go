@@ -3,6 +3,8 @@ package hybridvc
 import (
 	"strings"
 	"testing"
+
+	"hybridvc/internal/stats"
 )
 
 func TestAllOrganizationsRun(t *testing.T) {
@@ -115,6 +117,8 @@ func TestRunContinuation(t *testing.T) {
 	}
 	afterFirst := sys.Generators()[0].Emitted()
 	firstSim := sys.LastSim
+	energyBefore := sys.Mem.Energy().Snapshot()
+	llcBefore := sys.Mem.Hierarchy().LLC().Stats
 	r2, err := sys.Run(5000)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +130,18 @@ func TestRunContinuation(t *testing.T) {
 	if sys.LastSim == firstSim {
 		t.Error("second Run reused the first simulator")
 	}
-	// Each simulator counts only its own window.
+	// Each simulator counts only its own window, energy and LLC accesses
+	// included: the memory system carries the first run's into the second.
 	if r1.Instructions != 5000 || r2.Instructions != 5000 {
 		t.Errorf("per-run instruction counts: %d, %d, want 5000 each", r1.Instructions, r2.Instructions)
+	}
+	if want := sys.Mem.Energy().DynamicSince(energyBefore); r2.DynamicEnergyPJ != want {
+		t.Errorf("second report: %.3f pJ dynamic energy, want its own window's %.3f", r2.DynamicEnergyPJ, want)
+	}
+	llc := sys.Mem.Hierarchy().LLC().Stats
+	want := stats.Ratio(llc.Misses.Value()-llcBefore.Misses.Value(), llc.Accesses()-llcBefore.Accesses())
+	if r2.LLCMissRate != want {
+		t.Errorf("second report: LLC miss rate %.4f, want its own window's %.4f", r2.LLCMissRate, want)
 	}
 	// A fresh system replaying the same seed reproduces the first window
 	// exactly — continuation, by contrast, ran a different window.
@@ -143,7 +156,8 @@ func TestRunContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1.Cycles != r1.Cycles {
-		t.Errorf("fresh system first window: %d cycles, want %d", f1.Cycles, r1.Cycles)
+	if f1.Cycles != r1.Cycles || f1.DynamicEnergyPJ != r1.DynamicEnergyPJ || f1.LLCMissRate != r1.LLCMissRate {
+		t.Errorf("fresh system first window: %d cycles, %.3f pJ, LLC miss rate %.4f; want %d, %.3f, %.4f",
+			f1.Cycles, f1.DynamicEnergyPJ, f1.LLCMissRate, r1.Cycles, r1.DynamicEnergyPJ, r1.LLCMissRate)
 	}
 }

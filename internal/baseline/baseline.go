@@ -49,11 +49,8 @@ type Conventional struct {
 	hugeTLBs []*tlb.TLB
 	kernel   *osmodel.Kernel
 
-	// TLBMissWalks counts page walks triggered by TLB misses.
-	TLBMissWalks stats.Counter
-	TLBShoots    stats.Counter
-	// HugeTLBHits counts translations served by the 2 MiB TLB.
-	HugeTLBHits stats.Counter
+	// TLBShoots counts TLBShootdown calls.
+	TLBShoots stats.Counter
 }
 
 // NewConventional builds the baseline and registers as the kernel's sink.
@@ -83,7 +80,6 @@ func (c *Conventional) translate(req *core.Request) (addr.PA, addr.Perm, uint64,
 	c.Acc.Access(energy.L1TLB, 1)
 	// The 2 MiB TLB is probed in parallel with the 4 KiB L1 TLB.
 	if e, ok := c.hugeTLBs[req.Core].Lookup(req.Proc.ASID, req.VA.HugePage()); ok {
-		c.HugeTLBHits.Inc()
 		c.Counts.TLB(pipeline.TLBHuge, true)
 		off := uint64(req.VA) & (addr.HugePageSize - 1)
 		return addr.FrameToPA(e.PFN) + addr.PA(off), e.Perm, 0, true
@@ -101,7 +97,6 @@ func (c *Conventional) translate(req *core.Request) (addr.PA, addr.Perm, uint64,
 	default:
 		c.Acc.Access(energy.L2TLB, 1)
 		lat = tl.L2.Config().Latency
-		c.TLBMissWalks.Inc()
 		leaf, wlat, ok := c.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 		lat += wlat
 		if !ok {
@@ -250,7 +245,6 @@ type RangeTLB struct {
 	lru     []uint64
 	tick    uint64
 	cap     int
-	Stats   stats.HitMiss
 }
 
 // NewRangeTLB creates a range TLB with the given capacity (RMM: 32).
@@ -267,11 +261,9 @@ func (r *RangeTLB) Lookup(asid addr.ASID, va addr.VA) (*segment.Segment, bool) {
 	for i, s := range r.entries {
 		if s.Contains(asid, va) {
 			r.lru[i] = r.tick
-			r.Stats.Hit()
 			return s, true
 		}
 	}
-	r.Stats.Miss()
 	return nil, false
 }
 
@@ -307,9 +299,6 @@ func (r *RangeTLB) FlushASID(asid addr.ASID) {
 	r.lru = keptLRU
 }
 
-// Misses returns the miss count (the Table III "RMM MPKI" numerator).
-func (r *RangeTLB) Misses() uint64 { return r.Stats.Misses.Value() }
-
 // RMM is the redundant-memory-mapping baseline: an L1 page TLB, a 32-entry
 // range TLB at the L2 level, and redundant paging as the fallback.
 type RMM struct {
@@ -317,9 +306,6 @@ type RMM struct {
 	kernel *osmodel.Kernel
 	l1tlbs []*tlb.TLB
 	ranges []*RangeTLB
-
-	// RangeWalks counts range-table fills after range TLB misses.
-	RangeWalks stats.Counter
 }
 
 // RMMRangeEntries is RMM's per-core range TLB capacity.
@@ -368,7 +354,6 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 		} else {
 			// Range walk: the OS range table supplies the segment; charge
 			// a page-walk-like cost through the cache hierarchy.
-			r.RangeWalks.Inc()
 			leaf, wlat, ok := r.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 			res.Latency += wlat
 			if !ok {

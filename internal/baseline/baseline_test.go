@@ -8,6 +8,7 @@ import (
 	"hybridvc/internal/cache"
 	"hybridvc/internal/core"
 	"hybridvc/internal/osmodel"
+	"hybridvc/internal/pipeline"
 )
 
 func smallConfig(cores int) Config {
@@ -41,8 +42,8 @@ func TestConventionalTranslatesAndCachesPhysically(t *testing.T) {
 	if c.Hierarchy().LLC().Probe(addr.PhysName(pa)) == nil {
 		t.Error("data not cached physically")
 	}
-	if c.TLBMissWalks.Value() != 1 {
-		t.Errorf("walks = %d", c.TLBMissWalks.Value())
+	if walks := c.Counts.Misses(pipeline.TLBL2); walks != 1 {
+		t.Errorf("walks = %d", walks)
 	}
 	// Warm access: TLB L1 hit adds no translation latency.
 	warm := c.Access(core.Request{Kind: cache.Read, VA: va, Proc: p})
@@ -63,13 +64,13 @@ func TestConventionalTLBMissLatency(t *testing.T) {
 	for i := uint64(0); i < 2048; i++ {
 		c.Access(core.Request{Kind: cache.Read, VA: va + addr.VA(i*addr.PageSize), Proc: p})
 	}
-	if c.TLBMissWalks.Value() < 2000 {
-		t.Errorf("walks = %d, want ~2048 (cold pages)", c.TLBMissWalks.Value())
+	walks0 := c.Counts.Misses(pipeline.TLBL2)
+	if walks0 < 2000 {
+		t.Errorf("walks = %d, want ~2048 (cold pages)", walks0)
 	}
 	// Re-touch the early pages: they are long evicted from both TLBs.
-	walks0 := c.TLBMissWalks.Value()
 	c.Access(core.Request{Kind: cache.Read, VA: va, Proc: p})
-	if c.TLBMissWalks.Value() != walks0+1 {
+	if c.Counts.Misses(pipeline.TLBL2) != walks0+1 {
 		t.Error("expected a TLB miss walk on an evicted page")
 	}
 }
@@ -154,9 +155,6 @@ func TestRangeTLBLRU(t *testing.T) {
 	if _, ok := rt.Lookup(p.ASID, all[0].Base); !ok {
 		t.Error("MRU range evicted")
 	}
-	if rt.Misses() != 1 {
-		t.Errorf("misses = %d", rt.Misses())
-	}
 }
 
 func TestRMMThrashesBeyond32Segments(t *testing.T) {
@@ -180,7 +178,7 @@ func TestRMMThrashesBeyond32Segments(t *testing.T) {
 			va := bases[rng.Intn(len(bases))] + addr.VA(rng.Uint64()%(1<<20))
 			r.Access(core.Request{Kind: cache.Read, VA: va, Proc: p})
 		}
-		return 1000 * float64(r.Range(0).Misses()) / insns
+		return 1000 * float64(r.Counts.Misses(pipeline.TLBRange)) / insns
 	}
 	few := runMPKI(8)
 	many := runMPKI(200)

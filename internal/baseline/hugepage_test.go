@@ -8,6 +8,7 @@ import (
 	"hybridvc/internal/cache"
 	"hybridvc/internal/core"
 	"hybridvc/internal/osmodel"
+	"hybridvc/internal/pipeline"
 )
 
 func TestConventionalHugeTLBCoversLargeFootprint(t *testing.T) {
@@ -28,17 +29,17 @@ func TestConventionalHugeTLBCoversLargeFootprint(t *testing.T) {
 				t.Fatal("fault")
 			}
 		}
-		return c, c.TLBMissWalks.Value()
+		return c, c.Counts.Misses(pipeline.TLBL2)
 	}
 	c4k, walks4k := run(false)
 	chuge, walksHuge := run(true)
 	if walksHuge*10 > walks4k {
 		t.Errorf("huge pages: %d walks vs %d with 4K; no reach benefit", walksHuge, walks4k)
 	}
-	if chuge.HugeTLBHits.Value() == 0 {
+	if chuge.Counts.TLBHits[pipeline.TLBHuge] == 0 {
 		t.Error("no huge TLB hits")
 	}
-	if c4k.HugeTLBHits.Value() != 0 {
+	if c4k.Counts.TLBHits[pipeline.TLBHuge] != 0 {
 		t.Error("huge TLB hits without huge pages")
 	}
 }

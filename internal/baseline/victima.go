@@ -26,16 +26,9 @@ type Victima struct {
 	tlbs   []*tlb.TwoLevel
 	kernel *osmodel.Kernel
 
-	// TLBMissWalks counts page walks (both TLB levels and the cached
-	// translation block missed).
-	TLBMissWalks stats.Counter
-	// CachedXlatHits counts translations served by a cached translation
-	// block instead of a walk.
-	CachedXlatHits stats.Counter
 	// XlatFills counts translation blocks installed after walks. The
 	// hierarchy's PayloadEvictions counts those that left the LLC.
 	XlatFills stats.Counter
-	TLBShoots stats.Counter
 }
 
 // NewVictima builds the organization and registers as the kernel's sink.
@@ -104,12 +97,10 @@ func (v *Victima) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool
 		lat += plat
 		v.Counts.TLB(pipeline.TLBXlatCache, hit)
 		if hit {
-			v.CachedXlatHits.Inc()
 			e := unpackXlat(req.Proc.ASID, vpn, payload)
 			tl.Insert(e)
 			return addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset()), e.Perm, lat, true
 		}
-		v.TLBMissWalks.Inc()
 		leaf, wlat, ok := v.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 		lat += wlat
 		if !ok {
@@ -194,7 +185,6 @@ func (v *Victima) PayloadCoherence(n addr.Name, payload uint64) error {
 // cached translation block, keeping the cached copy coherent with the page
 // table exactly like a TLB entry.
 func (v *Victima) TLBShootdown(asid addr.ASID, vpn uint64) {
-	v.TLBShoots.Inc()
 	for _, tl := range v.tlbs {
 		tl.Shootdown(asid, vpn)
 	}

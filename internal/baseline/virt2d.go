@@ -7,7 +7,6 @@ import (
 	"hybridvc/internal/energy"
 	"hybridvc/internal/osmodel"
 	"hybridvc/internal/pipeline"
-	"hybridvc/internal/stats"
 	"hybridvc/internal/tlb"
 	"hybridvc/internal/virt"
 )
@@ -24,9 +23,6 @@ type Virt2D struct {
 	vm      *virt.VM
 	walkers map[uint32]*virt.Walker2D
 	tlbs    []*tlb.TwoLevel
-
-	// Walks2D counts full nested walks.
-	Walks2D stats.Counter
 }
 
 // NewVirt2D builds the virtualized baseline over vm; AddVM consolidates
@@ -55,7 +51,6 @@ func (v *Virt2D) Name() string { return "virt-2d-baseline" }
 
 // timed2DWalk issues a nested walk, charging its reads through the caches.
 func (v *Virt2D) timed2DWalk(coreID int, proc *osmodel.Process, gva addr.VA) (virt.Walk2DResult, uint64) {
-	v.Walks2D.Inc()
 	v.Acc.Access(energy.PageWalk, 1)
 	res := v.walkers[proc.ASID.VMID()].Walk(proc, gva)
 	v.Acc.Access(energy.NestedTLB, uint64(res.NestedTLBHits))

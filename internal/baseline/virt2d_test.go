@@ -33,8 +33,8 @@ func TestVirt2DTranslatesToMachineAddress(t *testing.T) {
 	if res.Fault {
 		t.Fatal("fault")
 	}
-	if v.Walks2D.Value() != 1 {
-		t.Errorf("2D walks = %d", v.Walks2D.Value())
+	if v.Counts.Walks != 1 {
+		t.Errorf("2D walks = %d", v.Counts.Walks)
 	}
 	gpa, _ := p.PT.Translate(gva)
 	ma, _ := vm.TranslateGPA(addr.GPA(gpa))
@@ -43,7 +43,7 @@ func TestVirt2DTranslatesToMachineAddress(t *testing.T) {
 	}
 	// TLB hit on the second access: no more walks.
 	v.Access(core.Request{Kind: cache.Read, VA: gva, Proc: p})
-	if v.Walks2D.Value() != 1 {
+	if v.Counts.Walks != 1 {
 		t.Error("warm access walked again")
 	}
 	if v.Name() != "virt-2d-baseline" {

@@ -129,16 +129,10 @@ type HybridMMU struct {
 	// adaptive filter rebuild policy.
 	fpWindow map[addr.ASID]*fpStats
 
-	// Statistics.
-	SynonymCandidates   stats.Counter // accesses routed to the TLB path
-	FalsePositives      stats.Counter // candidates that were non-synonyms
+	// TrueSynonymAccesses counts candidates the synonym TLB confirmed as
+	// synonyms. A candidate whose walk dead-ends in a fault is neither
+	// true nor false, so the pipeline counts cannot derive it.
 	TrueSynonymAccesses stats.Counter
-	NonSynonymAccesses  stats.Counter
-	DelayedTranslations stats.Counter // delayed translations on LLC misses
-	WritebackXlations   stats.Counter // delayed translations for writebacks
-	FilterReloads       stats.Counter
-	TLBShootdowns       stats.Counter
-	DelayedTLBMisses    stats.Counter
 	// FilterRebuilds counts adaptive filter reconstructions triggered by
 	// excessive false positives.
 	FilterRebuilds stats.Counter
@@ -246,10 +240,8 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 		}
 	}
 	if candidate {
-		m.SynonymCandidates.Inc()
 		return m.routeSynonym(req, res)
 	}
-	m.NonSynonymAccesses.Inc()
 	return routeVirtual(m.Base, req, res)
 }
 
@@ -288,7 +280,6 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 	if e.NonSynonym {
 		// Filter false positive: the TLB entry corrects it; proceed with
 		// ASID+VA (the L1 block accessed with ASID+VA is used).
-		m.FalsePositives.Inc()
 		m.Counts.FalsePositive()
 		if w := m.fpWindow[req.Proc.ASID]; w != nil {
 			w.fps++
@@ -353,12 +344,10 @@ func (m *HybridMMU) Finish(req *Request, res *Result, hres *cache.AccessResult) 
 		// Parallel mode: the translation was launched alongside the LLC
 		// lookup; the hit makes its result unnecessary, but the energy
 		// (and structure state) is spent.
-		m.DelayedTranslations.Inc()
 		m.delayedTranslate(req.Core, req.Proc, req.VA, false)
 	}
 	if hres.LLCMiss {
 		res.LLCMiss = true
-		m.DelayedTranslations.Inc()
 		pa, lat, ok := m.delayedTranslate(req.Core, req.Proc, req.VA, false)
 		if m.cfg.ParallelDelayed {
 			// The walk overlapped the LLC lookup; only the excess shows.
@@ -383,7 +372,6 @@ func (m *HybridMMU) Finish(req *Request, res *Result, hres *cache.AccessResult) 
 	// energy and state.
 	for _, wb := range hres.Writebacks {
 		if !wb.Synonym {
-			m.WritebackXlations.Inc()
 			m.delayedTranslate(req.Core, m.procFor(wb.ASID, req.Proc), addr.VA(wb.Addr), true)
 		}
 	}
@@ -445,7 +433,6 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 			m.Counts.Delayed(wb, false, 0, false)
 			return addr.FrameToPA(e.PFN) + addr.PA(va.PageOffset()), lat, true
 		}
-		m.DelayedTLBMisses.Inc()
 		m.Counts.TLB(pipeline.TLBDelayed, false)
 		steps := m.WalkSteps.Value()
 		leaf, wlat, ok := m.TimedWalk(core, proc, va.PageAligned())
@@ -467,7 +454,6 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 // TLBShootdown invalidates (asid, vpn) in every synonym TLB and the
 // delayed translation structures.
 func (m *HybridMMU) TLBShootdown(asid addr.ASID, vpn uint64) {
-	m.TLBShootdowns.Inc()
 	for _, st := range m.synTLB {
 		st.Shootdown(asid, vpn)
 	}
@@ -490,11 +476,9 @@ func (m *HybridMMU) SetPagePerm(page addr.Name, perm addr.Perm) {
 	m.Hier.SetPagePerm(page, perm)
 }
 
-// FilterUpdate models the per-core filter storage reload after the OS
-// changes an address space's synonym filter.
-func (m *HybridMMU) FilterUpdate(asid addr.ASID) {
-	m.FilterReloads.Inc()
-}
+// FilterUpdate is a no-op: the filter probe reads the process's own
+// filter, so no per-core copy needs reloading after the OS changes it.
+func (m *HybridMMU) FilterUpdate(addr.ASID) {}
 
 // FlushASID removes the address space from every hardware structure so
 // the OS can recycle the identifier.

@@ -7,6 +7,7 @@ import (
 	"hybridvc/internal/addr"
 	"hybridvc/internal/cache"
 	"hybridvc/internal/osmodel"
+	"hybridvc/internal/pipeline"
 )
 
 // smallHybridConfig shrinks caches so evictions and LLC misses happen fast.
@@ -52,7 +53,7 @@ func TestNonSynonymCachedVirtually(t *testing.T) {
 		t.Error("non-synonym block cached under physical name")
 	}
 	// No synonym TLB activity for a non-synonym access.
-	if m.SynTLB(0).Stats.Accesses() != 0 {
+	if m.Counts.TLBLookups[pipeline.TLBSynonym] != 0 {
 		t.Error("synonym TLB accessed for a non-synonym address")
 	}
 	// Warm access hits L1 with no translation at all.
@@ -108,7 +109,7 @@ func TestFalsePositiveCorrection(t *testing.T) {
 	found := false
 	for off := uint64(0); off < 64<<20; off += addr.PageSize {
 		va := priv + addr.VA(off)
-		if p.Filter.ProbeQuiet(va) {
+		if p.Filter.IsCandidate(va) {
 			fpVA, found = va, true
 			break
 		}
@@ -120,8 +121,8 @@ func TestFalsePositiveCorrection(t *testing.T) {
 	if res.Fault {
 		t.Fatal("fault on false positive")
 	}
-	if m.FalsePositives.Value() != 1 {
-		t.Fatalf("false positives = %d", m.FalsePositives.Value())
+	if m.Counts.FalsePositives != 1 {
+		t.Fatalf("false positives = %d", m.Counts.FalsePositives)
 	}
 	// Despite the detour, the data is cached virtually.
 	if m.Hier.LLC().Probe(addr.VirtName(p.ASID, fpVA)) == nil {
@@ -130,7 +131,7 @@ func TestFalsePositiveCorrection(t *testing.T) {
 	// The correcting TLB entry makes the next access cheap and keeps it
 	// on the virtual path.
 	m.Access(Request{Kind: cache.Read, VA: fpVA, Proc: p})
-	if m.FalsePositives.Value() != 2 {
+	if m.Counts.FalsePositives != 2 {
 		t.Error("second access did not take the corrected TLB path")
 	}
 	e, ok := m.SynTLB(0).Probe(p.ASID, fpVA.Page())
@@ -143,16 +144,16 @@ func TestDelayedTranslationOnlyOnLLCMiss(t *testing.T) {
 	m, _, p := setupHybrid(t, DelayedSegments, false)
 	va, _ := p.Mmap(1<<20, addr.PermRW, osmodel.MmapOpts{})
 	m.Access(Request{Kind: cache.Read, VA: va, Proc: p})
-	if m.DelayedTranslations.Value() != 1 {
-		t.Fatalf("delayed translations = %d", m.DelayedTranslations.Value())
+	if m.Counts.DelayedDemand != 1 {
+		t.Fatalf("delayed translations = %d", m.Counts.DelayedDemand)
 	}
 	// Hits anywhere in the hierarchy never translate.
 	for i := 0; i < 10; i++ {
 		m.Access(Request{Kind: cache.Read, VA: va, Proc: p})
 	}
-	if m.DelayedTranslations.Value() != 1 {
+	if m.Counts.DelayedDemand != 1 {
 		t.Errorf("cache hits triggered delayed translation: %d",
-			m.DelayedTranslations.Value())
+			m.Counts.DelayedDemand)
 	}
 }
 
@@ -182,8 +183,8 @@ func TestDelayedPageTLBMode(t *testing.T) {
 	if res.Fault || !res.LLCMiss {
 		t.Fatalf("cold access: %+v", res)
 	}
-	if m.DelayedTLBMisses.Value() != 1 {
-		t.Fatalf("delayed TLB misses = %d", m.DelayedTLBMisses.Value())
+	if misses := m.Counts.Misses(pipeline.TLBDelayed); misses != 1 {
+		t.Fatalf("delayed TLB misses = %d", misses)
 	}
 	// Another line in the same page misses the LLC but hits the delayed
 	// TLB (no page walk).
@@ -191,7 +192,7 @@ func TestDelayedPageTLBMode(t *testing.T) {
 	if !res2.LLCMiss {
 		t.Skip("line unexpectedly cached")
 	}
-	if m.DelayedTLBMisses.Value() != 1 {
+	if m.Counts.Misses(pipeline.TLBDelayed) != 1 {
 		t.Errorf("same-page access walked again")
 	}
 	if res2.Latency >= res.Latency {
@@ -381,7 +382,7 @@ func TestEnigmaFilterBypass(t *testing.T) {
 	p, _ := k.NewProcess()
 	va, _ := p.Mmap(1<<20, addr.PermRW, osmodel.MmapOpts{})
 	m.Access(Request{Kind: cache.Read, VA: va, Proc: p})
-	if p.Filter.Lookups.Value() != 0 {
+	if m.Counts.FilterProbes != 0 {
 		t.Error("filter probed in bypass mode")
 	}
 	if m.Energy().Accesses[2] != 0 {

@@ -27,7 +27,7 @@ func setupStaleFilter(t *testing.T, threshold float64) (*HybridMMU, *osmodel.Ker
 		t.Fatal(err)
 	}
 	// Filter still flags the now-private range (stale bits).
-	if !p.Filter.ProbeQuiet(vas[0]) {
+	if !p.Filter.IsCandidate(vas[0]) {
 		t.Fatal("setup: filter already clean")
 	}
 	return m, k, p, vas[0]
@@ -46,8 +46,8 @@ func TestMarkPrivateTransition(t *testing.T) {
 	if res.Fault {
 		t.Fatal("fault")
 	}
-	if m.FalsePositives.Value() != 1 {
-		t.Errorf("false positives = %d, want 1", m.FalsePositives.Value())
+	if m.Counts.FalsePositives != 1 {
+		t.Errorf("false positives = %d, want 1", m.Counts.FalsePositives)
 	}
 	if m.Hier.LLC().Probe(addr.VirtName(p.ASID, va)) == nil {
 		t.Error("private page not cached virtually after transition")
@@ -69,15 +69,15 @@ func TestAdaptiveRebuildClearsStaleFilter(t *testing.T) {
 	if m.FilterRebuilds.Value() == 0 {
 		t.Fatal("adaptive policy never fired")
 	}
-	if p.Filter.ProbeQuiet(va) {
+	if p.Filter.IsCandidate(va) {
 		t.Error("filter still stale after rebuild")
 	}
 	// After the rebuild, accesses stop being candidates.
-	before := m.SynonymCandidates.Value()
+	before := m.Counts.FilterCandidates
 	for i := 0; i < 256; i++ {
 		m.Access(Request{Kind: cache.Read, VA: va + addr.VA((i%1024)*addr.PageSize), Proc: p})
 	}
-	if got := m.SynonymCandidates.Value() - before; got != 0 {
+	if got := m.Counts.FilterCandidates - before; got != 0 {
 		t.Errorf("%d candidates after rebuild, want 0", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestAdaptiveRebuildDisabledByDefault(t *testing.T) {
 	if m.FilterRebuilds.Value() != 0 {
 		t.Error("policy fired while disabled")
 	}
-	if !p.Filter.ProbeQuiet(va) {
+	if !p.Filter.IsCandidate(va) {
 		t.Error("filter rebuilt without policy")
 	}
 }
@@ -114,7 +114,7 @@ func TestAdaptiveRebuildSparesLiveSynonyms(t *testing.T) {
 	if m.FilterRebuilds.Value() == 0 {
 		t.Fatal("policy never fired")
 	}
-	if !p.Filter.ProbeQuiet(live[0]) {
+	if !p.Filter.IsCandidate(live[0]) {
 		t.Error("rebuild dropped a live synonym range")
 	}
 	res := m.Access(Request{Kind: cache.Write, VA: live[0], Proc: p})

@@ -35,12 +35,6 @@ type RLTVC struct {
 	*pipeline.Engine
 	rlt []*tlb.TLB
 
-	// RLTWalks counts record rebuilds from the OS ranges (both the record
-	// cache and the data caches missed).
-	RLTWalks stats.Counter
-	// CachedRecordHits counts record-cache misses served by a cached
-	// record block instead of a rebuild.
-	CachedRecordHits stats.Counter
 	// RecordFills counts record blocks installed after rebuilds. The
 	// hierarchy's PayloadEvictions counts those that left the LLC.
 	RecordFills stats.Counter
@@ -101,10 +95,7 @@ func (m *RLTVC) lookupRecord(req *Request, res *Result) bool {
 	payload, lat, hit := m.Hier.ProbePayload(req.Core, name)
 	res.Latency += lat
 	m.Counts.TLB(pipeline.TLBXlatCache, hit)
-	if hit {
-		m.CachedRecordHits.Inc()
-	} else {
-		m.RLTWalks.Inc()
+	if !hit {
 		m.Acc.Access(energy.SegmentTable, 1)
 		res.Latency += rltWalkLatency
 		payload = recordBitmap(req.Proc, recordGroup(vpn))
@@ -117,8 +108,8 @@ func (m *RLTVC) lookupRecord(req *Request, res *Result) bool {
 // Route implements pipeline.FrontEnd. The record cache replaces the Bloom
 // filter probe (same overlapped position, same energy component), and its
 // verdict is exact: a synonym classification is always true, so the
-// false-positive path never runs and the FalsePositives counter stays zero
-// by construction.
+// false-positive path never runs and Counts.FalsePositives stays zero by
+// construction.
 func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 	m.Acc.Access(energy.SynonymFilter, 1)
 	rc := m.rlt[req.Core]
@@ -136,10 +127,8 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 		if !hit {
 			m.insertNonSynonym(req.Core, req.Proc, vpn)
 		}
-		m.NonSynonymAccesses.Inc()
 		return routeVirtual(m.HybridMMU.Base, req, res)
 	}
-	m.SynonymCandidates.Inc()
 	m.Acc.Access(energy.SynonymTLB, 1)
 	res.Latency += rc.Config().Latency
 	if !hit {
@@ -248,7 +237,6 @@ func (m *RLTVC) TLBShootdown(asid addr.ASID, vpn uint64) {
 // exact records are rebuilt lazily, so every cached classification of the
 // space is dropped.
 func (m *RLTVC) FilterUpdate(asid addr.ASID) {
-	m.HybridMMU.FilterUpdate(asid)
 	for _, rc := range m.rlt {
 		rc.FlushASID(asid)
 	}

@@ -58,10 +58,9 @@ type virtSCEntry struct {
 // VirtSegCache is the virtualized segment cache: 128 entries of direct
 // gVA->MA mappings at 2 MiB granularity, skipping the gPA step.
 type VirtSegCache struct {
-	sets  [][]virtSCEntry
-	mask  uint64
-	tick  uint64
-	Stats stats.HitMiss
+	sets [][]virtSCEntry
+	mask uint64
+	tick uint64
 }
 
 // NewVirtSegCache creates the SC with the given entry count (8-way).
@@ -87,12 +86,10 @@ func (sc *VirtSegCache) Lookup(asid addr.ASID, gva addr.VA) (addr.PA, addr.Perm,
 		e := &set[i]
 		if e.valid && e.asid == asid && e.granule == gva.HugePage() {
 			e.lru = sc.tick
-			sc.Stats.Hit()
 			off := uint64(gva) & (addr.HugePageSize - 1)
 			return e.maBase + addr.PA(off), e.perm, true
 		}
 	}
-	sc.Stats.Miss()
 	return 0, 0, false
 }
 
@@ -145,13 +142,9 @@ type VirtHybridMMU struct {
 
 	pairs map[addr.ASID]*synfilter.Pair
 
-	SynonymCandidates   stats.Counter
-	FalsePositives      stats.Counter
+	// TrueSynonymAccesses counts candidates the synonym TLB confirmed as
+	// synonyms.
 	TrueSynonymAccesses stats.Counter
-	NonSynonymAccesses  stats.Counter
-	DelayedTranslations stats.Counter
-	TwoStepXlations     stats.Counter // SC misses requiring guest+host steps
-	FilterReloads       stats.Counter
 }
 
 // NewVirtHybridMMU builds the virtualized hybrid MMU over one VM. Use
@@ -257,10 +250,8 @@ func (m *VirtHybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	candidate := m.pair(req.Proc).IsCandidate(req.VA)
 	m.Counts.Filter(candidate)
 	if candidate {
-		m.SynonymCandidates.Inc()
 		return m.routeSynonym(req, res)
 	}
-	m.NonSynonymAccesses.Inc()
 	return routeVirtual(m.Base, req, res)
 }
 
@@ -297,7 +288,6 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 		e = &ne
 	}
 	if e.NonSynonym {
-		m.FalsePositives.Inc()
 		m.Counts.FalsePositive()
 		return routeVirtual(m.Base, req, res)
 	}
@@ -321,7 +311,6 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 func (m *VirtHybridMMU) Finish(req *Request, res *Result, hres *cache.AccessResult) {
 	if hres.LLCMiss {
 		res.LLCMiss = true
-		m.DelayedTranslations.Inc()
 		ma, lat, ok := m.delayed2D(req.Core, req.Proc, req.VA, false)
 		res.Latency += lat
 		if !ok {
@@ -353,7 +342,6 @@ func (m *VirtHybridMMU) delayed2D(core int, proc *osmodel.Process, gva addr.VA, 
 			return ma, lat, true
 		}
 	}
-	m.TwoStepXlations.Inc()
 	// Guest step: gVA -> gPA.
 	g := m.guestXlate[proc.ASID.VMID()].Translate(proc.ASID, gva)
 	m.Acc.Access(energy.IndexCache, uint64(g.ICProbes))
@@ -428,8 +416,9 @@ func (m *VirtHybridMMU) SetPagePerm(page addr.Name, perm addr.Perm) {
 	m.Hier.SetPagePerm(page, perm)
 }
 
-// FilterUpdate implements the sink.
-func (m *VirtHybridMMU) FilterUpdate(asid addr.ASID) { m.FilterReloads.Inc() }
+// FilterUpdate implements the sink: the pair probes the guest and host
+// filters themselves, so nothing needs reloading.
+func (m *VirtHybridMMU) FilterUpdate(addr.ASID) {}
 
 // FlushASID implements the sink.
 func (m *VirtHybridMMU) FlushASID(asid addr.ASID) {

@@ -66,8 +66,9 @@ func TestVirtDelayedTranslationComposition(t *testing.T) {
 	if lat == 0 {
 		t.Error("two-step translation was free")
 	}
-	if m.TwoStepXlations.Value() != 1 {
-		t.Errorf("two-step translations = %d", m.TwoStepXlations.Value())
+	c := &m.Counts
+	if twoStep := c.DelayedDemand + c.DelayedWritebacks - c.DelayedSCHits; twoStep != 1 {
+		t.Errorf("two-step translations = %d", twoStep)
 	}
 }
 
@@ -94,8 +95,8 @@ func TestVirtSegmentCacheSkipsTwoStep(t *testing.T) {
 	if ma2 != want {
 		t.Errorf("SC MA = %#x, want %#x", uint64(ma2), uint64(want))
 	}
-	if m.sc.Stats.Hits.Value() != 1 {
-		t.Errorf("SC hits = %d", m.sc.Stats.Hits.Value())
+	if m.Counts.DelayedSCHits != 1 {
+		t.Errorf("SC hits = %d", m.Counts.DelayedSCHits)
 	}
 }
 
@@ -113,8 +114,8 @@ func TestVirtHypervisorInducedSynonym(t *testing.T) {
 	if res.Fault {
 		t.Fatal("fault")
 	}
-	if m.SynonymCandidates.Value() != 1 {
-		t.Errorf("candidates = %d; host filter not consulted", m.SynonymCandidates.Value())
+	if m.Counts.FilterCandidates != 1 {
+		t.Errorf("candidates = %d; host filter not consulted", m.Counts.FilterCandidates)
 	}
 	if m.TrueSynonymAccesses.Value() != 1 {
 		t.Errorf("true synonyms = %d", m.TrueSynonymAccesses.Value())
@@ -124,6 +125,33 @@ func TestVirtHypervisorInducedSynonym(t *testing.T) {
 	ma, _ := vm.TranslateGPA(addr.GPA(gpa))
 	if m.Hier.LLC().Probe(addr.PhysName(ma)) == nil {
 		t.Error("hypervisor-induced synonym not cached physically")
+	}
+}
+
+// TestVirtFalsePositiveCorrection leaves a stale guest-filter bit on a
+// private page: the filter pair flags it, the 2D walk finds the page
+// private, and the synonym TLB's correction entry sends both accesses down
+// the virtual path as false positives.
+func TestVirtFalsePositiveCorrection(t *testing.T) {
+	m, _, _, p := setupVirt(t, true)
+	gva, _ := p.Mmap(1<<20, addr.PermRW, osmodel.MmapOpts{})
+	p.Filter.MarkSynonym(gva)
+	for i := 0; i < 2; i++ {
+		if res := m.Access(Request{Kind: cache.Read, VA: gva, Proc: p}); res.Fault {
+			t.Fatalf("access %d faulted", i)
+		}
+	}
+	if m.Counts.FalsePositives != 2 {
+		t.Errorf("false positives = %d, want 2", m.Counts.FalsePositives)
+	}
+	if m.TrueSynonymAccesses.Value() != 0 {
+		t.Errorf("true synonyms = %d, want 0", m.TrueSynonymAccesses.Value())
+	}
+	if m.Hier.LLC().Probe(addr.VirtName(p.ASID, gva)) == nil {
+		t.Error("false-positive access not cached under its virtual name")
+	}
+	if e, ok := m.synTLB[0].Probe(p.ASID, gva.Page()); !ok || !e.NonSynonym {
+		t.Error("no NonSynonym correction entry installed")
 	}
 }
 

@@ -169,11 +169,6 @@ func (a *Accumulator) StaticOver(cycles uint64) float64 {
 	return p * float64(cycles)
 }
 
-// Total returns dynamic + static energy in pJ over the given cycles.
-func (a *Accumulator) Total(cycles uint64) float64 {
-	return a.Dynamic() + a.StaticOver(cycles)
-}
-
 // Breakdown renders per-component dynamic energy, largest first.
 func (a *Accumulator) Breakdown() string {
 	type row struct {

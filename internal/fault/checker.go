@@ -20,16 +20,6 @@ type NamedTLB struct {
 	T    *tlb.TLB
 }
 
-// Recon is one organization-specific counter reconciliation pair: Stat
-// reads the memory system's own counter and Event derives the same
-// quantity from the pipeline counts. The two must agree at every check
-// point.
-type Recon struct {
-	Label string
-	Stat  func() uint64
-	Event func(c *pipeline.Counts) uint64
-}
-
 // CheckerConfig wires a Checker to one system.
 type CheckerConfig struct {
 	// Mem is the memory system under audit.
@@ -63,10 +53,6 @@ type CheckerConfig struct {
 	// park translations or synonym records in the caches supply it. Nil
 	// when the organization caches no metadata.
 	PayloadCoherence func(n addr.Name, payload uint64) error
-	// Extra adds organization-specific reconciliation pairs (for example
-	// the hybrid MMU's false-positive counter against
-	// Counts.FalsePositives).
-	Extra []Recon
 }
 
 // Checker verifies the design's structural invariants at runtime:
@@ -81,9 +67,10 @@ type CheckerConfig struct {
 //  3. Translation coherence — every valid TLB entry agrees with the
 //     authoritative page tables (mapping exists, frame and shared flag
 //     match).
-//  4. Count reconciliation — the pipeline counts match the memory
-//     system's own counters, so neither drops or double counts under
-//     faults.
+//  4. Count reconciliation — the pipeline counts of faults and walk
+//     steps match Base's Faults and WalkSteps counters, so neither drops
+//     or double counts under faults. Every other per-reference event has
+//     one record, the pipeline counts, and nothing to reconcile.
 //  5. The hierarchy's own invariants: every cache's set state, and MESI
 //     and inclusion (only the set state for SplitL1, where inclusion
 //     across the naming boundary does not hold).
@@ -264,7 +251,7 @@ func (c *Checker) checkFilters(add func(error)) {
 		p := c.cfg.Kernel.Process(asid)
 		for _, r := range p.SynonymRanges {
 			for off := uint64(0); off < r.Length; off += addr.PageSize {
-				if va := r.Start + addr.VA(off); !p.Filter.ProbeQuiet(va) {
+				if va := r.Start + addr.VA(off); !p.Filter.IsCandidate(va) {
 					add(fmt.Errorf("filter false negative: %s %#x is a live synonym page but not a candidate", asid, uint64(va)))
 					break // one per range keeps reports readable
 				}
@@ -320,8 +307,7 @@ func (c *Checker) checkPayloads(add func(error)) {
 	})
 }
 
-// checkStats reconciles the pipeline counts against the memory system's
-// own statistics.
+// checkStats reconciles the pipeline counts against Base's two counters.
 func (c *Checker) checkStats(add func(error)) {
 	counts := &c.base.Counts
 	if got, want := counts.Faults, c.base.Faults.Value(); got != want {
@@ -329,10 +315,5 @@ func (c *Checker) checkStats(add func(error)) {
 	}
 	if got, want := counts.WalkSteps, c.base.WalkSteps.Value(); !c.cfg.NestedWalks && got != want {
 		add(fmt.Errorf("reconciliation: counted %d walk steps, base counter says %d", got, want))
-	}
-	for _, r := range c.cfg.Extra {
-		if got, want := r.Event(counts), r.Stat(); got != want {
-			add(fmt.Errorf("reconciliation: %s: counted %d, counter says %d", r.Label, got, want))
-		}
 	}
 }

@@ -201,8 +201,8 @@ func TestCheckerDetectsBogusTLBEntry(t *testing.T) {
 }
 
 // TestCheckerDetectsCountDrift proves the reconciliation audit compares
-// the pipeline counts with the organization's own counters: a false
-// positive counted by the hybrid MMU alone is a violation.
+// the pipeline counts with Base's counters: a fault counted by Base
+// alone is a violation.
 func TestCheckerDetectsCountDrift(t *testing.T) {
 	sys, err := hybridvc.New(hybridvc.Config{Org: hybridvc.HybridManySegSC})
 	if err != nil {
@@ -218,8 +218,8 @@ func TestCheckerDetectsCountDrift(t *testing.T) {
 	if err := ch.Check(); err != nil {
 		t.Fatalf("clean system failed check: %v", err)
 	}
-	sys.Mem.(*core.HybridMMU).FalsePositives.Inc()
+	sys.Mem.BaseState().Faults.Inc()
 	if err := ch.Check(); err == nil {
-		t.Fatalf("false positive counted by the MMU alone not detected")
+		t.Fatalf("fault counted by Base alone not detected")
 	}
 }

@@ -165,7 +165,7 @@ func TestShareAnonymousCreatesSynonyms(t *testing.T) {
 		t.Error("shared bit missing")
 	}
 	// Both filters flag the range; the filter update was broadcast.
-	if !p1.Filter.ProbeQuiet(vas[0]) || !p2.Filter.ProbeQuiet(vas[1]) {
+	if !p1.Filter.IsCandidate(vas[0]) || !p2.Filter.IsCandidate(vas[1]) {
 		t.Error("filters not updated")
 	}
 	if len(sink.filterUpdates) != 2 {
@@ -183,13 +183,13 @@ func TestMarkSharedTransition(t *testing.T) {
 	k.AttachSink(sink)
 	p, _ := k.NewProcess()
 	va, _ := p.Mmap(4*addr.PageSize, addr.PermRW, MmapOpts{})
-	if p.Filter.ProbeQuiet(va) {
+	if p.Filter.IsCandidate(va) {
 		t.Fatal("private region flagged before transition")
 	}
 	if err := k.MarkShared(p, va, 4*addr.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Filter.ProbeQuiet(va) {
+	if !p.Filter.IsCandidate(va) {
 		t.Error("filter not updated")
 	}
 	pte, _ := p.PT.Lookup(va)
@@ -217,12 +217,12 @@ func TestRebuildFilterDropsStaleRanges(t *testing.T) {
 	// Range 1 goes private again: drop it from the live list and rebuild.
 	p.SynonymRanges = p.SynonymRanges[1:]
 	k.RebuildFilter(p)
-	if !p.Filter.ProbeQuiet(va2) {
+	if !p.Filter.IsCandidate(va2) {
 		t.Error("live range lost")
 	}
 	// va1 may still false-positive only if it shares granule bits with
 	// va2 — with distinct granules it must be gone.
-	if uint64(va1)>>15 != uint64(va2)>>15 && p.Filter.ProbeQuiet(va1) {
+	if uint64(va1)>>15 != uint64(va2)>>15 && p.Filter.IsCandidate(va1) {
 		t.Error("stale range survived rebuild")
 	}
 }
@@ -255,7 +255,7 @@ func TestContentShareAndCoW(t *testing.T) {
 	if pte1.Perm != addr.PermRO || pte2.Perm != addr.PermRO {
 		t.Error("pages not read-only")
 	}
-	if p1.Filter.ProbeQuiet(va1) || p2.Filter.ProbeQuiet(va2) {
+	if p1.Filter.IsCandidate(va1) || p2.Filter.IsCandidate(va2) {
 		t.Error("r/o content sharing polluted the synonym filters")
 	}
 	if len(sink.permUpdates) == 0 {
@@ -286,7 +286,7 @@ func TestMapDMAIsSynonym(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Filter.ProbeQuiet(va) {
+	if !p.Filter.IsCandidate(va) {
 		t.Error("DMA pages not synonym-marked")
 	}
 	pte, _ := p.PT.Lookup(va)

@@ -33,12 +33,15 @@ func (l TLBLevel) String() string {
 // Counts tallies what every reference does on its way through the
 // pipeline: routing verdicts, filter verdicts, TLB lookups by structure,
 // hit levels, walks, delayed translations, faults and retries. Base owns
-// one, always on, counting from the system's construction; each count is
-// updated next to the organization counter it mirrors, so the two
-// reconcile exactly (see counts_test.go at the repository root). Refs,
-// hit levels and per-reference LLC misses have no other counter in any
-// organization. Timelines and the fault checker read it; the simulation
-// goroutine updates it, so readers run between accesses.
+// one, always on, counting from the system's construction. Apart from
+// Base's Faults and WalkSteps, which the fault checker reconciles with it,
+// it is the only record of these events: no organization, TLB, filter or
+// segment cache counts one of them a second time, so experiments,
+// examples, timelines and the fault checker all read them here.
+// counts_test.go at the repository root checks the relations the design
+// fixes between them (an L2 TLB is looked up once per L1 miss, for
+// example). The simulation goroutine updates it, so readers run between
+// accesses.
 type Counts struct {
 	// Routes counts references by front-end verdict (indexed by Verdict).
 	Routes [3]uint64
@@ -113,6 +116,11 @@ func (c *Counts) TLB(level TLBLevel, hit bool) {
 	if hit {
 		c.TLBHits[level]++
 	}
+}
+
+// Misses returns the lookups in the level structure that missed.
+func (c *Counts) Misses(level TLBLevel) uint64 {
+	return c.TLBLookups[level] - c.TLBHits[level]
 }
 
 // TwoLevelTLB counts a conventional two-level lookup by the level that

@@ -65,10 +65,9 @@ type scEntry struct {
 // index walk latency for hot regions. In virtualized systems its entries
 // hold direct gVA->MA translations, skipping the gPA step (Section V-B).
 type SegCache struct {
-	sets  [][]scEntry
-	mask  uint64
-	tick  uint64
-	Stats stats.HitMiss
+	sets [][]scEntry
+	mask uint64
+	tick uint64
 }
 
 // NewSegCache creates a segment cache with the given entry count, 8-way.
@@ -101,12 +100,10 @@ func (sc *SegCache) Lookup(asid addr.ASID, va addr.VA) (*Segment, bool) {
 		if e.valid && e.asid == asid && e.granule == g {
 			if e.seg.Contains(asid, va) {
 				e.lru = sc.tick
-				sc.Stats.Hit()
 				return e.seg, true
 			}
 		}
 	}
-	sc.Stats.Miss()
 	return nil, false
 }
 
@@ -206,8 +203,6 @@ type Translator struct {
 	IC  *IndexCache
 	Mgr *Manager
 
-	// TableAccesses counts hardware segment table reads.
-	TableAccesses stats.Counter
 	// Walks counts full index tree walks (SC misses).
 	Walks stats.Counter
 	// Faults counts translations not covered by any segment.
@@ -258,7 +253,6 @@ func (tr *Translator) Translate(asid addr.ASID, va addr.VA) TranslateResult {
 		}
 	}
 	res.Latency += tr.cfg.TableLatency
-	tr.TableAccesses.Inc()
 	seg := tr.Mgr.Table.Get(id)
 	if seg == nil || !seg.Contains(asid, va) {
 		res.Fault = true

@@ -91,6 +91,12 @@ type Simulator struct {
 	stop        atomic.Bool
 	interrupted bool
 
+	// startEnergy and startLLC snapshot the memory system at New. A
+	// System continued by a second Run keeps its memory system, so the
+	// Report subtracts them to cover only this simulator's run.
+	startEnergy energy.Snapshot
+	startLLC    stats.HitMiss
+
 	// Interval time-series state (cfg.Interval > 0 only). Each window
 	// is the delta of the memory system's counts since prevCounts.
 	counts       *pipeline.Counts
@@ -154,6 +160,8 @@ func New(cfg Config, ms core.MemSystem, gens []*workload.Generator) *Simulator {
 		s.sliceLeft[i] = cfg.Timeslice
 	}
 	s.l1iHitLat = ms.Hierarchy().Config().L1I.HitLatency
+	s.startEnergy = ms.Energy().Snapshot()
+	s.startLLC = ms.Hierarchy().LLC().Stats
 	if cfg.Interval > 0 {
 		s.counts = &ms.BaseState().Counts
 		s.timeline = &stats.Timeline{}
@@ -362,8 +370,9 @@ func (s *Simulator) retireChunk(c int, ln *chunkLanes) {
 // they share the memory system roughly in lockstep. With cfg.Interval
 // set, one stats.Interval is flushed each time total retired instructions
 // cross an interval boundary, plus a final partial interval. Run starts
-// its windows from a snapshot of the counts and an empty walk-depth
-// histogram, so accesses issued outside a Run never enter its intervals.
+// its windows from a snapshot of the counts and the energy and an empty
+// walk-depth histogram, so accesses issued outside a Run never enter its
+// intervals.
 //
 // There is one loop, on the calling goroutine. A per-core parallel loop
 // could overlap only each core's retire phase, a tenth of a run at most,
@@ -372,6 +381,7 @@ func (s *Simulator) retireChunk(c int, ln *chunkLanes) {
 func (s *Simulator) Run(n uint64) Report {
 	if s.timeline != nil {
 		s.prevCounts = *s.counts
+		s.prevEnergy = s.memsys.Energy().Snapshot()
 		s.counts.WalkDepth.Reset()
 	}
 	done := make([]uint64, len(s.cores))
@@ -503,7 +513,9 @@ func (s *Simulator) RunContext(ctx context.Context, n uint64) (Report, error) {
 // Interrupted reports whether the last Run was cut short by Stop.
 func (s *Simulator) Interrupted() bool { return s.interrupted }
 
-// Report builds the summary for the current state.
+// Report builds the summary of this simulator's run: its cores' cycles
+// and instructions, and the energy and LLC accesses the memory system
+// spent since New.
 func (s *Simulator) Report() Report {
 	r := Report{Name: s.memsys.Name(), Interrupted: s.interrupted}
 	for c, cc := range s.cores {
@@ -520,9 +532,11 @@ func (s *Simulator) Report() Report {
 		r.IPC = float64(r.Instructions) / float64(r.Cycles)
 	}
 	acc := s.memsys.Energy()
-	r.DynamicEnergyPJ = acc.Dynamic()
-	r.TranslationEnergyPJ = acc.Total(r.Cycles)
-	r.LLCMissRate = s.memsys.Hierarchy().LLC().Stats.MissRate()
+	r.DynamicEnergyPJ = acc.DynamicSince(s.startEnergy)
+	r.TranslationEnergyPJ = r.DynamicEnergyPJ + acc.StaticOver(r.Cycles)
+	llc := s.memsys.Hierarchy().LLC().Stats
+	r.LLCMissRate = stats.Ratio(llc.Misses.Value()-s.startLLC.Misses.Value(),
+		llc.Accesses()-s.startLLC.Accesses())
 	var stall, cycles uint64
 	for c, cc := range s.cores {
 		if len(s.perCore[c]) == 0 {

@@ -34,10 +34,6 @@ type Filter struct {
 	fine   *bloom.Filter
 	coarse *bloom.Filter
 
-	// Lookups counts classification queries.
-	Lookups stats.Counter
-	// Candidates counts queries that reported a synonym candidate.
-	Candidates stats.Counter
 	// Inserts counts pages added by the OS.
 	Inserts stats.Counter
 }
@@ -83,18 +79,6 @@ func (f *Filter) MarkSynonymRange(va addr.VA, length uint64) {
 // guarantees the address is not a synonym (no false negatives); a true
 // return may be a false positive, which the TLB corrects.
 func (f *Filter) IsCandidate(va addr.VA) bool {
-	f.Lookups.Inc()
-	hit := f.fine.Contains(uint64(va)>>FineBits) &&
-		f.coarse.Contains(uint64(va)>>CoarseBits)
-	if hit {
-		f.Candidates.Inc()
-	}
-	return hit
-}
-
-// ProbeQuiet classifies without statistics (used by assertions in tests
-// and by the fault checker).
-func (f *Filter) ProbeQuiet(va addr.VA) bool {
 	return f.fine.Contains(uint64(va)>>FineBits) &&
 		f.coarse.Contains(uint64(va)>>CoarseBits)
 }
@@ -154,10 +138,6 @@ func (f *Filter) Load(src *Filter) {
 type Pair struct {
 	Guest *Filter
 	Host  *Filter
-	// Lookups counts classification queries against the pair.
-	Lookups stats.Counter
-	// Candidates counts queries reporting a candidate.
-	Candidates stats.Counter
 }
 
 // NewPair creates a guest/host filter pair.
@@ -168,10 +148,5 @@ func NewPair(guest, host *Filter) *Pair {
 // IsCandidate reports whether va may be a synonym induced by either the
 // guest OS or the hypervisor.
 func (p *Pair) IsCandidate(va addr.VA) bool {
-	p.Lookups.Inc()
-	hit := p.Guest.IsCandidate(va) || p.Host.IsCandidate(va)
-	if hit {
-		p.Candidates.Inc()
-	}
-	return hit
+	return p.Guest.IsCandidate(va) || p.Host.IsCandidate(va)
 }

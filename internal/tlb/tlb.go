@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"hybridvc/internal/addr"
-	"hybridvc/internal/stats"
 )
 
 // Entry is one TLB translation.
@@ -51,7 +50,6 @@ type TLB struct {
 	sets    [][]Entry
 	setMask uint64
 	tick    uint64
-	Stats   stats.HitMiss
 }
 
 // Validate reports why the geometry cannot be built, or nil: positive
@@ -86,22 +84,20 @@ func (t *TLB) Config() Config { return t.cfg }
 
 func (t *TLB) set(vpn uint64) []Entry { return t.sets[vpn&t.setMask] }
 
-// Lookup searches for (asid, vpn), updating LRU and statistics.
+// Lookup searches for (asid, vpn), updating LRU.
 func (t *TLB) Lookup(asid addr.ASID, vpn uint64) (*Entry, bool) {
 	t.tick++
 	set := t.set(vpn)
 	for i := range set {
 		if set[i].Valid && set[i].ASID == asid && set[i].VPN == vpn {
 			set[i].lru = t.tick
-			t.Stats.Hit()
 			return &set[i], true
 		}
 	}
-	t.Stats.Miss()
 	return nil, false
 }
 
-// Probe searches without touching LRU or statistics.
+// Probe searches without touching LRU.
 func (t *TLB) Probe(asid addr.ASID, vpn uint64) (*Entry, bool) {
 	set := t.set(vpn)
 	for i := range set {
@@ -266,9 +262,3 @@ func (tl *TwoLevel) FlushASID(asid addr.ASID) {
 	tl.L1.FlushASID(asid)
 	tl.L2.FlushASID(asid)
 }
-
-// Misses returns the combined miss count (accesses that missed both levels).
-func (tl *TwoLevel) Misses() uint64 { return tl.L2.Stats.Misses.Value() }
-
-// Accesses returns the number of lookups performed.
-func (tl *TwoLevel) Accesses() uint64 { return tl.L1.Stats.Accesses() }

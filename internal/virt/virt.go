@@ -32,8 +32,6 @@ type Hypervisor struct {
 
 	// ContentShares counts hypervisor-induced r/o content sharings.
 	ContentShares stats.Counter
-	// HostFilterUpdates counts host synonym filter synchronizations.
-	HostFilterUpdates stats.Counter
 }
 
 // NewHypervisor boots a hypervisor over machineBytes of machine memory.
@@ -210,7 +208,6 @@ func (vm *VM) HostMarkSynonym(gpaFrame uint64) {
 	for _, ref := range vm.reverse[gpaFrame] {
 		vm.HostFilter.MarkSynonym(ref.gva)
 	}
-	vm.hv.HostFilterUpdates.Inc()
 }
 
 // ShareGuestFrames makes two gPA frames (possibly in different VMs) share
@@ -284,8 +281,6 @@ type Walker2D struct {
 	VM *VM
 	// NestedTLB may be nil to model a walker without host-walk caching.
 	NestedTLB *tlb.TLB
-	// Walks counts full 2D walks performed.
-	Walks stats.Counter
 	// Accesses counts total memory reads issued by walks.
 	Accesses stats.Counter
 	// path is the reused buffer behind Walk2DResult.Path.
@@ -328,7 +323,6 @@ func (w *Walker2D) hostPath(gpa addr.GPA) (ma addr.PA, shared, ok bool) {
 // the host tables, recording every memory access a hardware 2D walker
 // would issue.
 func (w *Walker2D) Walk(p *osmodel.Process, gva addr.VA) Walk2DResult {
-	w.Walks.Inc()
 	w.path = w.path[:0]
 	res := w.walk(p, gva)
 	res.Path = w.path

@@ -151,14 +151,14 @@ func TestShareGuestFramesMarksHostFilters(t *testing.T) {
 	}
 	// Host filters must flag the guest virtual addresses even though the
 	// guest OSes never marked them.
-	if !vmA.HostFilter.ProbeQuiet(gvaA) {
+	if !vmA.HostFilter.IsCandidate(gvaA) {
 		t.Error("vmA host filter missing gVA")
 	}
-	if !vmB.HostFilter.ProbeQuiet(gvaB) {
+	if !vmB.HostFilter.IsCandidate(gvaB) {
 		t.Error("vmB host filter missing gVA")
 	}
 	// Guest filters stay clean.
-	if pA.Filter.ProbeQuiet(gvaA) || pB.Filter.ProbeQuiet(gvaB) {
+	if pA.Filter.IsCandidate(gvaA) || pB.Filter.IsCandidate(gvaB) {
 		t.Error("guest filters polluted by hypervisor sharing")
 	}
 	// Both now reach the same machine frame, and the 2D walk reports the
@@ -189,7 +189,7 @@ func TestContentShareROKeepsFiltersClean(t *testing.T) {
 	if err := hv.ContentShareRO(vmA, pteA.Frame, vmB, pteB.Frame); err != nil {
 		t.Fatal(err)
 	}
-	if vmA.HostFilter.ProbeQuiet(gvaA) || vmB.HostFilter.ProbeQuiet(gvaB) {
+	if vmA.HostFilter.IsCandidate(gvaA) || vmB.HostFilter.IsCandidate(gvaB) {
 		t.Error("r/o content sharing marked host filters")
 	}
 	// Both host mappings are now read-only at the same MA.

@@ -98,7 +98,7 @@ func TestSharedAccessFraction(t *testing.T) {
 		t.Errorf("OS-side shared ratio %.3f disagrees with stream %.3f", r, got)
 	}
 	// And the shared pages must be synonym-marked.
-	if !g.Proc.Filter.ProbeQuiet(gens[0].sharedStart) {
+	if !g.Proc.Filter.IsCandidate(gens[0].sharedStart) {
 		t.Error("shared region not in synonym filter")
 	}
 }

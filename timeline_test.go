@@ -172,8 +172,8 @@ func TestTimelineSumsMatchReport(t *testing.T) {
 
 // TestTimelineSecondRunCountsOnlyItsOwnEvents continues a system after a
 // first timeline run and references issued outside any run: the second
-// run's intervals must hold only the second run's refs and walk-depth
-// samples, as the memory system counted them over that run.
+// run's intervals must hold only the second run's refs, walk-depth
+// samples and energy, as the memory system counted them over that run.
 func TestTimelineSecondRunCountsOnlyItsOwnEvents(t *testing.T) {
 	sys := newTimelineSystem(t, "gups")
 	runTimeline(t, sys)
@@ -181,8 +181,21 @@ func TestTimelineSecondRunCountsOnlyItsOwnEvents(t *testing.T) {
 	reqs := collectRequests(sys, 4096)
 	sys.Mem.AccessBatch(reqs, make([]core.Result, len(reqs)))
 
+	energyBefore := sys.Mem.Energy().Snapshot()
 	tl, _, counted := runTimeline(t, sys)
-	sums := sumEventCounts(tl.Intervals())
+	ivs := tl.Intervals()
+	// Every later interval starts from the previous flush, so only the
+	// first could carry energy spent before the run.
+	spent := sys.Mem.Energy().DynamicSince(energyBefore)
+	var energy float64
+	for i := range ivs {
+		energy += ivs[i].DynamicEnergyPJ
+	}
+	if diff := math.Abs(energy - spent); diff > 1e-6*spent {
+		t.Errorf("second run: summed interval energy %.3f pJ (first interval %.3f) != %.3f spent over the run",
+			energy, ivs[0].DynamicEnergyPJ, spent)
+	}
+	sums := sumEventCounts(ivs)
 	for k, want := range counted {
 		if sums[k] != want {
 			t.Errorf("second run: summed interval %s %d != counted over the run %d",
