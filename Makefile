@@ -105,16 +105,18 @@ invariants:
 # fuzz-smoke gives each fuzz target a short randomized budget on top of
 # its checked-in corpus — enough to catch regressions in the parsing and
 # encoding invariants without turning CI into a fuzzing campaign.
+# -fuzzminimizetime=1s caps how long Go minimizes each new interesting
+# input; uncapped, minimizing can eat the whole 10 s and execute nothing.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzPTEEncodeDecode -fuzztime=10s ./internal/pagetable
-	$(GO) test -run=NONE -fuzz=FuzzMapLookupAgree -fuzztime=10s ./internal/pagetable
-	$(GO) test -run=NONE -fuzz=FuzzMapRangeMatchesMap -fuzztime=10s ./internal/pagetable
-	$(GO) test -run=NONE -fuzz=FuzzLeafRunsMatchWords -fuzztime=10s ./internal/pagetable
-	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s ./internal/service/store
-	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/service
-	$(GO) test -run=NONE -fuzz=FuzzSubmitHandler -fuzztime=10s ./internal/service
-	$(GO) test -run=NONE -fuzz=FuzzCacheMatchesLRUModel -fuzztime=10s ./internal/cache
-	$(GO) test -run=NONE -fuzz=FuzzPayloadsMatchModel -fuzztime=10s ./internal/cache
+	$(GO) test -run=NONE -fuzz=FuzzPTEEncodeDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzMapLookupAgree -fuzztime=10s -fuzzminimizetime=1s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzMapRangeMatchesMap -fuzztime=10s -fuzzminimizetime=1s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzLeafRunsMatchWords -fuzztime=10s -fuzzminimizetime=1s ./internal/pagetable
+	$(GO) test -run=NONE -fuzz=FuzzStoreRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/service/store
+	$(GO) test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=1s ./internal/service
+	$(GO) test -run=NONE -fuzz=FuzzSubmitHandler -fuzztime=10s -fuzzminimizetime=1s ./internal/service
+	$(GO) test -run=NONE -fuzz=FuzzCacheMatchesLRUModel -fuzztime=10s -fuzzminimizetime=1s ./internal/cache
+	$(GO) test -run=NONE -fuzz=FuzzPayloadsMatchModel -fuzztime=10s -fuzzminimizetime=1s ./internal/cache
 
 # mutants is the mutation check: each mutants/*.patch breaks one behaviour
 # and names, in its header, the package and the test that must catch it.

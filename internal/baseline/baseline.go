@@ -123,27 +123,8 @@ func (c *Conventional) translate(req *core.Request) (addr.PA, addr.Perm, uint64,
 func (c *Conventional) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	pa, perm, lat, ok := c.translate(req)
 	res.Latency += lat
-	if !ok {
-		fl, fixed := c.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		pa, perm, lat, ok = c.translate(req)
-		res.Latency += lat
-		if !ok {
-			return pipeline.DoneNow()
-		}
-	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := c.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		pa, perm, _, _ = c.translate(req)
+	if !ok || req.Kind == cache.Write && !perm.AllowsWrite() {
+		return c.Fault(req, res)
 	}
 	return pipeline.GoPhysical(pa, perm)
 }
@@ -204,19 +185,15 @@ func NewIdeal(cfg Config, k *osmodel.Kernel) *Ideal {
 // Name implements core.MemSystem.
 func (i *Ideal) Name() string { return "ideal" }
 
-// Route implements pipeline.FrontEnd.
+// Route implements pipeline.FrontEnd: translation is free, but the OS's
+// page protection still holds, so an unmapped page or a write to a
+// read-only one faults.
 func (i *Ideal) Route(req *core.Request, res *core.Result) pipeline.Decision {
-	pa, ok := req.Proc.PT.Translate(req.VA)
-	if !ok {
-		fl, fixed := i.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		pa, _ = req.Proc.PT.Translate(req.VA)
+	pte, ok := req.Proc.PT.Lookup(req.VA)
+	if !ok || req.Kind == cache.Write && !pte.Perm.AllowsWrite() {
+		return i.Fault(req, res)
 	}
-	return pipeline.GoPhysical(pa, addr.PermRW)
+	return pipeline.GoPhysical(pte.PA(req.VA), pte.Perm)
 }
 
 // TLBShootdown implements osmodel.ShootdownSink.
@@ -357,14 +334,7 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 			leaf, wlat, ok := r.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 			res.Latency += wlat
 			if !ok {
-				fl, fixed := r.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-				res.Latency += fl
-				res.Fault = true
-				if !fixed {
-					return pipeline.DoneNow()
-				}
-				leaf, wlat, _ = r.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-				res.Latency += wlat
+				return r.Fault(req, res)
 			}
 			pa = leaf.PA(req.VA)
 			perm = leaf.Perm
@@ -378,12 +348,7 @@ func (r *RMM) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	}
 
 	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := r.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
+		return r.Fault(req, res)
 	}
 	return pipeline.GoPhysical(pa, perm)
 }

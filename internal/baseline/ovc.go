@@ -168,25 +168,8 @@ func (o *OVC) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	// Synonym candidate: conventional path, physical L1.
 	pa, perm, lat, ok := o.translate(req)
 	res.Latency += lat
-	if !ok {
-		fl, fixed := o.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		o.Retry(req, res)
-		return pipeline.DoneNow()
-	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := o.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		o.Retry(req, res)
-		return pipeline.DoneNow()
+	if !ok || req.Kind == cache.Write && !perm.AllowsWrite() {
+		return o.Fault(req, res)
 	}
 	return pipeline.GoPhysical(pa, perm)
 }
@@ -225,13 +208,7 @@ func (o *OVC) Virtual(req *core.Request, _ addr.Perm, res *core.Result) cache.Ac
 	if l := l1.Access(vname); l != nil {
 		if req.Kind == cache.Write {
 			if !l.Perm.AllowsWrite() {
-				fl, fixed := o.HandleFault(req.Proc, req.VA, true)
-				res.Latency += fl
-				res.Fault = true
-				if !fixed {
-					return cache.AccessResult{}
-				}
-				o.Retry(req, res)
+				o.Fault(req, res)
 				return cache.AccessResult{}
 			}
 			l.State = cache.Modified
@@ -244,24 +221,8 @@ func (o *OVC) Virtual(req *core.Request, _ addr.Perm, res *core.Result) cache.Ac
 	o.L1MissTranslations.Inc()
 	pa, perm, lat, ok := o.translate(req)
 	res.Latency += lat
-	if !ok {
-		fl, fixed := o.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return cache.AccessResult{}
-		}
-		o.Retry(req, res)
-		return cache.AccessResult{}
-	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := o.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return cache.AccessResult{}
-		}
-		o.Retry(req, res)
+	if !ok || req.Kind == cache.Write && !perm.AllowsWrite() {
+		o.Fault(req, res)
 		return cache.AccessResult{}
 	}
 	alat, level, llcMiss := o.physL2Access(req.Kind, pa, perm)

@@ -123,27 +123,8 @@ func (v *Victima) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool
 func (v *Victima) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	pa, perm, lat, ok := v.translate(req)
 	res.Latency += lat
-	if !ok {
-		fl, fixed := v.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		pa, perm, lat, ok = v.translate(req)
-		res.Latency += lat
-		if !ok {
-			return pipeline.DoneNow()
-		}
-	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := v.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		pa, perm, _, _ = v.translate(req)
+	if !ok || req.Kind == cache.Write && !perm.AllowsWrite() {
+		return v.Fault(req, res)
 	}
 	return pipeline.GoPhysical(pa, perm)
 }

@@ -86,17 +86,7 @@ func (v *Virt2D) Route(req *core.Request, res *core.Result) pipeline.Decision {
 		wres, wlat := v.timed2DWalk(req.Core, req.Proc, req.VA.PageAligned())
 		res.Latency += wlat
 		if !wres.OK {
-			fl, fixed := v.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-			res.Latency += fl
-			res.Fault = true
-			if !fixed {
-				return pipeline.DoneNow()
-			}
-			wres, wlat = v.timed2DWalk(req.Core, req.Proc, req.VA.PageAligned())
-			res.Latency += wlat
-			if !wres.OK {
-				return pipeline.DoneNow()
-			}
+			return v.Fault(req, res)
 		}
 		perm = wres.GuestPTE.Perm
 		tl.Insert(tlb.Entry{
@@ -107,12 +97,7 @@ func (v *Virt2D) Route(req *core.Request, res *core.Result) pipeline.Decision {
 	}
 
 	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := v.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
+		return v.Fault(req, res)
 	}
 	return pipeline.GoPhysical(ma, perm)
 }

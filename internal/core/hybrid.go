@@ -242,7 +242,7 @@ func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	if candidate {
 		return m.routeSynonym(req, res)
 	}
-	return routeVirtual(m.Base, req, res)
+	return routeVirtual(m.Engine, req, res)
 }
 
 // routeSynonym handles synonym candidates: TLB before L1 (Section III-A).
@@ -257,17 +257,7 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 		leaf, lat, ok := m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 		res.Latency += lat
 		if !ok {
-			fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-			res.Latency += fl
-			res.Fault = true
-			if !fixed {
-				return pipeline.DoneNow()
-			}
-			leaf, lat, ok = m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-			res.Latency += lat
-			if !ok {
-				return pipeline.DoneNow()
-			}
+			return m.Fault(req, res)
 		}
 		ne := tlb.Entry{
 			ASID: req.Proc.ASID, VPN: req.VA.Page(), PFN: leaf.FrameFor4K(req.VA),
@@ -284,22 +274,15 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 		if w := m.fpWindow[req.Proc.ASID]; w != nil {
 			w.fps++
 		}
-		return routeVirtual(m.Base, req, res)
+		return routeVirtual(m.Engine, req, res)
 	}
 	m.TrueSynonymAccesses.Inc()
 
-	// Permission check before the cache access.
+	// Permission check before the cache access. A CoW break remaps the
+	// page privately and shoots the stale entry down, so the re-run
+	// translates afresh.
 	if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		// The fault remapped the page privately (CoW); retry as a fresh
-		// access (the shootdown already removed the stale entry).
-		m.Retry(req, res)
-		return pipeline.DoneNow()
+		return m.Fault(req, res)
 	}
 
 	pa := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
@@ -307,32 +290,14 @@ func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
 }
 
 // routeVirtual handles non-synonym accesses of the hybrid organizations:
-// demand-paging and CoW faults up front, charged to b, then ASID+VA (a
+// an unmapped page or a write to a read-only one faults through e, whose
+// front end runs the re-run; otherwise the reference goes as ASID+VA (a
 // VMID-extended ASID and gVA under virtualization) through the whole
 // hierarchy.
-func routeVirtual(b *Base, req *Request, res *Result) pipeline.Decision {
+func routeVirtual(e *pipeline.Engine, req *Request, res *Result) pipeline.Decision {
 	perm := fillPerm(req.Proc, req.VA)
-	if perm == addr.PermNone {
-		// Unmapped: demand paging fault, then retry.
-		fl, fixed := b.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		perm = fillPerm(req.Proc, req.VA)
-		if perm == addr.PermNone {
-			return pipeline.DoneNow()
-		}
-	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := b.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		perm = fillPerm(req.Proc, req.VA)
+	if perm == addr.PermNone || req.Kind == cache.Write && !perm.AllowsWrite() {
+		return e.Fault(req, res)
 	}
 	return pipeline.GoVirtual(perm)
 }

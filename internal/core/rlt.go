@@ -127,7 +127,7 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 		if !hit {
 			m.insertNonSynonym(req.Core, req.Proc, vpn)
 		}
-		return routeVirtual(m.HybridMMU.Base, req, res)
+		return routeVirtual(m.Engine, req, res)
 	}
 	m.Acc.Access(energy.SynonymTLB, 1)
 	res.Latency += rc.Config().Latency
@@ -135,17 +135,7 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 		leaf, lat, ok := m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
 		res.Latency += lat
 		if !ok {
-			fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-			res.Latency += fl
-			res.Fault = true
-			if !fixed {
-				return pipeline.DoneNow()
-			}
-			leaf, lat, ok = m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-			res.Latency += lat
-			if !ok {
-				return pipeline.DoneNow()
-			}
+			return m.Fault(req, res)
 		}
 		ne := tlb.Entry{
 			ASID: req.Proc.ASID, VPN: vpn, PFN: leaf.FrameFor4K(req.VA),
@@ -156,16 +146,7 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 	}
 	m.TrueSynonymAccesses.Inc()
 	if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		// The fault remapped the page privately (CoW); retry as a fresh
-		// access (the shootdown already removed the stale entry).
-		m.Retry(req, res)
-		return pipeline.DoneNow()
+		return m.Fault(req, res)
 	}
 	pa := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
 	return pipeline.GoPhysical(pa, e.Perm)
@@ -174,7 +155,7 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 // insertNonSynonym caches a page's non-synonym classification, carrying
 // the page-table frame so the entry audits cleanly against the tables.
 // Unmapped pages (demand paging still pending) are not cached: the fault
-// path runs first and the next access retries.
+// path runs first, and the reference's re-run caches the repaired page.
 func (m *RLTVC) insertNonSynonym(core int, proc *osmodel.Process, vpn uint64) {
 	pte, ok := proc.PT.Lookup(addr.PageToVA(vpn))
 	if !ok {

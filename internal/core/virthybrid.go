@@ -252,7 +252,7 @@ func (m *VirtHybridMMU) Route(req *Request, res *Result) pipeline.Decision {
 	if candidate {
 		return m.routeSynonym(req, res)
 	}
-	return routeVirtual(m.Base, req, res)
+	return routeVirtual(m.Engine, req, res)
 }
 
 // routeSynonym: TLB (gVA->MA) before L1, filled by 2D walks.
@@ -267,17 +267,7 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 		wres, lat := m.timed2DWalk(req.Core, req.Proc, req.VA.PageAligned())
 		res.Latency += lat
 		if !wres.OK {
-			fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-			res.Latency += fl
-			res.Fault = true
-			if !fixed {
-				return pipeline.DoneNow()
-			}
-			wres, lat = m.timed2DWalk(req.Core, req.Proc, req.VA.PageAligned())
-			res.Latency += lat
-			if !wres.OK {
-				return pipeline.DoneNow()
-			}
+			return m.Fault(req, res)
 		}
 		shared := wres.GuestPTE.Shared || wres.HostShared
 		ne := tlb.Entry{
@@ -289,18 +279,11 @@ func (m *VirtHybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decisio
 	}
 	if e.NonSynonym {
 		m.Counts.FalsePositive()
-		return routeVirtual(m.Base, req, res)
+		return routeVirtual(m.Engine, req, res)
 	}
 	m.TrueSynonymAccesses.Inc()
 	if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		m.Retry(req, res)
-		return pipeline.DoneNow()
+		return m.Fault(req, res)
 	}
 	ma := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
 	return pipeline.GoPhysical(ma, e.Perm)

@@ -52,6 +52,15 @@ type PTE struct {
 	Huge bool
 }
 
+// PA composes the leaf's frame with va's offset in the page (the 2 MiB
+// page for a huge leaf).
+func (p PTE) PA(va addr.VA) addr.PA {
+	if p.Huge {
+		return addr.FrameToPA(p.Frame) + addr.PA(uint64(va)&(addr.HugePageSize-1))
+	}
+	return addr.FrameToPA(p.Frame) + addr.PA(va.PageOffset())
+}
+
 // Encode packs the PTE into its 64-bit on-"disk" form.
 func (p PTE) Encode() uint64 {
 	if !p.Present {
@@ -399,9 +408,5 @@ func (t *Tables) Translate(va addr.VA) (addr.PA, bool) {
 	if !ok {
 		return 0, false
 	}
-	if pte.Huge {
-		off := uint64(va) & (addr.HugePageSize - 1)
-		return addr.FrameToPA(pte.Frame) + addr.PA(off), true
-	}
-	return addr.FrameToPA(pte.Frame) + addr.PA(va.PageOffset()), true
+	return pte.PA(va), true
 }

@@ -10,9 +10,9 @@ import (
 type Verdict uint8
 
 const (
-	// Done means the front end completed the access itself (an
-	// unrecoverable fault dead-end, or a fault-and-retry that already
-	// folded the retried access into the result).
+	// Done means the front end completed the access itself: Engine.Fault
+	// handled an OS fault and, when the handler repaired the mapping,
+	// already folded the re-run into the result.
 	Done Verdict = iota
 	// Physical sends the access through the cache stage under its
 	// physical (machine) address.
@@ -28,9 +28,6 @@ type Decision struct {
 	PA      addr.PA
 	Perm    addr.Perm
 }
-
-// DoneNow reports the access as already completed by the front end.
-func DoneNow() Decision { return Decision{Verdict: Done} }
 
 // GoPhysical routes the access physically at pa.
 func GoPhysical(pa addr.PA, perm addr.Perm) Decision {
@@ -84,7 +81,7 @@ type Engine struct {
 	// hres is the reusable hierarchy outcome handed to the Backend. A
 	// local would escape through the interface call and cost one heap
 	// allocation per virtually routed access. Reuse is safe: re-entrant
-	// accesses (fault retries) finish before the outcome is stored.
+	// accesses (fault re-runs) finish before the outcome is stored.
 	hres cache.AccessResult
 }
 
@@ -126,18 +123,29 @@ func (e *Engine) AccessBatch(reqs []Request, res []Result) {
 	}
 }
 
-// Retry re-executes the request after a fault repaired the mapping and
-// folds the retried outcome into res. res.Fault stays set: the original
-// reference did fault, whatever the retry then did. The retried access
-// re-enters the pipeline, so it counts its own route and cache outcome;
-// Counts.Retries reconciles route counts with the number of references
-// the simulator issued.
-func (e *Engine) Retry(req *Request, res *Result) {
-	e.Counts.Retry()
-	r2 := e.Access(*req)
-	res.Latency += r2.Latency
-	res.LLCMiss = r2.LLCMiss
-	res.HitLevel = r2.HitLevel
+// Fault is the one way a front end or cache stage handles an OS fault
+// (an unmapped page, or a write to a read-only one): it runs the handler,
+// charges FaultLatency and sets res.Fault. When the handler repaired the
+// mapping, the reference re-runs from the front end, as a precise fault
+// re-executes its instruction, and res takes the re-run's outcome: its
+// latency adds, its HitLevel and LLCMiss replace. res.Fault stays set
+// whatever the re-run did. The re-run enters the pipeline like any
+// reference and counts its own route and cache outcome, so every repaired
+// fault counts one Counts.Retries, and RouteTotal minus Retries is the
+// number of references issued. A front end ends with
+// `return e.Fault(req, res)`; a cache stage ignores the Decision.
+func (e *Engine) Fault(req *Request, res *Result) Decision {
+	lat, fixed := e.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
+	res.Latency += lat
+	res.Fault = true
+	if fixed {
+		e.Counts.Retry()
+		r2 := e.Access(*req)
+		res.Latency += r2.Latency
+		res.LLCMiss = r2.LLCMiss
+		res.HitLevel = r2.HitLevel
+	}
+	return Decision{Verdict: Done}
 }
 
 // access runs the three stages for one reference. It counts at the

@@ -4,8 +4,8 @@
 //   - a FrontEnd that routes each reference before the L1 (a synonym
 //     filter with its synonym TLB, a conventional TLB, range/direct
 //     segments, ...), deciding whether the cache hierarchy is accessed
-//     physically or virtually (or not at all, after an unrecoverable
-//     fault);
+//     physically or virtually (or not at all, when Engine.Fault handled
+//     an OS fault);
 //   - a cache stage — by default the full coherent hierarchy, replaceable
 //     for designs like OVC whose L1 alone is virtual; and
 //   - an optional Backend that finishes the access after the hierarchy
@@ -74,7 +74,7 @@ const WalkRetryLatency = 50
 // only a nil-check.
 type Faulter interface {
 	// Routed is called once per reference entering the pipeline, fault
-	// retries included, after the front end decided and Counts counted
+	// re-runs included, after the front end decided and Counts counted
 	// the route, and before the cache stage runs: the hierarchy is never
 	// mid-update there.
 	Routed()
@@ -209,7 +209,11 @@ func (l WalkLeaf) FrameFor4K(va addr.VA) uint64 {
 	return l.Frame + (uint64(va)>>addr.PageBits)&(addr.HugePageSize/addr.PageSize-1)
 }
 
-// HandleFault invokes the OS fault handler and charges its latency.
+// HandleFault invokes the OS fault handler and returns its latency and
+// whether it repaired the mapping. Front ends and cache stages go through
+// Engine.Fault, which re-runs a repaired reference; only the post-LLC
+// backends call it directly, since their faults (a mapped page that
+// delayed translation cannot resolve) are never repaired.
 func (b *Base) HandleFault(proc *osmodel.Process, va addr.VA, isWrite bool) (uint64, bool) {
 	b.Faults.Inc()
 	ok := proc.HandleFault(va, isWrite)

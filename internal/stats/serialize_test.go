@@ -59,27 +59,6 @@ func TestHistogramSnapshotIsFrozen(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotCSV(t *testing.T) {
-	s := sampleHistogram().Snapshot()
-	if len(s.CSVHeader()) != len(s.CSVRow()) {
-		t.Fatalf("header %d columns, row %d", len(s.CSVHeader()), len(s.CSVRow()))
-	}
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d CSV records, want header + row", len(recs))
-	}
-	if recs[0][0] != "le_1" || !strings.Contains(strings.Join(recs[0], ","), "overflow") {
-		t.Errorf("unexpected header %v", recs[0])
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := sampleHistogram()
 	h.Reset()

@@ -54,17 +54,6 @@ func (h HitMiss) HitRate() float64 {
 	return Ratio(h.Hits.Value(), h.Accesses())
 }
 
-// MissRate returns misses/accesses, or 0 for no accesses.
-func (h HitMiss) MissRate() float64 {
-	return Ratio(h.Misses.Value(), h.Accesses())
-}
-
-// Add accumulates another HitMiss into h.
-func (h *HitMiss) AddAll(other HitMiss) {
-	h.Hits.Add(other.Hits.Value())
-	h.Misses.Add(other.Misses.Value())
-}
-
 func (h HitMiss) String() string {
 	return fmt.Sprintf("hits=%d misses=%d (%.2f%% hit)",
 		h.Hits.Value(), h.Misses.Value(), 100*h.HitRate())
@@ -209,46 +198,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // MarshalJSON serializes the histogram as its snapshot.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
 	return json.Marshal(h.Snapshot())
-}
-
-// CSVHeader returns the column names WriteCSVRow emits: one "le_<bound>"
-// column per bucket, "overflow", then the summary columns.
-func (s HistogramSnapshot) CSVHeader() []string {
-	cols := make([]string, 0, len(s.Counts)+5)
-	for _, b := range s.Bounds {
-		cols = append(cols, fmt.Sprintf("le_%d", b))
-	}
-	cols = append(cols, "overflow", "total", "mean", "max", "p50", "p90", "p99")
-	return cols
-}
-
-// CSVRow returns the snapshot's values aligned with CSVHeader.
-func (s HistogramSnapshot) CSVRow() []string {
-	row := make([]string, 0, len(s.Counts)+5)
-	for _, c := range s.Counts {
-		row = append(row, fmt.Sprintf("%d", c))
-	}
-	row = append(row,
-		fmt.Sprintf("%d", s.Total),
-		fmt.Sprintf("%.4f", s.Mean),
-		fmt.Sprintf("%d", s.Max),
-		fmt.Sprintf("%d", s.P50),
-		fmt.Sprintf("%d", s.P90),
-		fmt.Sprintf("%d", s.P99))
-	return row
-}
-
-// WriteCSV writes the snapshot as a two-line CSV (header + row).
-func (s HistogramSnapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(s.CSVHeader()); err != nil {
-		return err
-	}
-	if err := cw.Write(s.CSVRow()); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Reset clears all observations, keeping the bucket shape.
